@@ -68,6 +68,14 @@ def default_order() -> int:
     return fps.DEFAULT_ORDER
 
 
+def parse_rational(text: str) -> Fraction:
+    """An exact rational from "p/q" or decimal text; ValueError if malformed."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_params(pairs: list[str] | None) -> dict:
     params: dict = {}
     for pair in pairs or []:
@@ -75,18 +83,18 @@ def parse_params(pairs: list[str] | None) -> dict:
         if not sep:
             raise ValueError(f"--param expects key=value, got {pair!r}")
         if "," in value:
-            params[key] = [Fraction(v) for v in value.split(",") if v]
+            params[key] = parse_rationals(value)
         elif key == "t":
-            params[key] = [Fraction(value)]
+            params[key] = [parse_rational(value)]
         elif key == "p":
             params[key] = int(value)
         else:
-            params[key] = Fraction(value)
+            params[key] = parse_rational(value)
     return params
 
 
 def parse_rationals(text: str) -> list[Fraction]:
-    return [Fraction(part) for part in text.split(",") if part]
+    return [parse_rational(part) for part in text.split(",") if part]
 
 
 def payload_json(value) -> object:
@@ -237,13 +245,13 @@ def cmd_maxent(args, stream) -> int:
     t0 = time.perf_counter()
     params = parse_params(args.param)
     stat = cat.get(args.stat).build(args.order, **params)
-    energies = [float(Fraction(e)) for e in args.energies.split(",") if e]
+    energies = [float(e) for e in parse_rationals(args.energies)]
     try:
         sol = maxent_solve(
             stat,
             energies,
-            energy_target=float(Fraction(args.energy_target)),
-            number_target=float(Fraction(args.number_target)),
+            energy_target=float(parse_rational(args.energy_target)),
+            number_target=float(parse_rational(args.number_target)),
             a0=args.a0,
             b0=args.b0,
         )
@@ -312,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         "polynomial sequences, and deformed entropy",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    order = default_order()
 
     def common(p, stat=True):
         if stat:
@@ -319,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"catalog entry ({', '.join(cat.list_entries())})")
             p.add_argument("--param", action="append", metavar="K=V",
                            help="entry parameter, repeatable (e.g. --param eps=1/2)")
-        p.add_argument("--order", type=int, default=default_order(),
+        p.add_argument("--order", type=int, default=order,
                        help="truncation order (env UMBRAL_ORDER, default 16)")
         p.add_argument("--format", choices=("json", "csv", "pretty"),
                        default="json")

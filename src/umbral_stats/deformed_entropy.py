@@ -33,9 +33,11 @@ from .series import (
     derivative,
     evaluate,
     exp_series,
+    identity,
     integrate_extend,
     lagrange_invert,
     log_series,
+    logseries_compose,
     logseries_derivative,
     mul,
     reciprocal,
@@ -154,11 +156,7 @@ def a_coefficients(phi: PhiSeries, n_max: int | None = None) -> list[Fraction]:
 
 def x_from_phi(phi: PhiSeries) -> TruncatedSeries:
     """X(p) = p * exp(sum a_n p^n / n) = exp(ln_phi(p))."""
-    a = a_coefficients(phi)
-    partial = TruncatedSeries(
-        [Fraction(0)] + [c / (k + 1) for k, c in enumerate(a)]
-    )
-    return shift_up(exp_series(partial))
+    return shift_up(exp_series(ln_phi(phi).plain))
 
 
 def phi_from_x(X: TruncatedSeries) -> PhiSeries:
@@ -288,7 +286,7 @@ def main_theorem_holds(
     """
     lhs = st.entropy(stat)
     h0 = phi_entropy(stat, constant).series
-    rhs = _compose_logseries(h0, stat.w)
+    rhs = logseries_compose(h0, stat.w)
     n = rhs.order
     if not lhs.logpart.agrees_with(rhs.logpart, n):
         return False
@@ -301,8 +299,8 @@ def main_theorem_holds(
     if constant is not None:
         # un-normalized form: subtracting c0*p before substitution and
         # adding back c0*w must reproduce the same entropy
-        full = LogSeries(h0.plain - constant * _identity_like(h0.plain), h0.logpart)
-        rhs_full = _compose_logseries(full, stat.w)
+        full = LogSeries(h0.plain - constant * identity(h0.plain.order), h0.logpart)
+        rhs_full = logseries_compose(full, stat.w)
         corrected = LogSeries(
             rhs_full.plain + constant * stat.w.truncate(rhs_full.order),
             rhs_full.logpart,
@@ -310,18 +308,6 @@ def main_theorem_holds(
         if not lhs.agrees_with(corrected, corrected.order):
             return False
     return lam == 0 if constant is None else True
-
-
-def _identity_like(s: TruncatedSeries) -> TruncatedSeries:
-    return TruncatedSeries(
-        [Fraction(0), Fraction(1)] + [Fraction(0)] * (s.order - 1)
-    )
-
-
-def _compose_logseries(ls: LogSeries, u: TruncatedSeries) -> LogSeries:
-    from .series import logseries_compose
-
-    return logseries_compose(ls, u)
 
 
 # -- the bijection with entropy densities -------------------------------------
@@ -442,17 +428,13 @@ def maxent_solve(
     Raises :class:`MaxentConvergenceError` (carrying the last iterate)
     rather than returning an unconverged answer silently.
     """
-    w_coeffs = [float(c) for c in stat.w.coeffs]
-    dw_coeffs = [k * c for k, c in enumerate(w_coeffs)][1:]
+    dw_coeffs = [k * float(c) for k, c in enumerate(stat.w.coeffs)][1:]
     a, b = a0, b0
 
-    def residuals(a: float, b: float) -> tuple[list[float], float, float]:
-        p = [_evaluate_float(w_coeffs, math.exp(-(a + b * e))) for e in energies]
-        r1 = sum(p) - number_target
-        r2 = sum(pi * e for pi, e in zip(p, energies)) - energy_target
-        return p, r1, r2
+    def evaluate_at(a: float, b: float) -> MaxentEvaluation:
+        return max_entropy_distribution(stat, energies, a, b, energy_target, number_target)
 
-    p, r1, r2 = residuals(a, b)
+    p, (r1, r2) = evaluate_at(a, b)
     for iteration in range(1, max_iter + 1):
         if abs(r1) < tol and abs(r2) < tol:
             return MaxentSolution(a, b, p, (r1, r2), iteration - 1, True)
@@ -472,7 +454,10 @@ def maxent_solve(
         step = 1.0
         norm0 = r1 * r1 + r2 * r2
         for _ in range(40):
-            p_new, r1_new, r2_new = residuals(a + step * da, b + step * db)
+            try:
+                p_new, (r1_new, r2_new) = evaluate_at(a + step * da, b + step * db)
+            except OverflowError:  # math.exp out of range: reject the step
+                r1_new = r2_new = math.inf
             if math.isfinite(r1_new) and math.isfinite(r2_new) and (
                 r1_new * r1_new + r2_new * r2_new < norm0
             ):

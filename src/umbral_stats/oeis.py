@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import re
 import sys
-import urllib.error
-import urllib.request
 from typing import NamedTuple
 
 from . import catalog as cat
@@ -58,6 +56,8 @@ def fetch_sequence(oeis_id: str, timeout: float = 10.0) -> list[int]:
     if not m:
         raise ValueError(f"not an OEIS id: {oeis_id!r}")
     url = B_FILE_URL.format(sid=oeis_id, digits=m.group(1))
+    import urllib.request  # only fetching needs it; it is slow to import
+
     with urllib.request.urlopen(url, timeout=timeout) as resp:
         return parse_b_file(resp.read().decode("utf-8", errors="replace"))
 
@@ -88,7 +88,7 @@ def check_fixture(fixture: cat.Fixture, fetch: bool = False) -> SequenceCheck:
         try:
             reference = fetch_sequence(fixture.oeis)
             source = "fetch"
-        except (urllib.error.URLError, OSError) as exc:
+        except OSError as exc:  # URLError is an OSError
             # network trouble only; a b-file parse failure propagates
             print(
                 f"warning: could not fetch {fixture.oeis} ({exc}); "

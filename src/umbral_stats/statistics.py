@@ -1,13 +1,14 @@
 """The space of interpolating occupation statistics.
 
 A statistics is determined by its one-particle free energy
-F(X) = sum w_n X^n / n with w_1 = 1.  Derived data cached on construction:
+F(X) = sum w_n X^n / n with w_1 = 1.  Derived data:
 
-* the partition function z = exp(F), whose coefficients are the
-  occupation numbers W_n,
 * the weight function w = X F'(X) (the mean occupation as a series in
-  fugacity), normalized so w = X + O(X^2),
-* the compositional inverse X(w) of the weight function.
+  fugacity), normalized so w = X + O(X^2), computed on construction,
+* the partition function z = exp(F), whose coefficients are the
+  occupation numbers W_n, computed on first read,
+* the compositional inverse X(w) of the weight function, computed on
+  first read.
 
 The involution swapping Bose-Einstein and Fermi-Dirac statistics sends a
 weight function to its compositional inverse; series composition of
@@ -18,6 +19,7 @@ weight functions is a group law with the Boltzmann-Gibbs statistics
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import NamedTuple, Sequence
 
 from . import series as fps
@@ -32,13 +34,13 @@ from .series import (
     lagrange_invert,
     log_series,
 )
-from .umbral import Polynomial
+from .umbral import DeltaSeries, Polynomial, conjugate_sequence
 
 
 class Statistics:
     """An interpolating statistics, stored by its free energy."""
 
-    __slots__ = ("name", "F", "w", "z", "X_of_w")
+    __slots__ = ("name", "F", "w", "_z", "_X_of_w")
 
     def __init__(self, F: TruncatedSeries, name: str = "statistics"):
         if F.coeffs[0] != 0:
@@ -51,12 +53,26 @@ class Statistics:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "z", exp_series(F))
-        # lagrange_invert verifies both composition roundtrips internally
-        object.__setattr__(self, "X_of_w", lagrange_invert(w))
+        # F(0) = 0 and w_1 = 1 hold, so exp(F) and X(w) cannot fail when read
+        object.__setattr__(self, "_z", None)
+        object.__setattr__(self, "_X_of_w", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Statistics is immutable")
+
+    @property
+    def z(self) -> TruncatedSeries:
+        """The partition function exp(F)."""
+        if self._z is None:
+            object.__setattr__(self, "_z", exp_series(self.F))
+        return self._z
+
+    @property
+    def X_of_w(self) -> TruncatedSeries:
+        """The compositional inverse of the weight function."""
+        if self._X_of_w is None:
+            object.__setattr__(self, "_X_of_w", lagrange_invert(self.w))
+        return self._X_of_w
 
     @property
     def order(self) -> int:
@@ -87,10 +103,6 @@ class SpectralSample(NamedTuple):
     Y: Fraction
 
 
-def from_free_energy(F: TruncatedSeries, name: str = "statistics") -> Statistics:
-    return Statistics(F, name)
-
-
 def from_cluster(w_list: Sequence[RationalLike], name: str = "statistics") -> Statistics:
     """Build from cluster coefficients w_1, w_2, ...; requires w_1 = 1."""
     w = [as_rational(c) for c in w_list]
@@ -116,32 +128,32 @@ def from_occupation(
     return Statistics(log_series(z), name)
 
 
-def occupation_polynomial(stat: Statistics, k: int) -> Polynomial:
-    """W_k(N): the deformed binomial coefficient, as an exact polynomial in N.
+def occupation_polynomials(stat: Statistics, k: int) -> list[Polynomial]:
+    """W_0(N)..W_k(N): the deformed binomial coefficients, as exact
+    polynomials in N.
 
-    From z(X)^N = sum_k W_k(N) X^k one gets
-    W_k(N) = sum_j (N^j / j!) [X^k] F(X)^j, a polynomial of degree k.
+    From z(X)^N = exp(N F(X)) = sum_k W_k(N) X^k, W_k(N) is the conjugate
+    sequence of F at degree k divided by k!.
     """
     if k > stat.order:
         raise ValueError(f"index {k} beyond truncation order {stat.order}")
-    power = fps.one(k)
-    Ft = stat.F.truncate(k) if stat.order > k else stat.F
-    coeffs = []
-    fact = Fraction(1)
-    for j in range(k + 1):
-        if j > 0:
-            fact *= j
-            power = fps.mul(power, Ft)
-        coeffs.append(power.coeffs[k] / fact)
-    return Polynomial(coeffs)
+    seq = conjugate_sequence(DeltaSeries(stat.F), k)
+    return [p.scale(Fraction(1, factorial(j))) for j, p in enumerate(seq)]
+
+
+def occupation_polynomial(stat: Statistics, k: int) -> Polynomial:
+    """W_k(N), a polynomial of degree k; see :func:`occupation_polynomials`."""
+    return occupation_polynomials(stat, k)[k]
+
+
+def convolution_holds(W: Sequence[Polynomial], x: Fraction, y: Fraction, k: int) -> bool:
+    """W_k(x+y) == sum_i W_i(x) W_{k-i}(y), exactly (deformed Chu-Vandermonde)."""
+    return W[k](x + y) == sum(W[i](x) * W[k - i](y) for i in range(k + 1))
 
 
 def occupation_recursion_holds(stat: Statistics, n1: int, n2: int, k: int) -> bool:
     """W_k(N1+N2) == sum_i W_i(N1) W_{k-i}(N2), exactly."""
-    polys = [occupation_polynomial(stat, i) for i in range(k + 1)]
-    lhs = polys[k](n1 + n2)
-    rhs = sum(polys[i](n1) * polys[k - i](n2) for i in range(k + 1))
-    return lhs == rhs
+    return convolution_holds(occupation_polynomials(stat, k), n1, n2, k)
 
 
 def dual(stat: Statistics) -> Statistics:

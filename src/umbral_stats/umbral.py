@@ -15,7 +15,7 @@ realized as "apply the operator, evaluate at 0".
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Iterable, Sequence
 
 from .series import (
@@ -26,6 +26,7 @@ from .series import (
     derivative,
     lagrange_invert,
     mul,
+    powers,
     reciprocal,
 )
 
@@ -259,19 +260,15 @@ class PolynomialSequence:
 # -- sequence constructors ---------------------------------------------------
 
 
-def _weighted_power_table(
+def _egf_sequence(
     F: TruncatedSeries, n: int, prefactor: TruncatedSeries | None = None
-) -> list[list[Fraction]]:
-    """Coefficients [X^m] (prefactor * F^k) for k, m = 0..n."""
-    base = prefactor.truncate(n) if prefactor is not None else None
-    Ft = F.truncate(min(F.order, n)) if F.order > n else F
-    rows = []
-    power = base if base is not None else TruncatedSeries([1] + [0] * n)
-    rows.append(list(power.coeffs) + [Fraction(0)] * (n - power.order))
-    for _ in range(n):
-        power = mul(power, Ft) if power.order <= n else mul(power.truncate(n), Ft)
-        rows.append(list(power.coeffs) + [Fraction(0)] * (n - power.order))
-    return rows
+) -> PolynomialSequence:
+    """p_m(x) = m! * sum_k (x^k / k!) [X^m] (prefactor * F(X)^k), m = 0..n."""
+    rows = powers(F, n, prefactor)
+    return PolynomialSequence(
+        Polynomial([factorial(m) * rows[k].coeffs[m] / factorial(k) for k in range(m + 1)])
+        for m in range(n + 1)
+    )
 
 
 def conjugate_sequence(F: DeltaSeries, n: int) -> PolynomialSequence:
@@ -281,15 +278,7 @@ def conjugate_sequence(F: DeltaSeries, n: int) -> PolynomialSequence:
     """
     if n > F.order:
         raise ValueError(f"requested degree {n} exceeds series order {F.order}")
-    table = _weighted_power_table(F.series, n)
-    polys = []
-    fact = [Fraction(1)]
-    for k in range(1, n + 1):
-        fact.append(fact[-1] * k)
-    for m in range(n + 1):
-        coeffs = [fact[m] * table[k][m] / fact[k] for k in range(m + 1)]
-        polys.append(Polynomial(coeffs))
-    return PolynomialSequence(polys)
+    return _egf_sequence(F.series, n)
 
 
 def associated_sequence(f: DeltaSeries, n: int) -> PolynomialSequence:
@@ -303,16 +292,7 @@ def sheffer_sequence(g: InvertibleSeries, f: DeltaSeries, n: int) -> PolynomialS
     if n > min(g.order, f.order):
         raise ValueError("requested degree exceeds a series order")
     F = f.inverse().series
-    prefactor = reciprocal(compose(g.series, F))
-    table = _weighted_power_table(F, n, prefactor)
-    fact = [Fraction(1)]
-    for k in range(1, n + 1):
-        fact.append(fact[-1] * k)
-    polys = []
-    for m in range(n + 1):
-        coeffs = [fact[m] * table[k][m] / fact[k] for k in range(m + 1)]
-        polys.append(Polynomial(coeffs))
-    return PolynomialSequence(polys)
+    return _egf_sequence(F, n, reciprocal(compose(g.series, F)))
 
 
 # -- operators ---------------------------------------------------------------

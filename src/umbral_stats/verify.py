@@ -153,25 +153,24 @@ def suite_occupation(order: int, seed: int) -> list[PropertyResult]:
     out = []
     k_max = min(8, order)
     for name, stat in _catalog_statistics(max(k_max, 8)):
+        W = st.occupation_polynomials(stat, k_max)
         ok = True
         detail = ""
         for n1 in range(5):
             for n2 in range(5):
                 for k in range(k_max + 1):
-                    if not st.occupation_recursion_holds(stat, n1, n2, k):
+                    if not st.convolution_holds(W, n1, n2, k):
                         ok = False
                         detail = f"(N1,N2,k)=({n1},{n2},{k})"
                         break
         out.append(PropertyResult("occupation", f"recursion:{name}", ok, detail))
         # deformed Chu-Vandermonde at random rational points
-        polys = [st.occupation_polynomial(stat, i) for i in range(min(6, k_max) + 1)]
         ok = True
         detail = ""
         for n in range(min(6, k_max) + 1):
             for _ in range(5):
                 x, y = random_rational(rng), random_rational(rng)
-                lhs = sum(polys[i](x) * polys[n - i](y) for i in range(n + 1))
-                if lhs != st.occupation_polynomial(stat, n)(x + y):
+                if not st.convolution_holds(W, x, y, n):
                     ok = False
                     detail = f"n={n}, points ({x},{y})"
                     break

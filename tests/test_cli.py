@@ -3,9 +3,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import umbral_stats
 from umbral_stats import cli
 from umbral_stats import series as fps
 
@@ -161,6 +166,31 @@ class TestMaxent:
         assert data["payload"]["converged"] is False
 
 
+    def test_exp_overflow_in_line_search_is_nonconvergence(self):
+        code, data = run_json(
+            ["maxent", "--stat", "fermi-dirac", "--energies", "0,1,2",
+             "--energy-target", "1/2"]
+        )
+        assert code == 1
+        assert data["payload"]["converged"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectral", "--stat", "fermi-dirac", "--points", "1/0"],
+        ["maxent", "--stat", "boltzmann-gibbs", "--energies", "0,1/0",
+         "--energy-target", "1/4"],
+        ["expand", "--stat", "acharya-swamy", "--param", "eps=1/0",
+         "--quantity", "w"],
+    ],
+)
+def test_zero_denominator_is_an_error(argv, capsys):
+    code, out = run(argv)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
+
+
 class TestVerify:
     def test_single_suite_passes(self):
         code, data = run_json(
@@ -229,3 +259,19 @@ class TestEnvironment:
     def test_invalid_env_falls_back(self, monkeypatch, capsys):
         monkeypatch.setenv("UMBRAL_ORDER", "bogus")
         assert cli.default_order() == 16
+
+    def test_invalid_env_warns_once(self, monkeypatch, capsys):
+        monkeypatch.setenv("UMBRAL_ORDER", "abc")
+        code, data = run_json(["expand", "--stat", "bose-einstein", "--quantity", "w"])
+        assert code == 0 and data["payload"]["order"] == 16
+        assert capsys.readouterr().err.count("warning: ignoring invalid") == 1
+
+
+def test_import_does_not_load_http_client():
+    src = str(Path(umbral_stats.__file__).resolve().parents[1])
+    probe = "import sys, umbral_stats.cli; print('urllib.request' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 """Integer-sequence client: b-file parsing and prefix matching."""
 
+import urllib.error
+
 import pytest
 
 from umbral_stats import catalog as cat
@@ -44,6 +46,15 @@ class TestFixtureChecks:
         check = oeis.check_entry_quantity("mitt" + "ag-leffler", "X_of_w")
         assert check.passed and check.source == "offline"
         assert check.oeis_id == "A000108"
+
+    def test_network_failure_falls_back_to_embedded_terms(self, monkeypatch, capsys):
+        def unreachable(oeis_id):
+            raise urllib.error.URLError("unreachable")
+
+        monkeypatch.setattr(oeis, "fetch_sequence", unreachable)
+        check = oeis.check_entry_quantity("lah", "X_of_w", fetch=True)
+        assert check.passed and check.source == "offline"
+        assert "falling back to embedded terms" in capsys.readouterr().err
 
     def test_explicit_mismatched_id_rejected(self):
         with pytest.raises(ValueError, match="references"):

@@ -81,6 +81,33 @@ class TestConstruction:
         assert st.statistics_from_json(data) == s
 
 
+class TestLazyDerivedData:
+    def test_only_reads_pay_for_exp_and_inversion(self, monkeypatch):
+        calls = {"exp_series": 0, "lagrange_invert": 0, "compose": 0}
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(st, "exp_series")
+        spy(st, "lagrange_invert")
+        spy(fps, "compose")
+        a, b = bose(8), fermi(8)
+        st.group_compose(a, b)
+        assert calls["exp_series"] == calls["lagrange_invert"] == 0
+        assert a.z == fps.exp_series(a.F) and a.z is a.z
+        assert a.X_of_w == b.w and a.X_of_w is a.X_of_w
+        assert calls["exp_series"] == calls["lagrange_invert"] == 1
+        calls["compose"] = 0
+        fps.lagrange_invert(a.w)
+        assert calls["compose"] == 1
+
+
 class TestOccupationPolynomials:
     def test_boltzmann_powers(self):
         s = boltzmann(8)
@@ -97,6 +124,14 @@ class TestOccupationPolynomials:
 
     def test_bose_multiset_count(self):
         assert st.occupation_polynomial(bose(6), 2)(3) == 6  # C(3+2-1, 2)
+
+    def test_table_matches_single_polynomials(self):
+        s = bose(8)
+        W = st.occupation_polynomials(s, 6)
+        assert W == [st.occupation_polynomial(s, k) for k in range(7)]
+        assert st.convolution_holds(W, F(1, 3), F(-2, 5), 6)
+        with pytest.raises(ValueError, match="beyond truncation order"):
+            st.occupation_polynomials(s, 9)
 
     def test_recursion_trivial_split(self):
         s = bose(8)
