@@ -375,6 +375,11 @@ def _validate_catalan_curve(p: Params) -> None:
         raise CatalogError("parameter a must be nonzero (b = -2a must be nonzero)")
 
 
+def _validate_eps_nonzero(p: Params) -> None:
+    if p["eps"] == 0:
+        raise CatalogError("parameter eps must be nonzero")
+
+
 def _validate_bell(p: Params) -> None:
     if p["t"] and p["t"][0] != 1:
         raise CatalogError("first coefficient t_1 must be 1")
@@ -535,6 +540,7 @@ _register(
         "parameter-inverted average: F = ((1/e)log(1+eX) + e log(1+X/e))/2",
         _F_averaged_2,
         defaults={"eps": Fraction(2)},
+        validate=_validate_eps_nonzero,
     )
 )
 _register(
@@ -543,6 +549,7 @@ _register(
         "shifted-logarithm average: F = (log(X+e) + log(X+1/e))/2",
         None,
         defaults={"eps": Fraction(2)},
+        validate=_validate_eps_nonzero,
         extra_quantities={
             "X_of_w": _q_averaged_3_X_of_w,
             "X_of_w_scaled": _q_averaged_3_X_scaled,

@@ -35,7 +35,6 @@ from .series import LogSeries, TruncatedSeries
 from .umbral import (
     DeltaSeries,
     InvertibleSeries,
-    associated_sequence,
     conjugate_sequence,
     poly_to_json,
     sheffer_sequence,
@@ -95,6 +94,14 @@ def parse_params(pairs: list[str] | None) -> dict:
 
 def parse_rationals(text: str) -> list[Fraction]:
     return [parse_rational(part) for part in text.split(",") if part]
+
+
+def parse_float(text: str) -> float:
+    """A rational from text as a float; ValueError if malformed or out of range."""
+    try:
+        return float(parse_rational(text))
+    except OverflowError:
+        raise ValueError(f"{text!r} is too large for a float") from None
 
 
 def payload_json(value) -> object:
@@ -208,10 +215,9 @@ def cmd_polyseq(args, stream) -> int:
     t0 = time.perf_counter()
     params = parse_params(args.param)
     stat = cat.get(args.stat).build(max(args.order, args.n), **params)
-    if args.kind == "conjugate":
+    if args.kind in ("conjugate", "associated"):
+        # the associated sequence of F's inverse is the conjugate sequence of F
         seq = conjugate_sequence(DeltaSeries(stat.F), args.n)
-    elif args.kind == "associated":
-        seq = associated_sequence(DeltaSeries(fps.lagrange_invert(stat.F)), args.n)
     else:
         g = InvertibleSeries(TruncatedSeries(parse_rationals(args.g_coeffs))) if (
             args.g_coeffs
@@ -245,13 +251,13 @@ def cmd_maxent(args, stream) -> int:
     t0 = time.perf_counter()
     params = parse_params(args.param)
     stat = cat.get(args.stat).build(args.order, **params)
-    energies = [float(e) for e in parse_rationals(args.energies)]
+    energies = [parse_float(e) for e in args.energies.split(",") if e]
     try:
         sol = maxent_solve(
             stat,
             energies,
-            energy_target=float(parse_rational(args.energy_target)),
-            number_target=float(parse_rational(args.number_target)),
+            energy_target=parse_float(args.energy_target),
+            number_target=parse_float(args.number_target),
             a0=args.a0,
             b0=args.b0,
         )

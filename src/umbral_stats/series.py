@@ -7,15 +7,21 @@ order is the largest through which all coefficients are determined by the
 inputs (conservatively ``min`` of the input orders, reduced further where
 an operation loses information, e.g. differentiation).
 
-All coefficients are :class:`fractions.Fraction`; nothing here ever
-rounds.  :class:`LogSeries` extends the model with a single logarithmic
-generator: it represents ``A(p) + B(p) * log(p)`` for truncated series
-``A`` and ``B``.
+Coefficients are stored as :class:`fractions.Fraction`; nothing here ever
+rounds.  The hot kernels (:func:`mul`, :func:`powers`, :func:`compose`,
+:func:`lagrange_invert` and evaluation at a rational point) clear
+denominators once per call: they write each operand as ``int`` numerators
+over its least common denominator, run their inner loops on ``int``s alone
+and build one ``Fraction`` per output coefficient at the end, as FLINT's
+``fmpq_poly`` does.  :class:`LogSeries` extends the model with a single
+logarithmic generator: it represents ``A(p) + B(p) * log(p)`` for truncated
+series ``A`` and ``B``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -163,19 +169,33 @@ def scale(a: TruncatedSeries, c: RationalLike) -> TruncatedSeries:
     return TruncatedSeries([c * x for x in a.coeffs])
 
 
+def _numerators(coeffs) -> tuple[list[int], int]:
+    """(nums, d) with coeffs[k] == nums[k] / d and d the least common denominator."""
+    dens = [c.denominator for c in coeffs]
+    d = lcm(*dens)
+    return [c.numerator * (d // e) for c, e in zip(coeffs, dens)], d
+
+
+def _int_mul(x: list[int], y: list[int], n: int) -> list[int]:
+    """Integer Cauchy product of two lists of n + 1 coefficients, truncated at X^n."""
+    out = [0] * (n + 1)
+    for i, xi in enumerate(x):
+        if xi:
+            for k, yj in enumerate(y[: n + 1 - i], i):
+                out[k] += xi * yj
+    return out
+
+
+def _over(nums: Iterable[int], d: int) -> TruncatedSeries:
+    return TruncatedSeries([Fraction(c, d) for c in nums])
+
+
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at the smaller input order."""
     n = min(a.order, b.order)
-    out = [Fraction(0)] * (n + 1)
-    for i in range(n + 1):
-        ai = a.coeffs[i]
-        if ai == 0:
-            continue
-        for j in range(n + 1 - i):
-            bj = b.coeffs[j]
-            if bj != 0:
-                out[i + j] += ai * bj
-    return TruncatedSeries(out)
+    an, da = _numerators(a.coeffs[: n + 1])
+    bn, db = _numerators(b.coeffs[: n + 1])
+    return _over(_int_mul(an, bn, n), da * db)
 
 
 def shift_up(a: TruncatedSeries) -> TruncatedSeries:
@@ -192,6 +212,22 @@ def shift_down(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(a.coeffs[1:])
 
 
+def _int_powers(
+    base: TruncatedSeries, n: int, start: TruncatedSeries | None = None
+) -> tuple[list[list[int]], int, int]:
+    """(rows, ds, d) with start * base**k == rows[k] / (ds * d**k) through X^n."""
+    b, d = _numerators(base.truncate(n).coeffs)
+    if start is None:
+        row, ds = [1] + [0] * n, 1
+    else:
+        row, ds = _numerators(start.truncate(n).coeffs)
+    rows = [row]
+    for _ in range(n):
+        row = _int_mul(row, b, n)
+        rows.append(row)
+    return rows, ds, d
+
+
 def powers(
     base: TruncatedSeries, n: int, start: TruncatedSeries | None = None
 ) -> list[TruncatedSeries]:
@@ -201,31 +237,30 @@ def powers(
     composition, the umbral polynomial sequences and the occupation
     polynomials.
     """
-    base = base.truncate(n)
-    power = one(n) if start is None else start.truncate(n)
-    table = [power]
-    for _ in range(n):
-        power = mul(power, base)
-        table.append(power)
-    return table
+    rows, ds, d = _int_powers(base, n, start)
+    return [_over(row, ds * d**k) for k, row in enumerate(rows)]
 
 
 def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     """outer(inner(X)); inner must have zero constant term.
 
-    Sums outer_k * inner**k over the power table of ``inner``; the result
-    is valid through ``min(outer.order, inner.order)``.
+    Sums outer_k * inner**k over the power table of ``inner``: with
+    outer_k = O_k / do and inner**k = I_k / d**k, the result is
+    sum_k O_k d**(n-k) I_k / (do d**n), valid through
+    ``min(outer.order, inner.order)``.
     """
     if inner.coeffs[0] != 0:
         raise ValueError("composition requires inner series with zero constant term")
     n = min(outer.order, inner.order)
-    out = [Fraction(0)] * (n + 1)
-    for k, power in enumerate(powers(inner, n)):
-        c = outer.coeffs[k]
-        if c != 0:
+    o, do = _numerators(outer.coeffs[: n + 1])
+    rows, _, d = _int_powers(inner, n)
+    out = [0] * (n + 1)
+    for k, row in enumerate(rows):
+        if o[k]:
+            c = o[k] * d ** (n - k)
             for m in range(k, n + 1):
-                out[m] += c * power.coeffs[m]
-    return TruncatedSeries(out)
+                out[m] += c * row[m]
+    return _over(out, do * d**n)
 
 
 def derivative(a: TruncatedSeries) -> TruncatedSeries:
@@ -312,8 +347,14 @@ def lagrange_invert(a: TruncatedSeries) -> TruncatedSeries:
     Solves compose(a, t) = X coefficient by coefficient: writing
     t = sum t_n X^n and P[k][n] = [X^n] t^k, each new t_n is fixed by the
     X^n coefficient of sum_k a_k t^k; P fills as the t_n become known, so it
-    is not a fixed-base :func:`powers` table.  Checks compose(a, t) = X: delta
-    series form a group under composition, so t is a two-sided inverse.
+    is not a fixed-base :func:`powers` table.
+
+    The table holds integers only.  Write a / a1 = X + sum_k (C_k / D) X^k
+    with integers C_k and D.  Then c(Y) = (a / a1)(D Y) / D has integer
+    coefficients C_k D**(k-2) and a unit linear term, so its inverse s is
+    integral and found without division; undoing the two rescalings gives
+    t_m = s_m / (D**(m-1) a1**m).  Checks compose(a, t) = X: delta series
+    form a group under composition, so t is a two-sided inverse.
     """
     if a.coeffs[0] != 0:
         raise ValueError("inversion requires zero constant term")
@@ -321,26 +362,24 @@ def lagrange_invert(a: TruncatedSeries) -> TruncatedSeries:
         raise ValueError("no compositional inverse: zero linear coefficient")
     n = a.order
     a1 = a.coeffs[1]
-    t = [Fraction(0)] * (n + 1)
-    t[1] = 1 / a1
-    # P[k][m] = coefficient of X^m in t(X)**k, filled column by column
-    P = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    P[1][1] = t[1]
+    C, D = _numerators([ak / a1 for ak in a.coeffs[2:]])
+    c = [0, 1] + [ck * D**k for k, ck in enumerate(C)]
+    s = [0] * (n + 1)
+    s[1] = 1
+    # P[k][m] = coefficient of X^m in s(X)**k, filled column by column
+    P = [[0] * (n + 1) for _ in range(n + 1)]
+    P[1][1] = 1
     for m in range(2, n + 1):
         for k in range(2, m + 1):
-            acc = Fraction(0)
             prev = P[k - 1]
-            for j in range(k - 1, m):
-                if prev[j] != 0 and t[m - j] != 0:
-                    acc += prev[j] * t[m - j]
-            P[k][m] = acc
-        acc = Fraction(0)
-        for k in range(2, m + 1):
-            if a.coeffs[k] != 0:
-                acc += a.coeffs[k] * P[k][m]
-        t[m] = -acc / a1
-        P[1][m] = t[m]
-    result = TruncatedSeries(t)
+            P[k][m] = sum(prev[j] * s[m - j] for j in range(k - 1, m) if prev[j])
+        s[m] = -sum(c[k] * P[k][m] for k in range(2, m + 1) if c[k])
+        P[1][m] = s[m]
+    p, q = a1.numerator, a1.denominator
+    result = TruncatedSeries(
+        [Fraction(0)]
+        + [Fraction(s[m] * q**m, D ** (m - 1) * p**m) for m in range(1, n + 1)]
+    )
     if compose(a, result) != identity(n):
         raise AssertionError("internal error: inversion roundtrip failed")
     return result
@@ -348,11 +387,25 @@ def lagrange_invert(a: TruncatedSeries) -> TruncatedSeries:
 
 def evaluate(a: TruncatedSeries, x: RationalLike) -> Fraction:
     """Exact partial-sum evaluation sum_{k<=order} c_k x^k."""
+    return _horner(a.coeffs, x)
+
+
+def _horner(coeffs: tuple[Fraction, ...], x: RationalLike) -> Fraction:
+    """sum_k coeffs[k] x**k by Horner's rule on integers.
+
+    With coeffs[k] = N_k / d and x = p / q, the sum is
+    sum_k N_k p**k q**(deg-k) / (d q**deg).
+    """
     x = as_rational(x)
-    acc = Fraction(0)
-    for c in reversed(a.coeffs):
-        acc = acc * x + c
-    return acc
+    if not coeffs:
+        return Fraction(0)
+    nums, d = _numerators(coeffs)
+    p, q = x.numerator, x.denominator
+    acc, qk = nums[-1], 1
+    for c in reversed(nums[:-1]):
+        qk *= q
+        acc = acc * p + c * qk
+    return Fraction(acc, d * qk)
 
 
 # -- log-augmented series ---------------------------------------------------

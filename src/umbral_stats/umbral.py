@@ -19,6 +19,7 @@ from math import comb, factorial
 from typing import Iterable, Sequence
 
 from .series import (
+    _horner,
     RationalLike,
     TruncatedSeries,
     as_rational,
@@ -136,11 +137,7 @@ class Polynomial:
         )
 
     def __call__(self, x: RationalLike) -> Fraction:
-        x = as_rational(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
 
 def poly_x(k: int = 1) -> Polynomial:

@@ -174,3 +174,45 @@ def binomial_fraction(r: Fraction, n: int) -> Fraction:
     for k in range(n):
         acc *= (r - k) / (k + 1)
     return acc
+
+
+# -- schoolbook references for the integer series kernels -------------------
+# Plain Fraction arithmetic on coefficient lists, one gcd per operation and
+# no common denominators, so that the kernels' integer inner loops are
+# checked against the textbook definitions.
+
+
+def schoolbook_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
+    """Cauchy product c_m = sum_{i+j=m} a_i b_j for m = 0..order."""
+    return [
+        sum((a[i] * b[m - i] for i in range(m + 1)), Fraction(0))
+        for m in range(order + 1)
+    ]
+
+
+def schoolbook_compose(
+    outer: list[Fraction], inner: list[Fraction], order: int
+) -> list[Fraction]:
+    """outer(inner(X)) by Horner's rule on series, inner(0) = 0."""
+    acc = [outer[order]] + [Fraction(0)] * order
+    for k in range(order - 1, -1, -1):
+        acc = schoolbook_mul(acc, inner, order)
+        acc[0] += outer[k]
+    return acc
+
+
+def schoolbook_reversion(a: list[Fraction], order: int) -> list[Fraction]:
+    """Compositional inverse by Lagrange's formula:
+    [X^m] a^{-1} = (1/m) [X^{m-1}] (X / a(X))^m, a(0) = 0 != a'(0)."""
+    quotient = divide_series([Fraction(1)], a[1:], order - 1)
+    out = [Fraction(0)] * (order + 1)
+    power = [Fraction(1)] + [Fraction(0)] * (order - 1)
+    for m in range(1, order + 1):
+        power = schoolbook_mul(power, quotient, order - 1)
+        out[m] = power[m - 1] / m
+    return out
+
+
+def schoolbook_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
+    """sum_k c_k x^k, term by term."""
+    return sum((c * x**k for k, c in enumerate(coeffs)), Fraction(0))

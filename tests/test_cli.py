@@ -191,6 +191,52 @@ def test_zero_denominator_is_an_error(argv, capsys):
     assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--stat", "averaged-as-2", "--param", "eps=0", "--quantity", "w"],
+        ["expand", "--stat", "averaged-as-3", "--param", "eps=0",
+         "--quantity", "X_of_w"],
+        ["expand", "--stat", "averaged-as-3", "--param", "eps=0", "--quantity", "phi"],
+    ],
+)
+def test_zero_eps_is_an_error(argv, capsys):
+    code, out = run(argv)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: parameter eps must be nonzero\n"
+
+
+@pytest.mark.parametrize(
+    "energies, energy_target, number_target",
+    [("0,1e400", "1/4", "1"), ("0,1", "1e400", "1"), ("0,1", "1/4", "1e400")],
+)
+def test_maxent_float_overflow_is_an_error(energies, energy_target, number_target,
+                                           capsys):
+    code, out = run(["maxent", "--stat", "boltzmann-gibbs", "--energies", energies,
+                     "--energy-target", energy_target,
+                     "--number-target", number_target])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_polyseq_associated_inverts_nothing(monkeypatch):
+    calls = []
+    real = fps.lagrange_invert
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("umbral_stats") and (
+            getattr(module, "lagrange_invert", None) is real
+        ):
+            monkeypatch.setattr(module, "lagrange_invert", counted)
+    code, _ = run(["polyseq", "--stat", "lah", "--kind", "associated", "--n", "4",
+                   "--order", "40"])
+    assert code == 0 and calls == []
+
+
 class TestVerify:
     def test_single_suite_passes(self):
         code, data = run_json(

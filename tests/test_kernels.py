@@ -1,0 +1,161 @@
+"""Differential tests: the integer series kernels against schoolbook Fractions.
+
+The kernels clear denominators once per call and loop over ``int``
+numerators; the references in ``oracles`` do one ``Fraction`` operation per
+step.  Inputs cover orders 1-20, runs of zero coefficients, coprime and very
+large denominators, several linear coefficients and awkward rational points.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+from oracles import (
+    schoolbook_compose,
+    schoolbook_eval,
+    schoolbook_mul,
+    schoolbook_reversion,
+)
+from umbral_stats import series as fps
+from umbral_stats.series import TruncatedSeries
+from umbral_stats.umbral import Polynomial
+
+MERSENNE_61 = 2**61 - 1
+LARGE_DENOMINATORS = (MERSENNE_61, 2**31 - 1, 10**9 + 7, 2**64)
+SLOPES = (F(1), F(-1), F(1, 2), F(7, 3))
+
+coefficient = hs.one_of(
+    hs.just(F(0)),
+    hs.builds(F, hs.integers(-9, 9), hs.sampled_from((1, 2, 3, 5, 7, 11, 13))),
+    hs.builds(F, hs.integers(-(2**64), 2**64), hs.sampled_from(LARGE_DENOMINATORS)),
+    hs.just(F(1, MERSENNE_61)),
+)
+point = hs.one_of(
+    hs.just(F(0)),
+    hs.builds(F, hs.integers(-50, -1), hs.integers(1, 7)),
+    hs.builds(F, hs.integers(-(2**40), 2**40), hs.sampled_from(LARGE_DENOMINATORS)),
+    coefficient,
+)
+kernel_settings = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@hs.composite
+def coefficient_lists(draw, order, zero_constant=False):
+    """order + 1 coefficients with a run of zeros somewhere in the middle."""
+    cs = draw(hs.lists(coefficient, min_size=order + 1, max_size=order + 1))
+    start = draw(hs.integers(0, order))
+    gap = draw(hs.integers(0, order + 1 - start))
+    cs[start : start + gap] = [F(0)] * gap
+    if zero_constant:
+        cs[0] = F(0)
+    return cs
+
+
+orders = hs.integers(1, 20)
+
+
+@kernel_settings
+@given(hs.data(), orders)
+def test_mul_matches_schoolbook(data, n):
+    a = data.draw(coefficient_lists(n))
+    b = data.draw(coefficient_lists(data.draw(hs.integers(n, 20))))
+    product = fps.mul(TruncatedSeries(a), TruncatedSeries(b))
+    assert list(product.coeffs) == schoolbook_mul(a, b, n)
+
+
+@kernel_settings
+@given(hs.data(), orders)
+def test_compose_matches_schoolbook(data, n):
+    outer = data.draw(coefficient_lists(n))
+    inner = data.draw(coefficient_lists(n, zero_constant=True))
+    result = fps.compose(TruncatedSeries(outer), TruncatedSeries(inner))
+    assert list(result.coeffs) == schoolbook_compose(outer, inner, n)
+
+
+@kernel_settings
+@given(hs.data(), orders)
+def test_powers_match_repeated_schoolbook_products(data, n):
+    base = data.draw(coefficient_lists(n))
+    start = data.draw(hs.none() | coefficient_lists(n))
+    table = fps.powers(
+        TruncatedSeries(base), n, None if start is None else TruncatedSeries(start)
+    )
+    expected = [F(1)] + [F(0)] * n if start is None else start
+    for row in table:
+        assert list(row.coeffs) == expected
+        expected = schoolbook_mul(expected, base, n)
+
+
+@kernel_settings
+@given(hs.data(), orders, hs.sampled_from(SLOPES))
+def test_reversion_matches_lagrange_formula(data, n, slope):
+    a = data.draw(coefficient_lists(n, zero_constant=True))
+    a[1] = slope
+    result = fps.lagrange_invert(TruncatedSeries(a))
+    assert list(result.coeffs) == schoolbook_reversion(a, n)
+
+
+@kernel_settings
+@given(hs.data(), hs.integers(0, 20), point)
+def test_evaluation_matches_termwise_sum(data, degree, x):
+    cs = data.draw(coefficient_lists(degree))
+    assert fps.evaluate(TruncatedSeries(cs), x) == schoolbook_eval(cs, x)
+    assert Polynomial(cs)(x) == schoolbook_eval(cs, x)
+
+
+def test_zero_polynomial_evaluates_to_zero():
+    assert Polynomial()(F(-3, MERSENNE_61)) == 0
+
+
+# -- sympy's ring_series as a second, independent oracle ---------------------
+
+
+@pytest.fixture(scope="module")
+def rs():
+    pytest.importorskip("sympy")
+    from sympy.polys import ring_series
+    from sympy.polys.domains import QQ
+    from sympy.polys.rings import ring
+
+    R, x, y = ring("x, y", QQ)
+
+    def to_ring(coeffs, gen):
+        terms = (QQ(c.numerator, c.denominator) * gen**k for k, c in enumerate(coeffs))
+        return sum(terms, R(0))
+
+    def from_ring(p, order, var):
+        out = []
+        for k in range(order + 1):
+            c = p.coeff(var**k) if k else p.coeff(1)
+            out.append(F(int(c.numerator), int(c.denominator)))
+        return out
+
+    return ring_series, x, y, to_ring, from_ring
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(hs.data(), orders)
+def test_kernels_match_sympy_ring_series(rs, data, n):
+    ring_series, x, y, to_ring, from_ring = rs
+    a = data.draw(coefficient_lists(n))
+    b = data.draw(coefficient_lists(n))
+    product = ring_series.rs_mul(to_ring(a, x), to_ring(b, x), x, n + 1)
+    assert list(fps.mul(TruncatedSeries(a), TruncatedSeries(b)).coeffs) == from_ring(
+        product, n, x
+    )
+
+    delta = data.draw(coefficient_lists(n, zero_constant=True))
+    delta[1] = data.draw(hs.sampled_from(SLOPES))
+    inverse = ring_series.rs_series_reversion(to_ring(delta, x), x, n + 1, y)
+    assert list(fps.lagrange_invert(TruncatedSeries(delta)).coeffs) == from_ring(
+        inverse, n, y
+    )
+
+    exp = ring_series.rs_exp(to_ring(delta, x), x, n + 1)
+    assert list(fps.exp_series(TruncatedSeries(delta)).coeffs) == from_ring(exp, n, x)
+
+    unit = [F(1)] + delta[1:]
+    log = ring_series.rs_log(to_ring(unit, x), x, n + 1)
+    assert list(fps.log_series(TruncatedSeries(unit)).coeffs) == from_ring(log, n, x)
