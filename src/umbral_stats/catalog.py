@@ -697,8 +697,14 @@ def _fixture_data() -> dict:
     return json.loads(text)
 
 
+@lru_cache(maxsize=1)
+def _fixture_records() -> tuple[Fixture, ...]:
+    return tuple(Fixture(r) for r in _fixture_data()["fixtures"])
+
+
 def fixtures(entry: str | None = None) -> list[Fixture]:
-    records = [Fixture(r) for r in _fixture_data()["fixtures"]]
+    """The frozen records, parsed once per process; callers must not mutate them."""
+    records = list(_fixture_records())
     if entry is not None:
         get(entry)
         records = [f for f in records if f.entry == entry]

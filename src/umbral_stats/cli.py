@@ -36,8 +36,8 @@ from .umbral import (
     DeltaSeries,
     InvertibleSeries,
     conjugate_sequence,
+    conjugate_sheffer_sequence,
     poly_to_json,
-    sheffer_sequence,
 )
 
 EXPAND_QUANTITIES = (
@@ -54,17 +54,38 @@ EXPAND_QUANTITIES = (
 )
 
 
+# Highest truncation order the CLI accepts (--order, polyseq --n and
+# UMBRAL_ORDER).  Cost grows steeply with the order: the slowest single
+# request measured, expand acharya-swamy eps=1/3 phi_entropy, takes about
+# 0.4 s at order 64 and 20 s at order 128 (see README).
+MAX_ORDER = 128
+
+
+def order_arg(text: str) -> int:
+    """argparse type for --order and --n: an integer in 1..MAX_ORDER."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 1 <= value <= MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"{value} is outside 1..{MAX_ORDER}")
+    return value
+
+
 def default_order() -> int:
+    """UMBRAL_ORDER if set, else 16.  Text that is not an integer is ignored
+    with a warning; an integer outside 1..MAX_ORDER raises ValueError."""
     env = os.environ.get("UMBRAL_ORDER")
-    if env is not None:
-        try:
-            value = int(env)
-            if value >= 1:
-                return value
-        except ValueError:
-            pass
+    if env is None:
+        return fps.DEFAULT_ORDER
+    try:
+        value = int(env)
+    except ValueError:
         print(f"warning: ignoring invalid UMBRAL_ORDER={env!r}", file=sys.stderr)
-    return fps.DEFAULT_ORDER
+        return fps.DEFAULT_ORDER
+    if not 1 <= value <= MAX_ORDER:
+        raise ValueError(f"UMBRAL_ORDER={env!r} is outside 1..{MAX_ORDER}")
+    return value
 
 
 def parse_rational(text: str) -> Fraction:
@@ -222,7 +243,7 @@ def cmd_polyseq(args, stream) -> int:
         g = InvertibleSeries(TruncatedSeries(parse_rationals(args.g_coeffs))) if (
             args.g_coeffs
         ) else InvertibleSeries(fps.one(stat.order))
-        seq = sheffer_sequence(g, DeltaSeries(fps.lagrange_invert(stat.F)), args.n)
+        seq = conjugate_sheffer_sequence(g, DeltaSeries(stat.F), args.n)
     payload = {
         "polynomials": [poly_to_json(p) for p in seq],
         "pretty": "\n".join(f"p_{n} = {p}" for n, p in enumerate(seq)),
@@ -334,8 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"catalog entry ({', '.join(cat.list_entries())})")
             p.add_argument("--param", action="append", metavar="K=V",
                            help="entry parameter, repeatable (e.g. --param eps=1/2)")
-        p.add_argument("--order", type=int, default=order,
-                       help="truncation order (env UMBRAL_ORDER, default 16)")
+        p.add_argument("--order", type=order_arg, default=order,
+                       help=f"truncation order, 1..{MAX_ORDER} "
+                       "(env UMBRAL_ORDER, default 16)")
         p.add_argument("--format", choices=("json", "csv", "pretty"),
                        default="json")
 
@@ -359,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kind", required=True,
                    choices=("conjugate", "associated", "sheffer"))
-    p.add_argument("--n", type=int, required=True, help="highest degree")
+    p.add_argument("--n", type=order_arg, required=True,
+                   help=f"highest degree, 1..{MAX_ORDER}")
     p.add_argument("--g-coeffs", default="",
                    help="sheffer only: ordinary coefficients of g, e.g. 1,0,1/2")
     p.set_defaults(handler=cmd_polyseq)
@@ -398,11 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None, stream=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    stream = stream or sys.stdout
     try:
-        return args.handler(args, stream)
+        args = build_parser().parse_args(argv)
+        return args.handler(args, stream or sys.stdout)
     except (ValueError, cat.CatalogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

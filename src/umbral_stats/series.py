@@ -9,13 +9,16 @@ an operation loses information, e.g. differentiation).
 
 Coefficients are stored as :class:`fractions.Fraction`; nothing here ever
 rounds.  The hot kernels (:func:`mul`, :func:`powers`, :func:`compose`,
-:func:`lagrange_invert` and evaluation at a rational point) clear
-denominators once per call: they write each operand as ``int`` numerators
-over its least common denominator, run their inner loops on ``int``s alone
-and build one ``Fraction`` per output coefficient at the end, as FLINT's
-``fmpq_poly`` does.  :class:`LogSeries` extends the model with a single
-logarithmic generator: it represents ``A(p) + B(p) * log(p)`` for truncated
-series ``A`` and ``B``.
+:func:`lagrange_invert`, :func:`exp_series`, :func:`log_series`,
+:func:`reciprocal` and evaluation at a rational point) clear denominators
+once per call: they write each operand as ``int`` numerators over its least
+common denominator, run their inner loops on ``int``s alone and build one
+``Fraction`` per output coefficient, as FLINT's ``fmpq_poly`` does.  The
+three recurrences (exp, log, reciprocal) also keep the outputs found so far
+as ``int`` numerators over the lcm of their denominators, so their integers
+stay the size of the reduced coefficients.  :class:`LogSeries` extends the
+model with a single logarithmic generator: it represents
+``A(p) + B(p) * log(p)`` for truncated series ``A`` and ``B``.
 """
 
 from __future__ import annotations
@@ -233,9 +236,9 @@ def powers(
 ) -> list[TruncatedSeries]:
     """[start * base**k for k = 0..n], each truncated at order n.
 
-    ``start`` defaults to 1.  This is the one power table behind
-    composition, the umbral polynomial sequences and the occupation
-    polynomials.
+    ``start`` defaults to 1.  The rows come from ``_int_powers``, the one
+    power table, which composition and the umbral polynomial sequences
+    (hence the occupation polynomials) read directly as integers.
     """
     rows, ds, d = _int_powers(base, n, start)
     return [_over(row, ds * d**k) for k, row in enumerate(rows)]
@@ -283,37 +286,64 @@ def integrate_extend(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
+def _append_over(nums: list[int], q: int, num: int, den: int) -> int:
+    """Append num/den to ``nums``, integer numerators over the common
+    denominator q, rescaling them to lcm(q, den); returns the new q."""
+    new_q = lcm(q, den)
+    if new_q != q:
+        f = new_q // q
+        nums[:] = [y * f for y in nums]
+    nums.append(num * (new_q // den))
+    return new_q
+
+
 def exp_series(a: TruncatedSeries) -> TruncatedSeries:
     """exp(a) for a series with zero constant term.
 
-    Uses the recurrence from y' = a' y, so the cost is quadratic in the order.
+    Uses the recurrence m y_m = sum_k k a_k y_{m-k} from y' = a' y, so the
+    cost is quadratic in the order.  With a_k = A_k / d and the outputs so
+    far y_j = Y_j / Q over the lcm Q of their denominators,
+    y_m = sum_k k A_k Y_{m-k} / (m d Q).
     """
     if a.coeffs[0] != 0:
         raise ValueError("exp requires zero constant term")
     n = a.order
-    out = [Fraction(0)] * (n + 1)
-    out[0] = Fraction(1)
+    A, d = _numerators(a.coeffs)
+    B = [k * A[k] for k in range(1, n + 1)]
+    out = [Fraction(1)]
+    Y, Q = [1], 1
     for m in range(1, n + 1):
-        acc = Fraction(0)
-        for k in range(1, m + 1):
-            if a.coeffs[k] != 0:
-                acc += k * a.coeffs[k] * out[m - k]
-        out[m] = acc / m
+        acc = 0
+        for k in range(m):
+            if B[k]:
+                acc += B[k] * Y[m - 1 - k]
+        y = Fraction(acc, m * d * Q)
+        out.append(y)
+        Q = _append_over(Y, Q, y.numerator, y.denominator)
     return TruncatedSeries(out)
 
 
 def log_series(a: TruncatedSeries) -> TruncatedSeries:
-    """log(a) for a series with constant term 1; result has zero constant term."""
+    """log(a) for a series with constant term 1; result has zero constant term.
+
+    Uses m y_m = m a_m - sum_{k<m} k y_k a_{m-k} from y' a = a'.  With
+    a_k = A_k / d and k y_k = Z_k / Q for the outputs so far,
+    y_m = (m A_m Q - sum_{0<k<m} Z_k A_{m-k}) / (m d Q).
+    """
     if a.coeffs[0] != 1:
         raise ValueError("log requires constant term 1")
     n = a.order
-    out = [Fraction(0)] * (n + 1)
+    A, d = _numerators(a.coeffs)
+    out = [Fraction(0)]
+    Z, Q = [0], 1
     for m in range(1, n + 1):
-        acc = m * a.coeffs[m]
+        acc = m * A[m] * Q
         for k in range(1, m):
-            if a.coeffs[m - k] != 0:
-                acc -= k * out[k] * a.coeffs[m - k]
-        out[m] = acc / m
+            if A[m - k]:
+                acc -= Z[k] * A[m - k]
+        y = Fraction(acc, m * d * Q)
+        out.append(y)
+        Q = _append_over(Z, Q, m * y.numerator, y.denominator)
     return TruncatedSeries(out)
 
 
@@ -325,19 +355,26 @@ def pow_rational(a: TruncatedSeries, r: RationalLike) -> TruncatedSeries:
 
 
 def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
-    """1/a for a series with nonzero constant term."""
-    c0 = a.coeffs[0]
-    if c0 == 0:
+    """1/a for a series with nonzero constant term.
+
+    Uses a_0 y_m = -sum_{k>=1} a_k y_{m-k}.  With a_k = A_k / d and the
+    outputs so far y_j = Y_j / Q, y_m = -sum_k A_k Y_{m-k} / (A_0 Q).
+    """
+    if a.coeffs[0] == 0:
         raise ValueError("reciprocal requires nonzero constant term")
     n = a.order
-    out = [Fraction(0)] * (n + 1)
-    out[0] = 1 / c0
+    A, d = _numerators(a.coeffs)
+    y = Fraction(d, A[0])
+    out = [y]
+    Y, Q = [y.numerator], y.denominator
     for m in range(1, n + 1):
-        acc = Fraction(0)
+        acc = 0
         for k in range(1, m + 1):
-            if a.coeffs[k] != 0:
-                acc += a.coeffs[k] * out[m - k]
-        out[m] = -acc / c0
+            if A[k]:
+                acc -= A[k] * Y[m - k]
+        y = Fraction(acc, A[0] * Q)
+        out.append(y)
+        Q = _append_over(Y, Q, y.numerator, y.denominator)
     return TruncatedSeries(out)
 
 
@@ -394,18 +431,24 @@ def _horner(coeffs: tuple[Fraction, ...], x: RationalLike) -> Fraction:
     """sum_k coeffs[k] x**k by Horner's rule on integers.
 
     With coeffs[k] = N_k / d and x = p / q, the sum is
-    sum_k N_k p**k q**(deg-k) / (d q**deg).
+    _int_horner(N, p, q) / (d q**deg).
     """
     x = as_rational(x)
     if not coeffs:
         return Fraction(0)
     nums, d = _numerators(coeffs)
-    p, q = x.numerator, x.denominator
+    q = x.denominator
+    return Fraction(_int_horner(nums, x.numerator, q), d * q ** (len(nums) - 1))
+
+
+def _int_horner(nums: list[int], p: int, q: int) -> int:
+    """sum_k nums[k] p**k q**(deg-k), deg = len(nums) - 1: the numerator of
+    sum_k nums[k] (p/q)**k over q**deg."""
     acc, qk = nums[-1], 1
     for c in reversed(nums[:-1]):
         qk *= q
         acc = acc * p + c * qk
-    return Fraction(acc, d * qk)
+    return acc
 
 
 # -- log-augmented series ---------------------------------------------------

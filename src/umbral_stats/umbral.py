@@ -15,11 +15,14 @@ realized as "apply the operator, evaluate at 0".
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Sequence
 
 from .series import (
     _horner,
+    _int_horner,
+    _int_powers,
+    _numerators,
     RationalLike,
     TruncatedSeries,
     as_rational,
@@ -27,7 +30,6 @@ from .series import (
     derivative,
     lagrange_invert,
     mul,
-    powers,
     reciprocal,
 )
 
@@ -216,7 +218,7 @@ class InvertibleSeries:
 class PolynomialSequence:
     """Polynomials p_0..p_n with p_0 = 1 and deg p_k = k."""
 
-    __slots__ = ("polys",)
+    __slots__ = ("polys", "_table")
 
     def __init__(self, polys: Sequence[Polynomial]):
         polys = tuple(polys)
@@ -226,6 +228,7 @@ class PolynomialSequence:
             if p.degree != k:
                 raise ValueError(f"p_{k} must have degree {k}, got {p.degree}")
         object.__setattr__(self, "polys", polys)
+        object.__setattr__(self, "_table", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolynomialSequence is immutable")
@@ -247,6 +250,14 @@ class PolynomialSequence:
     def __repr__(self):
         return f"PolynomialSequence({list(self.polys)!r})"
 
+    @property
+    def numerators(self) -> list[tuple[list[int], int]]:
+        """(N_k, d_k) with p_k = sum_j N_k[j] x**j / d_k, computed on first read."""
+        if self._table is None:
+            table = [_numerators(p.coeffs) for p in self.polys]
+            object.__setattr__(self, "_table", table)
+        return self._table
+
     def coefficient_matrix(self) -> list[list[Fraction]]:
         """Row n holds the x^k coefficients of p_n for k = 0..n."""
         return [
@@ -260,10 +271,19 @@ class PolynomialSequence:
 def _egf_sequence(
     F: TruncatedSeries, n: int, prefactor: TruncatedSeries | None = None
 ) -> PolynomialSequence:
-    """p_m(x) = m! * sum_k (x^k / k!) [X^m] (prefactor * F(X)^k), m = 0..n."""
-    rows = powers(F, n, prefactor)
+    """p_m(x) = m! * sum_k (x^k / k!) [X^m] (prefactor * F(X)^k), m = 0..n.
+
+    Reads the integer power table: [X^m] prefactor * F**k = rows[k][m] / (ds d**k).
+    """
+    rows, ds, d = _int_powers(F, n, prefactor)
+    dens = [ds * d**k for k in range(n + 1)]
     return PolynomialSequence(
-        Polynomial([factorial(m) * rows[k].coeffs[m] / factorial(k) for k in range(m + 1)])
+        Polynomial(
+            [
+                Fraction(factorial(m) // factorial(k) * rows[k][m], dens[k])
+                for k in range(m + 1)
+            ]
+        )
         for m in range(n + 1)
     )
 
@@ -286,10 +306,20 @@ def associated_sequence(f: DeltaSeries, n: int) -> PolynomialSequence:
 def sheffer_sequence(g: InvertibleSeries, f: DeltaSeries, n: int) -> PolynomialSequence:
     """s_0..s_n with EGF sum s_n(x) t^n / n! = exp(x F(t)) / g(F(t)),
     where F is the compositional inverse of f."""
-    if n > min(g.order, f.order):
+    return conjugate_sheffer_sequence(g, f.inverse(), n)
+
+
+def conjugate_sheffer_sequence(
+    g: InvertibleSeries, F: DeltaSeries, n: int
+) -> PolynomialSequence:
+    """s_0..s_n with EGF exp(x F(t)) / g(F(t)), from F itself.
+
+    The Sheffer sequence of (g, f) for f the compositional inverse of F,
+    built without inverting anything; g = 1 gives the conjugate sequence.
+    """
+    if n > min(g.order, F.order):
         raise ValueError("requested degree exceeds a series order")
-    F = f.inverse().series
-    return _egf_sequence(F, n, reciprocal(compose(g.series, F)))
+    return _egf_sequence(F.series, n, reciprocal(compose(g.series, F.series)))
 
 
 # -- operators ---------------------------------------------------------------
@@ -413,9 +443,24 @@ class ShefferPair:
 def binomial_identity_holds(
     seq: PolynomialSequence, a: RationalLike, b: RationalLike, n: int
 ) -> bool:
-    """p_n(a+b) == sum_k C(n,k) p_k(a) p_{n-k}(b), checked by evaluation."""
+    """p_n(a+b) == sum_k C(n,k) p_k(a) p_{n-k}(b), checked by evaluation.
+
+    In integers: with p_k = N_k / d_k, a = r/q and b = u/s, Horner gives
+    p_k(a) = N_k(r, q) / (d_k q**k), so both sides times
+    M = lcm_k(d_k d_{n-k}) q**n s**n are the integers compared below.
+    """
     a = as_rational(a)
     b = as_rational(b)
-    lhs = seq[n](a + b)
-    rhs = sum(comb(n, k) * seq[k](a) * seq[n - k](b) for k in range(n + 1))
+    table = seq.numerators
+    r, q, u, s = a.numerator, a.denominator, b.numerator, b.denominator
+    dens = [d for _, d in table[: n + 1]]
+    scale = lcm(*(dens[k] * dens[n - k] for k in range(n + 1)))
+    at_a = [_int_horner(N, r, q) for N, _ in table[: n + 1]]
+    at_b = [_int_horner(N, u, s) for N, _ in table[: n + 1]]
+    lhs = _int_horner(table[n][0], r * s + u * q, q * s) * (scale // dens[n])
+    rhs = sum(
+        comb(n, k) * at_a[k] * at_b[n - k] * (scale // (dens[k] * dens[n - k]))
+        * q ** (n - k) * s**k
+        for k in range(n + 1)
+    )
     return lhs == rhs

@@ -216,3 +216,24 @@ def schoolbook_reversion(a: list[Fraction], order: int) -> list[Fraction]:
 def schoolbook_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
     """sum_k c_k x^k, term by term."""
     return sum((c * x**k for k, c in enumerate(coeffs)), Fraction(0))
+
+
+def schoolbook_exp(a: list[Fraction], order: int) -> list[Fraction]:
+    """exp(a) = sum_j a^j / j! for a(0) = 0, truncated at X^order."""
+    term = [Fraction(1)] + [Fraction(0)] * order
+    out = list(term)
+    for j in range(1, order + 1):
+        term = [c / j for c in schoolbook_mul(term, a, order)]
+        out = [x + y for x, y in zip(out, term)]
+    return out
+
+
+def schoolbook_log(a: list[Fraction], order: int) -> list[Fraction]:
+    """log(1 + u) = sum_j (-1)^(j+1) u^j / j with u = a - 1, a(0) = 1."""
+    u = [Fraction(0)] + list(a[1 : order + 1])
+    power = [Fraction(1)] + [Fraction(0)] * order
+    out = [Fraction(0)] * (order + 1)
+    for j in range(1, order + 1):
+        power = schoolbook_mul(power, u, order)
+        out = [x + (-1) ** (j + 1) * y / j for x, y in zip(out, power)]
+    return out

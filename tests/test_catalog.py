@@ -140,6 +140,12 @@ class TestFixtures:
             cat.fixtures("unknown-entry")
         assert cat.fixtures("mott")
 
+    def test_fixtures_are_parsed_once(self):
+        first, second = cat.fixtures(), cat.fixtures()
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second))
+        assert [f for f in first if f.entry == "mott"] == cat.fixtures("mott")
+
 
 class TestDerivedRegeneration:
     """Each DERIVED fixture is regenerated by an independent oracle."""

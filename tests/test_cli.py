@@ -219,7 +219,8 @@ def test_maxent_float_overflow_is_an_error(energies, energy_target, number_targe
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_polyseq_associated_inverts_nothing(monkeypatch):
+def count_inversions(monkeypatch) -> list:
+    """Record every lagrange_invert call made through any umbral_stats module."""
     calls = []
     real = fps.lagrange_invert
 
@@ -232,9 +233,60 @@ def test_polyseq_associated_inverts_nothing(monkeypatch):
             getattr(module, "lagrange_invert", None) is real
         ):
             monkeypatch.setattr(module, "lagrange_invert", counted)
+    return calls
+
+
+def test_polyseq_associated_inverts_nothing(monkeypatch):
+    calls = count_inversions(monkeypatch)
     code, _ = run(["polyseq", "--stat", "lah", "--kind", "associated", "--n", "4",
                    "--order", "40"])
     assert code == 0 and calls == []
+
+
+def test_polyseq_sheffer_inverts_nothing(monkeypatch):
+    calls = count_inversions(monkeypatch)
+    code, _ = run(["polyseq", "--stat", "lah", "--kind", "sheffer", "--n", "4",
+                   "--order", "40", "--g-coeffs", "1,1/2,-1,0,1"])
+    assert code == 0 and calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--stat", "lah", "--quantity", "w", "--order", "0"],
+        ["expand", "--stat", "lah", "--quantity", "w", "--order", "129"],
+        ["dual", "--stat", "lah", "--order", "-3"],
+        ["polyseq", "--stat", "lah", "--kind", "conjugate", "--n", "0"],
+        ["polyseq", "--stat", "lah", "--kind", "conjugate", "--n", "129"],
+        ["verify", "--suite", "binomial", "--order", "100000"],
+    ],
+)
+def test_order_outside_ceiling_is_usage_error(argv, monkeypatch, capsys):
+    monkeypatch.setattr(cli.cat, "get", lambda name: pytest.fail("series work done"))
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"is outside 1..{cli.MAX_ORDER}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "129", "10000"])
+def test_env_order_outside_ceiling_is_an_error(value, monkeypatch, capsys):
+    monkeypatch.setenv("UMBRAL_ORDER", value)
+    monkeypatch.setattr(cli.cat, "get", lambda name: pytest.fail("series work done"))
+    code, out = run(["expand", "--stat", "lah", "--quantity", "w"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == (
+        f"error: UMBRAL_ORDER={value!r} is outside 1..{cli.MAX_ORDER}\n"
+    )
+
+
+def test_order_ceiling_is_accepted(monkeypatch):
+    monkeypatch.setenv("UMBRAL_ORDER", str(cli.MAX_ORDER))
+    code, data = run_json(["expand", "--stat", "boltzmann-gibbs", "--quantity", "F"])
+    assert code == 0 and data["payload"]["order"] == cli.MAX_ORDER
+    code, data = run_json(["polyseq", "--stat", "boltzmann-gibbs", "--kind",
+                           "conjugate", "--n", str(cli.MAX_ORDER)])
+    assert code == 0 and len(data["payload"]["polynomials"]) == cli.MAX_ORDER + 1
 
 
 class TestVerify:

@@ -3,28 +3,40 @@
 The kernels clear denominators once per call and loop over ``int``
 numerators; the references in ``oracles`` do one ``Fraction`` operation per
 step.  Inputs cover orders 1-20, runs of zero coefficients, coprime and very
-large denominators, several linear coefficients and awkward rational points.
+large denominators, several linear and constant coefficients and awkward
+rational points.
 """
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from oracles import (
+    divide_series,
     schoolbook_compose,
     schoolbook_eval,
+    schoolbook_exp,
+    schoolbook_log,
     schoolbook_mul,
     schoolbook_reversion,
 )
 from umbral_stats import series as fps
 from umbral_stats.series import TruncatedSeries
-from umbral_stats.umbral import Polynomial
+from umbral_stats.umbral import (
+    DeltaSeries,
+    Polynomial,
+    PolynomialSequence,
+    binomial_identity_holds,
+    conjugate_sequence,
+)
 
 MERSENNE_61 = 2**61 - 1
 LARGE_DENOMINATORS = (MERSENNE_61, 2**31 - 1, 10**9 + 7, 2**64)
 SLOPES = (F(1), F(-1), F(1, 2), F(7, 3))
+CONSTANTS = SLOPES + (F(-5, 3), F(3, 2**64), F(-MERSENNE_61, 8))
 
 coefficient = hs.one_of(
     hs.just(F(0)),
@@ -103,6 +115,57 @@ def test_evaluation_matches_termwise_sum(data, degree, x):
     cs = data.draw(coefficient_lists(degree))
     assert fps.evaluate(TruncatedSeries(cs), x) == schoolbook_eval(cs, x)
     assert Polynomial(cs)(x) == schoolbook_eval(cs, x)
+
+
+@kernel_settings
+@given(hs.data(), orders)
+def test_exp_matches_power_sum(data, n):
+    a = data.draw(coefficient_lists(n, zero_constant=True))
+    assert list(fps.exp_series(TruncatedSeries(a)).coeffs) == schoolbook_exp(a, n)
+
+
+@kernel_settings
+@given(hs.data(), orders)
+def test_log_matches_power_sum(data, n):
+    a = data.draw(coefficient_lists(n))
+    a[0] = F(1)
+    assert list(fps.log_series(TruncatedSeries(a)).coeffs) == schoolbook_log(a, n)
+
+
+@kernel_settings
+@given(hs.data(), orders, hs.sampled_from(CONSTANTS))
+def test_reciprocal_matches_long_division(data, n, c0):
+    a = data.draw(coefficient_lists(n))
+    a[0] = c0
+    assert list(fps.reciprocal(TruncatedSeries(a)).coeffs) == divide_series(
+        [F(1)], a, n
+    )
+
+
+@kernel_settings
+@given(hs.data(), hs.integers(1, 8), point, point, hs.booleans())
+def test_binomial_check_matches_termwise_evaluation(data, n, a, b, perturb):
+    """The integer check against Fraction sums, on conjugate sequences of
+    random delta series (binomial type) and on perturbed copies (mostly not)."""
+    cs = data.draw(coefficient_lists(n, zero_constant=True))
+    cs[1] = data.draw(hs.sampled_from(SLOPES))
+    seq = conjugate_sequence(DeltaSeries(TruncatedSeries(cs)), n)
+    if perturb:
+        polys = list(seq)
+        k = data.draw(hs.integers(1, n))
+        j = data.draw(hs.integers(0, k - 1))
+        bumped = list(polys[k].coeffs)
+        bumped[j] += data.draw(coefficient)
+        polys[k] = Polynomial(bumped)
+        seq = PolynomialSequence(polys)
+
+    def at(k, x):
+        return schoolbook_eval(list(seq[k].coeffs), x)
+
+    expected = at(n, a + b) == sum(
+        (comb(n, k) * at(k, a) * at(n - k, b) for k in range(n + 1)), F(0)
+    )
+    assert binomial_identity_holds(seq, a, b, n) == expected
 
 
 def test_zero_polynomial_evaluates_to_zero():

@@ -24,6 +24,7 @@ from umbral_stats.umbral import (
     associated_sequence,
     binomial_identity_holds,
     conjugate_sequence,
+    conjugate_sheffer_sequence,
     connection_coefficients,
     functional,
     poly_from_json,
@@ -214,6 +215,15 @@ class TestShefferSequences:
             assert seq[n] == hermite_he(n)
         assert seq[3] == Polynomial([0, -3, 0, 1])  # x^3 - 3x
 
+    def test_conjugate_form_matches_inverse_form(self):
+        g = InvertibleSeries(TruncatedSeries([1, F(-1, 2), 0, F(2, 3)] + [0] * 7))
+        F_ = delta(F_LOG1P)
+        assert conjugate_sheffer_sequence(g, F_, 8) == sheffer_sequence(
+            g, F_.inverse(), 8
+        )
+        one = InvertibleSeries(fps.one(ORDER))
+        assert conjugate_sheffer_sequence(one, F_, 8) == conjugate_sequence(F_, 8)
+
     def test_characterization_lowering(self):
         # f(D) s_n = n s_{n-1}
         g = InvertibleSeries(fps.from_function(lambda k: F(1, factorial(k)), ORDER))
@@ -322,6 +332,35 @@ class TestUmbralInvariants:
                     a = F(rng.randint(-6, 6), rng.randint(1, 4))
                     b = F(rng.randint(-6, 6), rng.randint(1, 4))
                     assert binomial_identity_holds(seq, a, b, n), (name, n, a, b)
+
+    def test_shifted_powers_are_not_binomial(self):
+        # p_n = (x+1)^n: p_n(a+b) = (a+b+1)^n, the sum gives (a+b+2)^n
+        polys = [Polynomial([1])]
+        for _ in range(8):
+            polys.append(polys[-1] * Polynomial([1, 1]))
+        seq = PolynomialSequence(polys)
+        for n in range(1, 9):
+            for a, b in ((F(0), F(0)), (F(1, 2), F(-2, 3)), (F(-3), F(5, 7))):
+                assert not binomial_identity_holds(seq, a, b, n), (n, a, b)
+
+    def test_perturbed_lah_sequence_fails_at_its_degree(self):
+        lah = conjugate_sequence(delta(F_GEOM_SUM), 8)
+        polys = list(lah)
+        bumped = list(polys[5].coeffs)
+        bumped[3] += 1
+        polys[5] = Polynomial(bumped)
+        perturbed = PolynomialSequence(polys)
+        for a, b in ((F(1), F(1)), (F(1, 2), F(-2, 3)), (F(-3), F(5, 7))):
+            assert binomial_identity_holds(lah, a, b, 5)
+            assert not binomial_identity_holds(perturbed, a, b, 5), (a, b)
+            assert binomial_identity_holds(perturbed, a, b, 4)
+
+    def test_integer_table_is_built_once(self):
+        seq = conjugate_sequence(delta(F_GEOM_SUM), 6)
+        table = seq.numerators
+        assert binomial_identity_holds(seq, F(1, 2), F(-2, 3), 6)
+        assert seq.numerators is table
+        assert [F(sum(N), d) for N, d in table] == [p(1) for p in seq]
 
     def test_annihilation(self):
         for name, fn in self.CATALOG_F.items():
