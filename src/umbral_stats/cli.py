@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -88,8 +89,49 @@ def default_order() -> int:
     return value
 
 
+# Most digits a rational argument may carry in its numerator or denominator,
+# counted as written, with a decimal exponent adding its zeros: "1e999" and
+# "0.5e-998" pass, "1e1000" and "1e-1000" do not.  The bound is for
+# magnitude, as MAX_ORDER is for cost.  It is checked before Fraction sees
+# the text, whose conversion grows with the exponent (Fraction("1e2000000")
+# alone takes 0.75 s on a 2-core VM), and it leaves room for rationals too
+# large for a float, which maxent reports as errors.  Cost still grows with
+# the digits: expand acharya-swamy eps=1e999 phi_entropy takes 0.4 s at
+# order 16 and 6.5 s at order 32, and eps=1e99 takes 90 s at order 128
+# (2-core VM).  Results can exceed Python's int-to-str limit, which main
+# lifts.
+MAX_DIGITS = 1000
+
+# Fraction's own grammar, with underscores between digits.  Left to re's
+# cache, so that only commands that parse a rational compile it (about 1 ms).
+_RATIONAL = r"""\s*[-+]?(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)
+    (?:/(?P<den>\d+(_\d+)*)
+    |(?:\.(?P<decimal>\d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)\s*\Z"""
+
+
 def parse_rational(text: str) -> Fraction:
-    """An exact rational from "p/q" or decimal text; ValueError if malformed."""
+    """An exact rational from "p/q" or decimal text; ValueError if malformed,
+    or if its numerator or denominator would exceed MAX_DIGITS digits."""
+    match = re.match(_RATIONAL, text, re.VERBOSE | re.IGNORECASE)
+    if match is None:
+        raise ValueError(f"not a rational number: {text!r}")
+    num, den, decimal, exp = (
+        (match[g] or "").replace("_", "") for g in ("num", "den", "decimal", "exp")
+    )
+    if len(exp.lstrip("+-").lstrip("0")) > len(str(MAX_DIGITS)):
+        digits = MAX_DIGITS + 1  # the exponent alone exceeds the bound
+    else:
+        # decimal text is int(num + decimal) * 10**shift; p/q text has shift 0
+        shift = int(exp or 0) - len(decimal)
+        digits = max(
+            len(num) + len(decimal) + max(shift, 0), len(den), 1 + max(-shift, 0)
+        )
+    if digits > MAX_DIGITS:
+        shown = text if len(text) <= 40 else text[:40] + "..."
+        raise ValueError(
+            f"{shown!r} needs more than {MAX_DIGITS} digits in its numerator "
+            "or denominator"
+        )
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -107,7 +149,10 @@ def parse_params(pairs: list[str] | None) -> dict:
         elif key == "t":
             params[key] = [parse_rational(value)]
         elif key == "p":
-            params[key] = int(value)
+            p = parse_rational(value)
+            if p.denominator != 1:
+                raise ValueError(f"--param p expects an integer, got {value!r}")
+            params[key] = int(p)
         else:
             params[key] = parse_rational(value)
     return params
@@ -421,12 +466,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None, stream=None) -> int:
+    out = stream or sys.stdout
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()  # 3.10.7+
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args, stream or sys.stdout)
+        # Arguments are bounded (MAX_ORDER, MAX_DIGITS), so every result of
+        # a request may print, however long; the int-to-str limit is lifted
+        # for the request only and restored for callers in this process.
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        code = args.handler(args, out)
+        out.flush()
+        return code
     except (ValueError, cat.CatalogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull, so that the flush
+        # at interpreter exit cannot raise again (the recipe in the Python
+        # docs, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

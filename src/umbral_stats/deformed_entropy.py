@@ -167,7 +167,7 @@ def phi_from_x(X: TruncatedSeries) -> PhiSeries:
 def map_g(phi: PhiSeries, name: str = "from-kernel") -> Statistics:
     """The statistics whose weight-function inverse is X(p) = exp(ln_phi(p))."""
     X = x_from_phi(phi)
-    return st.from_weight(lagrange_invert(X), name=name)
+    return st.from_weight(lagrange_invert(X), name=name, inverse=X)
 
 
 def map_g_inverse(stat: Statistics) -> PhiSeries:

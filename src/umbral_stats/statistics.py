@@ -8,7 +8,7 @@ F(X) = sum w_n X^n / n with w_1 = 1.  Derived data:
 * the partition function z = exp(F), whose coefficients are the
   occupation numbers W_n, computed on first read,
 * the compositional inverse X(w) of the weight function, computed on
-  first read.
+  first read unless the caller already holds it.
 
 The involution swapping Bose-Einstein and Fermi-Dirac statistics sends a
 weight function to its compositional inverse; series composition of
@@ -42,7 +42,16 @@ class Statistics:
 
     __slots__ = ("name", "F", "w", "_z", "_X_of_w")
 
-    def __init__(self, F: TruncatedSeries, name: str = "statistics"):
+    def __init__(
+        self,
+        F: TruncatedSeries,
+        name: str = "statistics",
+        *,
+        inverse: TruncatedSeries | None = None,
+    ):
+        """``inverse``, if given, must be the compositional inverse of the
+        weight function through at least F's order; it is stored as X(w)
+        unchecked, in place of inverting w on first read."""
         if F.coeffs[0] != 0:
             raise ValueError("free energy must vanish at 0")
         if F.order < 1 or F.coeffs[1] != 1:
@@ -55,7 +64,9 @@ class Statistics:
         object.__setattr__(self, "w", w)
         # F(0) = 0 and w_1 = 1 hold, so exp(F) and X(w) cannot fail when read
         object.__setattr__(self, "_z", None)
-        object.__setattr__(self, "_X_of_w", None)
+        object.__setattr__(
+            self, "_X_of_w", None if inverse is None else inverse.truncate(F.order)
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("Statistics is immutable")
@@ -103,18 +114,33 @@ class SpectralSample(NamedTuple):
     Y: Fraction
 
 
-def from_cluster(w_list: Sequence[RationalLike], name: str = "statistics") -> Statistics:
-    """Build from cluster coefficients w_1, w_2, ...; requires w_1 = 1."""
+def from_cluster(
+    w_list: Sequence[RationalLike],
+    name: str = "statistics",
+    *,
+    inverse: TruncatedSeries | None = None,
+) -> Statistics:
+    """Build from cluster coefficients w_1, w_2, ...; requires w_1 = 1.
+
+    ``inverse`` is passed on to :class:`Statistics`."""
     w = [as_rational(c) for c in w_list]
     if not w or w[0] != 1:
         raise ValueError("first cluster coefficient must be 1")
     F = TruncatedSeries([Fraction(0)] + [c / (k + 1) for k, c in enumerate(w)])
-    return Statistics(F, name)
+    return Statistics(F, name, inverse=inverse)
 
 
-def from_weight(w: TruncatedSeries, name: str = "statistics") -> Statistics:
-    """Build from the weight function w(X) = X + ...."""
-    return from_cluster(w.coeffs[1:], name)
+def from_weight(
+    w: TruncatedSeries,
+    name: str = "statistics",
+    *,
+    inverse: TruncatedSeries | None = None,
+) -> Statistics:
+    """Build from the weight function w(X) = X + ....
+
+    Pass ``inverse`` when the compositional inverse of w is already known,
+    so that reading X(w) inverts nothing."""
+    return from_cluster(w.coeffs[1:], name, inverse=inverse)
 
 
 def from_occupation(
@@ -160,7 +186,7 @@ def dual(stat: Statistics) -> Statistics:
     """The statistics whose weight function is the compositional inverse
     of this one's; an involution fixing Boltzmann-Gibbs and swapping
     Bose-Einstein with Fermi-Dirac."""
-    return from_weight(stat.X_of_w, name=f"dual({stat.name})")
+    return from_weight(stat.X_of_w, name=f"dual({stat.name})", inverse=stat.w)
 
 
 def group_compose(v: Statistics, w: Statistics, name: str | None = None) -> Statistics:

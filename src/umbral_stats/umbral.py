@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 from .series import (
     _horner,
     _int_horner,
+    _int_mul,
     _int_powers,
     _numerators,
     RationalLike,
@@ -464,3 +465,43 @@ def binomial_identity_holds(
         for k in range(n + 1)
     )
     return lhs == rhs
+
+
+def first_binomial_failure(seq: PolynomialSequence) -> int | None:
+    """Least n at which p_n(x+y) = sum_k C(n,k) p_k(x) p_{n-k}(y) fails as a
+    polynomial identity in x and y, or None if it holds for every p_n in seq.
+
+    Write G_j(t) = sum_n [x^j]p_n t^n / n! for the columns of the EGF
+    sum_n p_n(x) t^n / n! = sum_j x^j G_j(t).  Comparing the coefficients
+    of x^i y^j t^n on both sides, the identity holds at degree n iff
+    [t^n] G_i G_j = C(i+j, i) [t^n] G_{i+j} for all i, j.  Through degree n
+    this is equivalent to two families of conditions through t^n:
+
+    * G_0 = 1: it is G_0**2 = G_0 (i = j = 0), and G_0(0) = p_0 = 1 makes
+      G_0 a unit;
+    * G_1 G_j = (j+1) G_{j+1} for j >= 1 (the case i = 1).
+
+    Conversely, these give G_j = G_1**j / j! by induction on j, hence
+    G_i G_j = G_1**(i+j) / (i! j!) = C(i+j, i) G_{i+j}.  As the two forms
+    hold through the same degrees, they first fail at the same n, which is
+    the least t-degree where one of the conditions above fails.
+
+    In integers: with p_n = N_n / d_n, every column lies over
+    L = lcm_n(d_n n!), G_j = C_j / L, and G_1 G_j = (j+1) G_{j+1} reads
+    C_1 C_j = (j+1) L C_{j+1}.  That is N - 1 integer Cauchy products for
+    p_0..p_N; no Fraction is built.
+    """
+    table = seq.numerators
+    N = len(table) - 1
+    scales = [d * factorial(n) for n, (_, d) in enumerate(table)]
+    L = lcm(*scales)
+    # C[j][n] = L [t^n] G_j; C[0][0] = L since p_0 = 1
+    C = [[0] * (N + 1) for _ in range(N + 1)]
+    for n, ((nums, _), s) in enumerate(zip(table, scales)):
+        for j, c in enumerate(nums):
+            C[j][n] = c * (L // s)
+    bad = [n for n in range(1, N + 1) if C[0][n]]
+    for j in range(1, N):
+        lhs = _int_mul(C[1], C[j], N)
+        bad += [n for n in range(N + 1) if lhs[n] != (j + 1) * L * C[j + 1][n]]
+    return min(bad, default=None)

@@ -237,3 +237,20 @@ def schoolbook_log(a: list[Fraction], order: int) -> list[Fraction]:
         power = schoolbook_mul(power, u, order)
         out = [x + (-1) ** (j + 1) * y / j for x, y in zip(out, power)]
     return out
+
+
+def schoolbook_binomial_defect(seq, n: int) -> list[list[Fraction]]:
+    """D[i][j] = [x^i y^j] of p_n(x+y) - sum_k C(n,k) p_k(x) p_{n-k}(y).
+
+    Expands (x+y)^m by the binomial theorem and multiplies out the sum
+    term by term; D is identically zero iff the degree-n identity holds.
+    """
+    D = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    for m, c in enumerate(seq[n].coeffs):
+        for i in range(m + 1):
+            D[i][m - i] += comb(m, i) * c
+    for k in range(n + 1):
+        for i, a in enumerate(seq[k].coeffs):
+            for j, b in enumerate(seq[n - k].coeffs):
+                D[i][j] -= comb(n, k) * a * b
+    return D

@@ -6,13 +6,16 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import umbral_stats
 from umbral_stats import cli
+from umbral_stats import deformed_entropy as de
 from umbral_stats import series as fps
+from umbral_stats import statistics as st
 
 
 def run(argv):
@@ -219,6 +222,58 @@ def test_maxent_float_overflow_is_an_error(energies, energy_target, number_targe
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1e1000", "1e-1000", "0.5e-999", "1e99999999999", "1e2000000",
+     pytest.param("1" * 1001, id="1001-digit-numerator"),
+     pytest.param("1/" + "3" * 1001, id="1001-digit-denominator")],
+)
+def test_rational_beyond_digit_bound_is_an_error(text, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "Fraction", lambda text: pytest.fail("converted"))
+    monkeypatch.setattr(cli.cat, "get", lambda name: pytest.fail("series work done"))
+    code, out = run(["expand", "--stat", "acharya-swamy", "--param", f"eps={text}",
+                     "--quantity", "w"])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"more than {cli.MAX_DIGITS} digits" in err
+
+
+def test_rational_at_digit_bound_prints_at_order_16():
+    assert cli.parse_rational("1e999") == 10**999
+    assert cli.parse_rational("0.5e-998") == F(1, 2 * 10**998)
+    limit = sys.get_int_max_str_digits()
+    code, data = run_json(["expand", "--stat", "acharya-swamy", "--param", "eps=1e999",
+                           "--quantity", "w", "--order", "16"])
+    assert code == 0
+    # w_k = (-eps)^(k-1): w_16 has 14986 digits, beyond the default str limit
+    assert data["payload"]["coeffs"][16] == "-1" + "0" * (999 * 15)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_gentile_occupancy_must_be_an_integer(capsys):
+    code, out = run(["expand", "--stat", "gentile", "--param", "p=5/2",
+                     "--quantity", "w"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: --param p expects an integer, got '5/2'\n"
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    src = str(Path(umbral_stats.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child starts, so every write fails
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "umbral_stats.cli", "expand", "--stat",
+             "bose-einstein", "--quantity", "w", "--order", "5"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == ""
+
+
 def count_inversions(monkeypatch) -> list:
     """Record every lagrange_invert call made through any umbral_stats module."""
     calls = []
@@ -248,6 +303,29 @@ def test_polyseq_sheffer_inverts_nothing(monkeypatch):
     code, _ = run(["polyseq", "--stat", "lah", "--kind", "sheffer", "--n", "4",
                    "--order", "40", "--g-coeffs", "1,1/2,-1,0,1"])
     assert code == 0 and calls == []
+
+
+def test_map_g_inverts_once(monkeypatch):
+    phi = de.PhiSeries.from_t([F(1, 2), F(-1, 3), F(2)], order=10)
+    calls = count_inversions(monkeypatch)
+    de.map_g(phi).X_of_w
+    assert len(calls) == 1
+
+
+def test_tau_inverts_once(monkeypatch):
+    phi = de.PhiSeries.from_t([F(1, 2), F(-1, 3), F(2)], order=10)
+    calls = count_inversions(monkeypatch)
+    de.tau(phi)
+    assert len(calls) == 1
+
+
+def test_dual_reuses_known_inverses(monkeypatch):
+    stat = cli.cat.build("bose-einstein", 10)
+    stat.X_of_w
+    calls = count_inversions(monkeypatch)
+    assert st.dual(st.dual(stat)).X_of_w == stat.X_of_w
+    assert st.dual(stat).X_of_w == stat.w
+    assert calls == []
 
 
 @pytest.mark.parametrize(

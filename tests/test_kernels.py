@@ -11,11 +11,12 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from oracles import (
     divide_series,
+    schoolbook_binomial_defect,
     schoolbook_compose,
     schoolbook_eval,
     schoolbook_exp,
@@ -31,6 +32,7 @@ from umbral_stats.umbral import (
     PolynomialSequence,
     binomial_identity_holds,
     conjugate_sequence,
+    first_binomial_failure,
 )
 
 MERSENNE_61 = 2**61 - 1
@@ -166,6 +168,36 @@ def test_binomial_check_matches_termwise_evaluation(data, n, a, b, perturb):
         (comb(n, k) * at(k, a) * at(n - k, b) for k in range(n + 1)), F(0)
     )
     assert binomial_identity_holds(seq, a, b, n) == expected
+
+
+@kernel_settings
+@given(hs.data(), hs.integers(1, 8), point, point, hs.booleans())
+def test_exact_binomial_check_matches_coefficient_defect(data, n, a, b, perturb):
+    """first_binomial_failure is the least degree whose schoolbook defect
+    is nonzero, on conjugate sequences of random delta series and on copies
+    with one coefficient (the leading one included) perturbed; and it is
+    never later than a degree where a point evaluation fails."""
+    cs = data.draw(coefficient_lists(n, zero_constant=True))
+    cs[1] = data.draw(hs.sampled_from(SLOPES))
+    seq = conjugate_sequence(DeltaSeries(TruncatedSeries(cs)), n)
+    if perturb:
+        polys = list(seq)
+        k = data.draw(hs.integers(1, n))
+        j = data.draw(hs.integers(0, k))
+        bumped = list(polys[k].coeffs)
+        bumped[j] += data.draw(coefficient)
+        assume(bumped[k] != 0)
+        polys[k] = Polynomial(bumped)
+        seq = PolynomialSequence(polys)
+    defective = [
+        m for m in range(n + 1)
+        if any(any(row) for row in schoolbook_binomial_defect(seq, m))
+    ]
+    first = first_binomial_failure(seq)
+    assert first == min(defective, default=None)
+    for m in range(n + 1):
+        if not binomial_identity_holds(seq, a, b, m):
+            assert first is not None and first <= m
 
 
 def test_zero_polynomial_evaluates_to_zero():

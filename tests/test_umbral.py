@@ -26,6 +26,7 @@ from umbral_stats.umbral import (
     conjugate_sequence,
     conjugate_sheffer_sequence,
     connection_coefficients,
+    first_binomial_failure,
     functional,
     poly_from_json,
     poly_to_json,
@@ -354,6 +355,41 @@ class TestUmbralInvariants:
             assert binomial_identity_holds(lah, a, b, 5)
             assert not binomial_identity_holds(perturbed, a, b, 5), (a, b)
             assert binomial_identity_holds(perturbed, a, b, 4)
+
+    def test_exact_check_passes_catalog_sequences(self):
+        for name, fn in self.CATALOG_F.items():
+            seq = conjugate_sequence(delta(fn), 8)
+            assert first_binomial_failure(seq) is None, name
+
+    def test_exact_check_fails_shifted_powers_at_one(self):
+        polys = [Polynomial([1])]
+        for _ in range(8):
+            polys.append(polys[-1] * Polynomial([1, 1]))
+        assert first_binomial_failure(PolynomialSequence(polys)) == 1
+
+    @staticmethod
+    def bumped_lah(m, j):
+        """The Lah sequence p_0..p_8 with 1 added to the x^j coefficient of p_m."""
+        polys = list(conjugate_sequence(delta(F_GEOM_SUM), 8))
+        bumped = list(polys[m].coeffs)
+        bumped[j] += 1
+        polys[m] = Polynomial(bumped)
+        return PolynomialSequence(polys)
+
+    def test_exact_check_finds_perturbed_lah_degree(self):
+        assert first_binomial_failure(self.bumped_lah(5, 3)) == 5
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_perturbed_linear_coefficient_fails_one_degree_later(self, m):
+        # p_m + c x keeps the degree-m identity: both sides gain c (x + y)
+        assert first_binomial_failure(self.bumped_lah(m, 1)) == m + 1
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_nonzero_constant_term_fails_at_its_degree(self, m):
+        assert first_binomial_failure(self.bumped_lah(m, 0)) == m
+
+    def test_perturbed_leading_coefficient_of_last_polynomial(self):
+        assert first_binomial_failure(self.bumped_lah(8, 8)) == 8
 
     def test_integer_table_is_built_once(self):
         seq = conjugate_sequence(delta(F_GEOM_SUM), 6)

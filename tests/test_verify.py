@@ -4,6 +4,7 @@ import pytest
 
 from umbral_stats import verify
 from umbral_stats.catalog import Fixture
+from umbral_stats.umbral import Polynomial, PolynomialSequence
 from umbral_stats.verify import PropertyResult, VerifyReport
 
 
@@ -48,3 +49,20 @@ def test_random_statistics_is_seed_deterministic():
     a = verify.random_statistics(random.Random(4), 10)
     b = verify.random_statistics(random.Random(4), 10)
     assert a == b
+
+
+def test_binomial_suite_draws_no_random_numbers(monkeypatch):
+    monkeypatch.setattr(verify.random, "Random", lambda *a: pytest.fail("drew"))
+    results = verify.suite_binomial(8, 0)
+    assert len(results) == 20 and all(r.passed for r in results)
+
+
+def test_binomial_suite_reports_first_failing_degree(monkeypatch):
+    shifted = [Polynomial([1])]  # (x+1)^n fails at n = 1
+    for _ in range(8):
+        shifted.append(shifted[-1] * Polynomial([1, 1]))
+    monkeypatch.setattr(
+        verify, "conjugate_sequence", lambda F, n: PolynomialSequence(shifted[: n + 1])
+    )
+    results = verify.suite_binomial(8, 0)
+    assert results and all(not r.passed and r.detail == "n=1" for r in results)
