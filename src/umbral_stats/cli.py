@@ -58,7 +58,7 @@ EXPAND_QUANTITIES = (
 # Highest truncation order the CLI accepts (--order, polyseq --n and
 # UMBRAL_ORDER).  Cost grows steeply with the order: the slowest single
 # request measured, expand acharya-swamy eps=1/3 phi_entropy, takes about
-# 0.4 s at order 64 and 20 s at order 128 (see README).
+# 0.3 s at order 64 and 5.5 s at order 128 (see README).
 MAX_ORDER = 128
 
 
@@ -96,8 +96,8 @@ def default_order() -> int:
 # the text, whose conversion grows with the exponent (Fraction("1e2000000")
 # alone takes 0.75 s on a 2-core VM), and it leaves room for rationals too
 # large for a float, which maxent reports as errors.  Cost still grows with
-# the digits: expand acharya-swamy eps=1e999 phi_entropy takes 0.4 s at
-# order 16 and 6.5 s at order 32, and eps=1e99 takes 90 s at order 128
+# the digits: expand acharya-swamy eps=1e999 phi_entropy takes 0.6 s at
+# order 16 and 9 s at order 32, and eps=1e99 takes 100 s at order 128
 # (2-core VM).  Results can exceed Python's int-to-str limit, which main
 # lifts.
 MAX_DIGITS = 1000
@@ -144,10 +144,10 @@ def parse_params(pairs: list[str] | None) -> dict:
         key, sep, value = pair.partition("=")
         if not sep:
             raise ValueError(f"--param expects key=value, got {pair!r}")
-        if "," in value:
-            params[key] = parse_rationals(value)
-        elif key == "t":
-            params[key] = [parse_rational(value)]
+        if key == "t":  # the one list parameter; "t=" stays an error
+            params[key] = (
+                parse_rationals(value) if "," in value else [parse_rational(value)]
+            )
         elif key == "p":
             p = parse_rational(value)
             if p.denominator != 1:

@@ -13,12 +13,15 @@ rounds.  The hot kernels (:func:`mul`, :func:`powers`, :func:`compose`,
 :func:`reciprocal` and evaluation at a rational point) clear denominators
 once per call: they write each operand as ``int`` numerators over its least
 common denominator, run their inner loops on ``int``s alone and build one
-``Fraction`` per output coefficient, as FLINT's ``fmpq_poly`` does.  The
-three recurrences (exp, log, reciprocal) also keep the outputs found so far
-as ``int`` numerators over the lcm of their denominators, so their integers
-stay the size of the reduced coefficients.  :class:`LogSeries` extends the
-model with a single logarithmic generator: it represents
-``A(p) + B(p) * log(p)`` for truncated series ``A`` and ``B``.
+``Fraction`` per output coefficient, as FLINT's ``fmpq_poly`` does.  One
+power table, ``_int_powers``, serves :func:`powers`, :func:`compose` and
+:func:`lagrange_invert`, which solves a triangular system on the powers of
+its argument.  Inversion and the three recurrences (exp, log, reciprocal)
+also keep the outputs found so far as ``int`` numerators over the lcm of
+their denominators, so their integers stay the size of the reduced
+coefficients.  :class:`LogSeries` extends the model with a single
+logarithmic generator: it represents ``A(p) + B(p) * log(p)`` for truncated
+series ``A`` and ``B``.
 """
 
 from __future__ import annotations
@@ -237,8 +240,8 @@ def powers(
     """[start * base**k for k = 0..n], each truncated at order n.
 
     ``start`` defaults to 1.  The rows come from ``_int_powers``, the one
-    power table, which composition and the umbral polynomial sequences
-    (hence the occupation polynomials) read directly as integers.
+    power table, which composition, inversion and the umbral polynomial
+    sequences (hence the occupation polynomials) read directly as integers.
     """
     rows, ds, d = _int_powers(base, n, start)
     return [_over(row, ds * d**k) for k, row in enumerate(rows)]
@@ -381,42 +384,34 @@ def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
 def lagrange_invert(a: TruncatedSeries) -> TruncatedSeries:
     """Compositional inverse of a delta series (a(0)=0, a'(0)!=0).
 
-    Solves compose(a, t) = X coefficient by coefficient: writing
-    t = sum t_n X^n and P[k][n] = [X^n] t^k, each new t_n is fixed by the
-    X^n coefficient of sum_k a_k t^k; P fills as the t_n become known, so it
-    is not a fixed-base :func:`powers` table.
-
-    The table holds integers only.  Write a / a1 = X + sum_k (C_k / D) X^k
-    with integers C_k and D.  Then c(Y) = (a / a1)(D Y) / D has integer
-    coefficients C_k D**(k-2) and a unit linear term, so its inverse s is
-    integral and found without division; undoing the two rescalings gives
-    t_m = s_m / (D**(m-1) a1**m).  Checks compose(a, t) = X: delta series
-    form a group under composition, so t is a two-sided inverse.
+    Reads t off the power table of ``a``: the X^m coefficient of
+    t(a(X)) = X is sum_{k<=m} t_k [X^m] a^k = [m = 1], a lower-triangular
+    system in the Riordan matrix [X^m] a^k, whose diagonal is a_1^m.  With
+    a^k = R_k / d^k from ``_int_powers``, A_1 = R_1[1] and the terms found
+    so far t_k = T_k / Q, this gives t_1 = d / A_1 and
+    t_m = -d sum_{1<=k<m} T_k R_k[m] d^(m-1-k) / (Q A_1^m),
+    the sum taken by Horner's rule in d.  Checks compose(a, t) = X, which
+    reads the power table of t instead: delta series form a group under
+    composition, so t is a two-sided inverse.
     """
     if a.coeffs[0] != 0:
         raise ValueError("inversion requires zero constant term")
     if a.order < 1 or a.coeffs[1] == 0:
         raise ValueError("no compositional inverse: zero linear coefficient")
     n = a.order
-    a1 = a.coeffs[1]
-    C, D = _numerators([ak / a1 for ak in a.coeffs[2:]])
-    c = [0, 1] + [ck * D**k for k, ck in enumerate(C)]
-    s = [0] * (n + 1)
-    s[1] = 1
-    # P[k][m] = coefficient of X^m in s(X)**k, filled column by column
-    P = [[0] * (n + 1) for _ in range(n + 1)]
-    P[1][1] = 1
+    rows, _, d = _int_powers(a, n)
+    A1 = rows[1][1]
+    t = Fraction(d, A1)
+    out = [Fraction(0), t]
+    T, Q = [0, t.numerator], t.denominator
     for m in range(2, n + 1):
-        for k in range(2, m + 1):
-            prev = P[k - 1]
-            P[k][m] = sum(prev[j] * s[m - j] for j in range(k - 1, m) if prev[j])
-        s[m] = -sum(c[k] * P[k][m] for k in range(2, m + 1) if c[k])
-        P[1][m] = s[m]
-    p, q = a1.numerator, a1.denominator
-    result = TruncatedSeries(
-        [Fraction(0)]
-        + [Fraction(s[m] * q**m, D ** (m - 1) * p**m) for m in range(1, n + 1)]
-    )
+        acc = 0
+        for k in range(1, m):
+            acc = acc * d + T[k] * rows[k][m]
+        t = Fraction(-d * acc, Q * A1**m)
+        out.append(t)
+        Q = _append_over(T, Q, t.numerator, t.denominator)
+    result = TruncatedSeries(out)
     if compose(a, result) != identity(n):
         raise AssertionError("internal error: inversion roundtrip failed")
     return result

@@ -16,6 +16,7 @@ from umbral_stats import cli
 from umbral_stats import deformed_entropy as de
 from umbral_stats import series as fps
 from umbral_stats import statistics as st
+from umbral_stats import umbral as um
 
 
 def run(argv):
@@ -257,6 +258,32 @@ def test_gentile_occupancy_must_be_an_integer(capsys):
     assert capsys.readouterr().err == "error: --param p expects an integer, got '5/2'\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--stat", "acharya-swamy", "--param", "eps=1,2", "--quantity", "w"],
+        ["expand", "--stat", "gentile", "--param", "p=1,2", "--quantity", "w"],
+    ],
+)
+def test_comma_list_outside_t_is_an_error(argv, capsys):
+    code, out = run(argv)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: not a rational number: '1,2'\n"
+
+
+@pytest.mark.parametrize(
+    "pair, expected",
+    [("t=1", [F(1)]), ("t=1,1/2", [F(1), F(1, 2)]), ("t=,", [])],
+)
+def test_t_takes_a_comma_list(pair, expected):
+    assert cli.parse_params([pair]) == {"t": expected}
+
+
+def test_empty_t_is_an_error():
+    with pytest.raises(ValueError, match="not a rational number"):
+        cli.parse_params(["t="])
+
+
 def test_closed_stdout_exits_1_without_traceback():
     src = str(Path(umbral_stats.__file__).resolve().parents[1])
     read_end, write_end = os.pipe()
@@ -326,6 +353,22 @@ def test_dual_reuses_known_inverses(monkeypatch):
     assert st.dual(st.dual(stat)).X_of_w == stat.X_of_w
     assert st.dual(stat).X_of_w == stat.w
     assert calls == []
+
+
+def test_sheffer_inverse_inverts_once(monkeypatch):
+    f = um.DeltaSeries(fps.TruncatedSeries([0, 1, F(1, 2), F(-1, 3), 2, 0, 1]))
+    g = um.InvertibleSeries(fps.TruncatedSeries([1, F(1, 2), -1, 0, 1, 3, F(2, 5)]))
+    calls = count_inversions(monkeypatch)
+    um.ShefferPair(g, f).inverse()
+    assert calls == [f.series]
+
+
+def test_connection_coefficients_invert_once(monkeypatch):
+    f = um.DeltaSeries(fps.TruncatedSeries([0, 2, F(1, 2), F(-1, 3), 2, 0, 1]))
+    g = um.DeltaSeries(fps.TruncatedSeries([0, 1, 1, F(1, 6), 0, -1, F(3, 7)]))
+    calls = count_inversions(monkeypatch)
+    um.connection_coefficients(f, g, 6)
+    assert calls == [f.series]
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from oracles import (
     schoolbook_mul,
     schoolbook_reversion,
 )
+from umbral_stats import catalog
 from umbral_stats import series as fps
 from umbral_stats.series import TruncatedSeries
 from umbral_stats.umbral import (
@@ -109,6 +110,14 @@ def test_reversion_matches_lagrange_formula(data, n, slope):
     a[1] = slope
     result = fps.lagrange_invert(TruncatedSeries(a))
     assert list(result.coeffs) == schoolbook_reversion(a, n)
+
+
+@pytest.mark.parametrize("name", catalog.entries_in_space())
+def test_reversion_of_catalog_weights_at_order_32(name):
+    """Operands whose power-table integers reach hundreds of bits."""
+    w = catalog.build(name, 32).w
+    expected = schoolbook_reversion(list(w.coeffs), 32)
+    assert list(fps.lagrange_invert(w).coeffs) == expected
 
 
 @kernel_settings
