@@ -114,7 +114,7 @@ def test_reversion_matches_lagrange_formula(data, n, slope):
 
 @pytest.mark.parametrize("name", catalog.entries_in_space())
 def test_reversion_of_catalog_weights_at_order_32(name):
-    """Operands whose power-table integers reach hundreds of bits."""
+    """Operands whose power-table integers reach thousands of bits (abel: 3606)."""
     w = catalog.build(name, 32).w
     expected = schoolbook_reversion(list(w.coeffs), 32)
     assert list(fps.lagrange_invert(w).coeffs) == expected
