@@ -44,6 +44,7 @@ CLI_CALLS = {
                "--energy-target", "1/2"],
     "verify-occupation": ["verify", "--suite", "occupation", "--seed", "3"],
     "verify-inversion": ["verify", "--suite", "inversion", "--order", "8"],
+    "verify-all": ["verify", "--suite", "all", "--seed", "0"],
     "oeis-check": ["oeis-check", "--entry", "lah", "--quantity", "X_of_w",
                    "--sequence", "A000108"],
 }
