@@ -634,11 +634,10 @@ class Fixture:
     def required_order(self) -> int:
         return len(self.coeffs) - 1
 
-    def computed(self, order: int | None = None):
-        # +2 margin: several quantities (phi, xi, substitutions) determine
-        # one or two fewer coefficients than the build order
-        n = order if order is not None else self.required_order() + 2
-        return get(self.entry).quantity(self.quantity, n, **dict(self.params))
+    def computed(self):
+        return get(self.entry).quantity(
+            self.quantity, self.required_order(), **dict(self.params)
+        )
 
     def check(self) -> bool:
         value = self.computed()
@@ -657,7 +656,7 @@ class Fixture:
             )
         return list(value.coeffs[: len(self.coeffs)]) == self.coeffs
 
-    def integer_sequence(self, length: int | None = None) -> list[int]:
+    def integer_sequence(self) -> list[int]:
         """Apply the fixture's documented transform to produce the integer
         sequence compared against its OEIS reference."""
         tf = self.transform
@@ -669,7 +668,6 @@ class Fixture:
         coeffs = self.coeffs
         out = []
         k = start
-        step = 0
         acc_scale = Fraction(1)
         while k < len(coeffs):
             c = coeffs[k] * acc_scale
@@ -684,10 +682,7 @@ class Fixture:
                 )
             out.append(int(c))
             k += stride
-            step += 1
             acc_scale *= geometric
-            if length is not None and len(out) >= length:
-                break
         return out
 
 

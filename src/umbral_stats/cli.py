@@ -58,7 +58,7 @@ EXPAND_QUANTITIES = (
 # Highest truncation order the CLI accepts (--order, polyseq --n and
 # UMBRAL_ORDER).  Cost grows steeply with the order: the slowest single
 # request measured, expand acharya-swamy eps=1/3 phi_entropy, takes about
-# 0.3 s at order 64 and 5.5 s at order 128 (see README).
+# 0.2 s at order 64 and 3.5 s at order 128 (see README).
 MAX_ORDER = 128
 
 
@@ -353,9 +353,10 @@ def cmd_verify(args, stream) -> int:
     emit(_record("verify", {"suite": args.suite, "order": args.order,
                             "seed": args.seed}, payload, t0), args.format, stream)
     if not report.passed:
+        rerun = f"(--order {args.order} --seed {args.seed})"
         for failure in report.failures():
-            print(f"FAIL {failure.suite}:{failure.name} {failure.detail}",
-                  file=sys.stderr)
+            line = f"FAIL {failure.suite}:{failure.name} {failure.detail}"
+            print(f"{line.rstrip()} {rerun}", file=sys.stderr)
         return 1
     return 0
 

@@ -1,8 +1,10 @@
 """Machine-checkable property suites over the whole catalog.
 
 Each suite returns a list of :class:`PropertyResult`; a failing result
-carries a counterexample description.  Random instances are drawn from a
-seeded generator so runs are reproducible.
+carries its first counterexample.  Random instances are drawn from a
+seeded generator so runs are reproducible.  The library functions compute
+and do not check themselves: their identities (inversion, xi = F(X), ...)
+are checked here and in the tests.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import catalog as cat
 from . import oeis
@@ -99,32 +101,38 @@ def _catalog_statistics(order: int) -> list[tuple[str, Statistics]]:
 # -- suites --------------------------------------------------------------------
 
 
+def _result(suite: str, name: str, details: Iterable[str]) -> PropertyResult:
+    """The check ``suite:name``, failed by its first counterexample.
+
+    ``details`` lazily yields a counterexample description for each failing
+    case, in order; an empty string stands for a case that holds.  It is
+    consumed only up to the first failure, so later cases are not computed.
+    """
+    detail = next((d for d in details if d), "")
+    return PropertyResult(suite, name, not detail, detail)
+
+
 def suite_inversion(order: int, seed: int) -> list[PropertyResult]:
     rng = random.Random(seed)
-    out = []
     ident = fps.identity(order)
-    ok = True
-    detail = ""
-    for i in range(50):
-        coeffs = [Fraction(0), rng.choice([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)])]
-        coeffs += [random_rational(rng) for _ in range(order - 1)]
-        s = TruncatedSeries(coeffs)
-        t = fps.lagrange_invert(s)
-        if fps.compose(s, t) != ident or fps.compose(t, s) != ident:
-            ok = False
-            detail = f"roundtrip failed for instance {i}: {s!r}"
-            break
-    out.append(PropertyResult("inversion", "compose-roundtrip-50-random", ok, detail))
-    cat_ok = True
-    detail = ""
-    for name, stat in _catalog_statistics(min(order, 12)):
-        back = fps.lagrange_invert(stat.X_of_w)
-        if back != stat.w:
-            cat_ok = False
-            detail = f"double inversion differs for {name}"
-            break
-    out.append(PropertyResult("inversion", "catalog-double-inversion", cat_ok, detail))
-    return out
+
+    def roundtrips():
+        for i in range(50):
+            coeffs = [Fraction(0), rng.choice([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)])]
+            coeffs += [random_rational(rng) for _ in range(order - 1)]
+            s = TruncatedSeries(coeffs)
+            t = fps.lagrange_invert(s)
+            if fps.compose(s, t) != ident or fps.compose(t, s) != ident:
+                yield f"roundtrip failed for instance {i}: {s!r}"
+
+    return [
+        _result("inversion", "compose-roundtrip-50-random", roundtrips()),
+        _result("inversion", "catalog-double-inversion", (
+            f"double inversion differs for {name}"
+            for name, stat in _catalog_statistics(min(order, 12))
+            if fps.lagrange_invert(stat.X_of_w) != stat.w
+        )),
+    ]
 
 
 def suite_binomial(order: int, seed: int) -> list[PropertyResult]:
@@ -152,42 +160,30 @@ def suite_occupation(order: int, seed: int) -> list[PropertyResult]:
     k_max = min(8, order)
     for name, stat in _catalog_statistics(max(k_max, 8)):
         W = st.occupation_polynomials(stat, k_max)
-        ok = True
-        detail = ""
-        for n1 in range(5):
-            for n2 in range(5):
-                for k in range(k_max + 1):
-                    if not st.convolution_holds(W, n1, n2, k):
-                        ok = False
-                        detail = f"(N1,N2,k)=({n1},{n2},{k})"
-                        break
-        out.append(PropertyResult("occupation", f"recursion:{name}", ok, detail))
+        out.append(_result("occupation", f"recursion:{name}", (
+            f"(N1,N2,k)=({n1},{n2},{k})"
+            for n1 in range(5) for n2 in range(5) for k in range(k_max + 1)
+            if not st.convolution_holds(W, n1, n2, k)
+        )))
         # deformed Chu-Vandermonde at random rational points
-        ok = True
-        detail = ""
-        for n in range(min(6, k_max) + 1):
-            for _ in range(5):
-                x, y = random_rational(rng), random_rational(rng)
-                if not st.convolution_holds(W, x, y, n):
-                    ok = False
-                    detail = f"n={n}, points ({x},{y})"
-                    break
-        out.append(PropertyResult("occupation", f"vandermonde:{name}", ok, detail))
+        points = (
+            (n, random_rational(rng), random_rational(rng))
+            for n in range(min(6, k_max) + 1) for _ in range(5)
+        )
+        out.append(_result("occupation", f"vandermonde:{name}", (
+            f"n={n}, points ({x},{y})"
+            for n, x, y in points if not st.convolution_holds(W, x, y, n)
+        )))
     return out
 
 
 def suite_duality(order: int, seed: int) -> list[PropertyResult]:
     rng = random.Random(seed)
-    out = []
-    ok = True
-    detail = ""
-    for i in range(100):
-        s = random_statistics(rng, order, f"random-{i}")
-        if st.dual(st.dual(s)) != s:
-            ok = False
-            detail = f"instance {i}: {s.cluster_coefficients()[:6]}"
-            break
-    out.append(PropertyResult("duality", "involution-100-random", ok, detail))
+    instances = ((i, random_statistics(rng, order, f"random-{i}")) for i in range(100))
+    out = [_result("duality", "involution-100-random", (
+        f"instance {i}: {s.cluster_coefficients()[:6]}"
+        for i, s in instances if st.dual(st.dual(s)) != s
+    ))]
     be = cat.build("bose-einstein", order)
     fd = cat.build("fermi-dirac", order)
     bg = cat.build("boltzmann-gibbs", order)
@@ -195,29 +191,21 @@ def suite_duality(order: int, seed: int) -> list[PropertyResult]:
         PropertyResult("duality", "swaps-be-fd", st.dual(be).F == fd.F and st.dual(fd).F == be.F)
     )
     out.append(PropertyResult("duality", "fixes-bg", st.dual(bg).F == bg.F))
+
     # group law: associativity, identity, twisted law reduces at m = 0
-    ok = True
-    detail = ""
-    for i in range(5):
-        a = random_statistics(rng, min(order, 10), "a")
-        b = random_statistics(rng, min(order, 10), "b")
-        c = random_statistics(rng, min(order, 10), "c")
-        left = st.group_compose(st.group_compose(a, b), c)
-        right = st.group_compose(a, st.group_compose(b, c))
-        if left != right:
-            ok = False
-            detail = f"associativity instance {i}"
-            break
+    def group_law():
         bg10 = cat.build("boltzmann-gibbs", min(order, 10))
-        if st.group_compose(a, bg10) != a or st.group_compose(bg10, a) != a:
-            ok = False
-            detail = f"identity instance {i}"
-            break
-        if st.group_compose_m(a, b, 0) != st.group_compose(a, b):
-            ok = False
-            detail = f"m=0 reduction instance {i}"
-            break
-    out.append(PropertyResult("duality", "group-law-random-triples", ok, detail))
+        for i in range(5):
+            a, b, c = (random_statistics(rng, min(order, 10), n) for n in "abc")
+            left = st.group_compose(st.group_compose(a, b), c)
+            if left != st.group_compose(a, st.group_compose(b, c)):
+                yield f"associativity instance {i}"
+            elif st.group_compose(a, bg10) != a or st.group_compose(bg10, a) != a:
+                yield f"identity instance {i}"
+            elif st.group_compose_m(a, b, 0) != st.group_compose(a, b):
+                yield f"m=0 reduction instance {i}"
+
+    out.append(_result("duality", "group-law-random-triples", group_law()))
     return out
 
 
@@ -231,15 +219,11 @@ def suite_main_theorem(order: int, seed: int) -> list[PropertyResult]:
                 "main-theorem", f"catalog:{name}", main_theorem_holds(stat, constant)
             )
         )
-    ok = True
-    detail = ""
-    for i in range(100):
-        s = random_statistics(rng, order, f"random-{i}")
-        if not main_theorem_holds(s):
-            ok = False
-            detail = f"instance {i}: {s.cluster_coefficients()[:6]}"
-            break
-    out.append(PropertyResult("main-theorem", "100-random-statistics", ok, detail))
+    instances = ((i, random_statistics(rng, order, f"random-{i}")) for i in range(100))
+    out.append(_result("main-theorem", "100-random-statistics", (
+        f"instance {i}: {s.cluster_coefficients()[:6]}"
+        for i, s in instances if not main_theorem_holds(s)
+    )))
     return out
 
 
@@ -250,56 +234,45 @@ def suite_gradient(order: int, seed: int) -> list[PropertyResult]:
         out.append(
             PropertyResult("gradient", f"catalog:{name}", entropy_gradient_holds(stat))
         )
-    ok = True
-    detail = ""
-    for i in range(50):
-        phi = random_phi(rng, order)
-        if not entropy_gradient_holds(phi):
-            ok = False
-            detail = f"instance {i}: T={phi.t_coefficients()[:5]}"
-            break
-    out.append(PropertyResult("gradient", "50-random-kernels", ok, detail))
+    kernels = ((i, random_phi(rng, order)) for i in range(50))
+    out.append(_result("gradient", "50-random-kernels", (
+        f"instance {i}: T={phi.t_coefficients()[:5]}"
+        for i, phi in kernels if not entropy_gradient_holds(phi)
+    )))
     return out
 
 
 def suite_xi(order: int, seed: int) -> list[PropertyResult]:
+    """xi(u) = integral v/phi(v) dv equals F(X(u)), and the maps between
+    kernels, statistics and entropy densities are bijections."""
     out = []
     for name, stat in _catalog_statistics(max(order, 16)):
-        try:
-            xi(stat)  # asserts the integral and free-energy routes agree
-            ok, detail = True, ""
-        except AssertionError as exc:
-            ok, detail = False, str(exc)
-        out.append(PropertyResult("xi", f"dual-path:{name}", ok, detail))
+        integral = xi(stat)
+        via_free_energy = fps.compose(stat.F, stat.X_of_w)
+        out.append(_result("xi", f"dual-path:{name}", (
+            f"integral and F(X(u)) differ at u^{k}"
+            for k in range(integral.order + 1)
+            if integral.coeffs[k] != via_free_energy.coeffs[k]
+        )))
     rng = random.Random(seed)
-    ok = True
-    detail = ""
-    for i in range(20):
-        phi = random_phi(rng, order)
-        # roundtrips through the three spaces
-        if not map_g_inverse(map_g(phi)).agrees_with(phi, order - 1):
-            ok = False
-            detail = f"kernel-statistics roundtrip, instance {i}"
-            break
-        h = map_f(phi)
-        if map_f_inverse(h) != PhiSeries.from_t(phi.t_coefficients()):
-            ok = False
-            detail = f"kernel-density roundtrip, instance {i}"
-            break
-        if not tau(tau(phi)).agrees_with(phi, order - 2):
-            ok = False
-            detail = f"tau involution, instance {i}"
-            break
-        if not rho(rho(h)).agrees_with(map_f(phi), min(4, len(h.s_coeffs))):
-            ok = False
-            detail = f"rho involution, instance {i}"
-            break
-        # commuting triangle: density from the statistics equals density from phi
-        if not map_f(map_g_inverse(map_g(phi))).agrees_with(h, order - 2):
-            ok = False
-            detail = f"commuting triangle, instance {i}"
-            break
-    out.append(PropertyResult("xi", "bijection-roundtrips-20-random", ok, detail))
+
+    def roundtrips():
+        for i in range(20):
+            phi = random_phi(rng, order)
+            h = map_f(phi)
+            if not map_g_inverse(map_g(phi)).agrees_with(phi, order - 1):
+                yield f"kernel-statistics roundtrip, instance {i}"
+            elif map_f_inverse(h) != PhiSeries.from_t(phi.t_coefficients()):
+                yield f"kernel-density roundtrip, instance {i}"
+            elif not tau(tau(phi)).agrees_with(phi, order - 2):
+                yield f"tau involution, instance {i}"
+            elif not rho(rho(h)).agrees_with(map_f(phi), min(4, len(h.s_coeffs))):
+                yield f"rho involution, instance {i}"
+            # commuting triangle: density from the statistics equals density from phi
+            elif not map_f(map_g_inverse(map_g(phi))).agrees_with(h, order - 2):
+                yield f"commuting triangle, instance {i}"
+
+    out.append(_result("xi", "bijection-roundtrips-20-random", roundtrips()))
     return out
 
 

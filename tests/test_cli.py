@@ -411,11 +411,11 @@ def test_order_ceiling_is_accepted(monkeypatch):
 
 
 class TestVerify:
-    def test_single_suite_passes(self):
+    def test_single_suite_passes(self, capsys):
         code, data = run_json(
             ["verify", "--suite", "fixtures", "--order", "10", "--seed", "0"]
         )
-        assert code == 0
+        assert code == 0 and capsys.readouterr().err == ""
         assert data["payload"]["passed"] is True
         assert data["payload"]["checks"]
 
@@ -435,6 +435,25 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             run(["verify", "--suite", "nope"])
         assert exc.value.code == 2
+
+    def test_failure_lines_carry_the_flags_that_rerun_them(self, monkeypatch, capsys):
+        from umbral_stats import verify
+
+        def failing(order, seed):
+            return [
+                verify.PropertyResult("duality", "held", True),
+                verify.PropertyResult("duality", "broke", False, "instance 7"),
+                verify.PropertyResult("duality", "bare", False),
+            ]
+
+        monkeypatch.setitem(verify._SUITE_FUNCTIONS, "duality", failing)
+        code, data = run_json(["verify", "--suite", "duality", "--order", "9",
+                               "--seed", "4"])
+        assert code == 1 and data["payload"]["passed"] is False
+        assert capsys.readouterr().err.splitlines() == [
+            "FAIL duality:broke instance 7 (--order 9 --seed 4)",
+            "FAIL duality:bare (--order 9 --seed 4)",
+        ]
 
 
 class TestOeisCheck:

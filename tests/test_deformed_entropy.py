@@ -181,6 +181,16 @@ class TestXi:
         for n in range(15):
             assert xi[n + 1] == B[n] / factorial(n + 1)
 
+    def test_random_kernels_agree_with_free_energy_route(self):
+        # xi computes only the integral; F(X(u)) is the independent route
+        rng = random.Random(2021)
+        for _ in range(20):
+            phi = PhiSeries.from_t(random_t(rng), order=N)
+            stat = de.map_g(phi)
+            integral = de.xi(phi)
+            assert integral.order == N
+            assert integral == fps.compose(stat.F, stat.X_of_w).truncate(N)
+
     def test_chi_trivial_kernel(self):
         phi = PhiSeries.from_t([0, 0], order=6)
         for u in (F(2), F(1, 2), F(-3)):

@@ -66,3 +66,31 @@ def test_binomial_suite_reports_first_failing_degree(monkeypatch):
     )
     results = verify.suite_binomial(8, 0)
     assert results and all(not r.passed and r.detail == "n=1" for r in results)
+
+
+def test_occupation_recursion_reports_first_failing_triple(monkeypatch):
+    real = verify.st.convolution_holds
+    planted = {(0, 1, 2), (3, 4, 5)}
+
+    def holds(W, n1, n2, k):
+        if type(n1) is int and (n1, n2, k) in planted:
+            return False
+        return real(W, n1, n2, k)
+
+    monkeypatch.setattr(verify.st, "convolution_holds", holds)
+    results = [r for r in verify.suite_occupation(8, 0) if r.name.startswith("recursion:")]
+    assert len(results) == 20
+    assert all(not r.passed and r.detail == "(N1,N2,k)=(0,1,2)" for r in results)
+
+
+def test_result_stops_at_first_failure():
+    seen = []
+
+    def details():
+        for d in ("", "first", "second"):
+            seen.append(d)
+            yield d
+
+    assert verify._result("s", "n", details()) == PropertyResult("s", "n", False, "first")
+    assert seen == ["", "first"]
+    assert verify._result("s", "n", iter(["", ""])) == PropertyResult("s", "n", True, "")
