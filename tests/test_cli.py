@@ -17,6 +17,7 @@ from umbral_stats import deformed_entropy as de
 from umbral_stats import series as fps
 from umbral_stats import statistics as st
 from umbral_stats import umbral as um
+from umbral_stats import verify
 
 
 def run(argv):
@@ -437,8 +438,6 @@ class TestVerify:
         assert exc.value.code == 2
 
     def test_failure_lines_carry_the_flags_that_rerun_them(self, monkeypatch, capsys):
-        from umbral_stats import verify
-
         def failing(order, seed):
             return [
                 verify.PropertyResult("duality", "held", True),
