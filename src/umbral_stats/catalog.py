@@ -21,7 +21,7 @@ from . import statistics as st
 from .deformed_entropy import ln_phi, map_g_inverse, phi_entropy, phi_from_x, xi
 from .series import LogSeries, TruncatedSeries, as_rational
 from .statistics import Statistics
-from .umbral import DeltaSeries, PolynomialSequence, conjugate_sequence
+from .umbral import PolynomialSequence
 
 Params = Mapping[str, Fraction]
 
@@ -176,7 +176,7 @@ def _derived_quantity(entry: CatalogEntry, stat: Statistics, name: str):
             return ls.logpart
         return ls
     if base == "gamma":
-        return conjugate_sequence(DeltaSeries(stat.F), min(8, stat.order))
+        return st.conjugate_polynomials(stat, min(8, stat.order))
     raise CatalogError(
         f"unknown quantity {name!r}; derived quantities: {DERIVED_QUANTITIES}"
     )

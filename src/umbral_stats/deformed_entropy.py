@@ -10,6 +10,10 @@ A deformation kernel phi(p) = p - sum_{n>=2} T_{n-1} p^n determines
   corresponding free energy F, and
 * the entropy density H0(p) = F(X(p)) - p log X(p).
 
+For a statistics, the kernel, log X and the plain part of H0 are computed
+once and kept in its memo (:meth:`Statistics.derived`); a kernel argument
+builds a fresh statistics each call.
+
 Everything is computed in constant-normalized form: the scalar constants
 log X(1) and F(X(1)) - log X(1) that a definite lower integration bound
 would contribute are generally transcendental, so they are dropped here
@@ -171,8 +175,14 @@ def map_g(phi: PhiSeries, name: str = "from-kernel") -> Statistics:
 
 
 def map_g_inverse(stat: Statistics) -> PhiSeries:
-    """The deformation kernel of a statistics: phi = X(u) / X'(u)."""
-    return phi_from_x(stat.X_of_w)
+    """The deformation kernel of a statistics: phi = X(u) / X'(u),
+    computed once per statistics."""
+    return stat.derived("phi", lambda: phi_from_x(stat.X_of_w))
+
+
+def _log_X(stat: Statistics) -> TruncatedSeries:
+    """log(X(u)/u), the plain part of ln_phi(stat), computed once per statistics."""
+    return stat.derived("log_X", lambda: log_series(shift_down(stat.X_of_w)))
 
 
 # -- deformed logarithm, exponential, xi, chi ---------------------------------
@@ -182,6 +192,7 @@ def ln_phi(arg: PhiOrStatistics) -> LogSeries:
     """The normalized deformed logarithm log X(p) = log p + sum a_n p^n / n.
 
     The scalar constant -log X(1) of the definite integral is dropped.
+    For a statistics, the plain part is computed once.
     """
     if isinstance(arg, PhiSeries):
         a = a_coefficients(arg)
@@ -189,7 +200,7 @@ def ln_phi(arg: PhiOrStatistics) -> LogSeries:
             [Fraction(0)] + [c / (k + 1) for k, c in enumerate(a)]
         )
     else:
-        plain = log_series(shift_down(arg.X_of_w))
+        plain = _log_X(arg)
     logpart = TruncatedSeries([Fraction(1)] + [Fraction(0)] * plain.order)
     return LogSeries(plain, logpart)
 
@@ -238,10 +249,12 @@ def phi_entropy(arg: PhiOrStatistics, constant: Fraction | None = None) -> PhiEn
     The full (un-normalized) density subtracts [F(X(1)) - log X(1)] * p,
     a constant that is generally transcendental; pass ``constant`` to
     record an exactly known value, otherwise it is flagged unevaluated.
+    The plain part is computed once per statistics.
     """
     stat = _as_statistics(arg)
-    X = stat.X_of_w
-    plain = compose(stat.F, X) - shift_up(log_series(shift_down(X)))
+    plain = stat.derived(
+        "H0", lambda: compose(stat.F, stat.X_of_w) - shift_up(_log_X(stat))
+    )
     logpart = TruncatedSeries(
         [Fraction(0), Fraction(-1)] + [Fraction(0)] * (plain.order - 1)
     )

@@ -36,6 +36,11 @@ RationalLike = Union[Fraction, int, str]
 
 DEFAULT_ORDER = 16
 
+# The integer kernels output this one object for every zero coefficient:
+# Fractions are immutable, so a zero costs no construction and a kept series
+# no memory.
+_ZERO = Fraction(0)
+
 
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce ints, "p/q" strings, and Fractions to an exact Fraction."""
@@ -195,7 +200,7 @@ def _int_mul(x: list[int], y: list[int], n: int) -> list[int]:
 
 
 def _over(nums: Iterable[int], d: int) -> TruncatedSeries:
-    return TruncatedSeries([Fraction(c, d) for c in nums])
+    return TruncatedSeries([Fraction(c, d) if c else _ZERO for c in nums])
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -322,7 +327,7 @@ def exp_series(a: TruncatedSeries) -> TruncatedSeries:
         for k in range(m):
             if B[k]:
                 acc += B[k] * Y[m - 1 - k]
-        y = Fraction(acc, m * d * Q)
+        y = Fraction(acc, m * d * Q) if acc else _ZERO
         out.append(y)
         Q = _append_over(Y, Q, y.numerator, y.denominator)
     return TruncatedSeries(out)
@@ -339,14 +344,14 @@ def log_series(a: TruncatedSeries) -> TruncatedSeries:
         raise ValueError("log requires constant term 1")
     n = a.order
     A, d = _numerators(a.coeffs)
-    out = [Fraction(0)]
+    out = [_ZERO]
     Z, Q = [0], 1
     for m in range(1, n + 1):
         acc = m * A[m] * Q
         for k in range(1, m):
             if A[m - k]:
                 acc -= Z[k] * A[m - k]
-        y = Fraction(acc, m * d * Q)
+        y = Fraction(acc, m * d * Q) if acc else _ZERO
         out.append(y)
         Q = _append_over(Z, Q, m * y.numerator, y.denominator)
     return TruncatedSeries(out)
@@ -377,7 +382,7 @@ def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
         for k in range(1, m + 1):
             if A[k]:
                 acc -= A[k] * Y[m - k]
-        y = Fraction(acc, A[0] * Q)
+        y = Fraction(acc, A[0] * Q) if acc else _ZERO
         out.append(y)
         Q = _append_over(Y, Q, y.numerator, y.denominator)
     return TruncatedSeries(out)
@@ -402,13 +407,13 @@ def lagrange_invert(a: TruncatedSeries) -> TruncatedSeries:
     rows, _, d = _int_powers(a, n)
     A1 = rows[1][1]
     t = Fraction(d, A1)
-    out = [Fraction(0), t]
+    out = [_ZERO, t]
     T, Q = [0, t.numerator], t.denominator
     for m in range(2, n + 1):
         acc = 0
         for k in range(1, m):
             acc = acc * d + T[k] * rows[k][m]
-        t = Fraction(-d * acc, Q * A1**m)
+        t = Fraction(-d * acc, Q * A1**m) if acc else _ZERO
         out.append(t)
         Q = _append_over(T, Q, t.numerator, t.denominator)
     return TruncatedSeries(out)

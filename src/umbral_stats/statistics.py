@@ -8,7 +8,16 @@ F(X) = sum w_n X^n / n with w_1 = 1.  Derived data:
 * the partition function z = exp(F), whose coefficients are the
   occupation numbers W_n, computed on first read,
 * the compositional inverse X(w) of the weight function, computed on
-  first read unless the caller already holds it.
+  first read unless the caller already holds it,
+* the conjugate sequence of F, whose polynomials divided by k! are the
+  occupation polynomials W_k(N), computed on first read and kept at the
+  largest degree read so far.
+
+Each derived value is computed on first read and kept in the statistics'
+memo (:meth:`Statistics.derived`), which also holds the kernel, the
+deformed logarithm and the entropy density of :mod:`.deformed_entropy`;
+only the conjugate sequence is computed again, when a larger degree is
+read.
 
 The involution swapping Bose-Einstein and Fermi-Dirac statistics sends a
 weight function to its compositional inverse; series composition of
@@ -20,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from . import series as fps
 from .series import (
@@ -34,13 +43,15 @@ from .series import (
     lagrange_invert,
     log_series,
 )
-from .umbral import DeltaSeries, Polynomial, conjugate_sequence
+from .umbral import DeltaSeries, Polynomial, PolynomialSequence, conjugate_sequence
+
+T = TypeVar("T")
 
 
 class Statistics:
     """An interpolating statistics, stored by its free energy."""
 
-    __slots__ = ("name", "F", "w", "_z", "_X_of_w")
+    __slots__ = ("name", "F", "w", "_memo")
 
     def __init__(
         self,
@@ -63,27 +74,35 @@ class Statistics:
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "w", w)
         # F(0) = 0 and w_1 = 1 hold, so exp(F) and X(w) cannot fail when read
-        object.__setattr__(self, "_z", None)
-        object.__setattr__(
-            self, "_X_of_w", None if inverse is None else inverse.truncate(F.order)
-        )
+        memo = {} if inverse is None else {"X_of_w": inverse.truncate(F.order)}
+        object.__setattr__(self, "_memo", memo)
 
     def __setattr__(self, name, value):
         raise AttributeError("Statistics is immutable")
 
+    def derived(self, key: str, compute: Callable[[], T]) -> T:
+        """The derived value stored under ``key``, computed by ``compute()``
+        on first read.
+
+        A derived value is a function of F alone, immutable, and never
+        ``None``.  Keys in use: "z" and "X_of_w" (here), "phi", "log_X" and
+        "H0" (:mod:`.deformed_entropy`); the memo also holds "conjugate",
+        which grows with the degree read (:func:`conjugate_polynomials`).
+        """
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = compute()
+        return value
+
     @property
     def z(self) -> TruncatedSeries:
         """The partition function exp(F)."""
-        if self._z is None:
-            object.__setattr__(self, "_z", exp_series(self.F))
-        return self._z
+        return self.derived("z", lambda: exp_series(self.F))
 
     @property
     def X_of_w(self) -> TruncatedSeries:
         """The compositional inverse of the weight function."""
-        if self._X_of_w is None:
-            object.__setattr__(self, "_X_of_w", lagrange_invert(self.w))
-        return self._X_of_w
+        return self.derived("X_of_w", lambda: lagrange_invert(self.w))
 
     @property
     def order(self) -> int:
@@ -154,6 +173,27 @@ def from_occupation(
     return Statistics(log_series(z), name)
 
 
+def _conjugate_through(stat: Statistics, n: int) -> PolynomialSequence:
+    """The conjugate sequence of F through degree n or more.
+
+    One sequence per statistics, kept at the largest degree asked so far:
+    p_m does not depend on the degree n >= m it was built to, so a smaller
+    degree reads a prefix.
+    """
+    if n > stat.order:
+        raise ValueError(f"index {n} beyond truncation order {stat.order}")
+    seq = stat._memo.get("conjugate")
+    if seq is None or len(seq) <= n:
+        seq = stat._memo["conjugate"] = conjugate_sequence(DeltaSeries(stat.F), n)
+    return seq
+
+
+def conjugate_polynomials(stat: Statistics, n: int) -> PolynomialSequence:
+    """p_0..p_n of the conjugate sequence of F, with EGF exp(x F(X))."""
+    seq = _conjugate_through(stat, n)
+    return seq if len(seq) == n + 1 else PolynomialSequence(seq.polys[: n + 1])
+
+
 def occupation_polynomials(stat: Statistics, k: int) -> list[Polynomial]:
     """W_0(N)..W_k(N): the deformed binomial coefficients, as exact
     polynomials in N.
@@ -161,15 +201,13 @@ def occupation_polynomials(stat: Statistics, k: int) -> list[Polynomial]:
     From z(X)^N = exp(N F(X)) = sum_k W_k(N) X^k, W_k(N) is the conjugate
     sequence of F at degree k divided by k!.
     """
-    if k > stat.order:
-        raise ValueError(f"index {k} beyond truncation order {stat.order}")
-    seq = conjugate_sequence(DeltaSeries(stat.F), k)
-    return [p.scale(Fraction(1, factorial(j))) for j, p in enumerate(seq)]
+    seq = _conjugate_through(stat, k)
+    return [seq[j].scale(Fraction(1, factorial(j))) for j in range(k + 1)]
 
 
 def occupation_polynomial(stat: Statistics, k: int) -> Polynomial:
     """W_k(N), a polynomial of degree k; see :func:`occupation_polynomials`."""
-    return occupation_polynomials(stat, k)[k]
+    return _conjugate_through(stat, k)[k].scale(Fraction(1, factorial(k)))
 
 
 def convolution_holds(W: Sequence[Polynomial], x: Fraction, y: Fraction, k: int) -> bool:

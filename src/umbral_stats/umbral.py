@@ -19,6 +19,7 @@ from math import comb, factorial, lcm
 from typing import Iterable, Sequence
 
 from .series import (
+    _ZERO,
     _horner,
     _int_horner,
     _int_mul,
@@ -282,6 +283,7 @@ def _egf_sequence(
         Polynomial(
             [
                 Fraction(factorial(m) // factorial(k) * rows[k][m], dens[k])
+                if rows[k][m] else _ZERO
                 for k in range(m + 1)
             ]
         )

@@ -32,7 +32,7 @@ from .deformed_entropy import (
 )
 from .series import TruncatedSeries
 from .statistics import Statistics
-from .umbral import DeltaSeries, conjugate_sequence, first_binomial_failure
+from .umbral import first_binomial_failure
 
 SUITES = (
     "inversion",
@@ -146,7 +146,7 @@ def suite_binomial(order: int, seed: int) -> list[PropertyResult]:
     out = []
     n_max = min(8, order)
     for name, stat in _catalog_statistics(max(n_max, 8)):
-        n = first_binomial_failure(conjugate_sequence(DeltaSeries(stat.F), n_max))
+        n = first_binomial_failure(st.conjugate_polynomials(stat, n_max))
         detail = "" if n is None else f"n={n}"
         out.append(
             PropertyResult("binomial", f"binomial-type:{name}", n is None, detail)

@@ -1,5 +1,7 @@
 """Verification harness: suite selection, report shape, failure surfacing."""
 
+from functools import lru_cache
+
 import pytest
 
 from umbral_stats import verify
@@ -61,8 +63,13 @@ def test_binomial_suite_reports_first_failing_degree(monkeypatch):
     shifted = [Polynomial([1])]  # (x+1)^n fails at n = 1
     for _ in range(8):
         shifted.append(shifted[-1] * Polynomial([1, 1]))
+    # A cold catalog cache of its own, so that no statistics memoized its
+    # conjugate sequence before the plant; the shared cache is left as it is.
     monkeypatch.setattr(
-        verify, "conjugate_sequence", lambda F, n: PolynomialSequence(shifted[: n + 1])
+        verify.cat, "_cached_build", lru_cache(256)(verify.cat._cached_build.__wrapped__)
+    )
+    monkeypatch.setattr(
+        verify.st, "conjugate_sequence", lambda F, n: PolynomialSequence(shifted[: n + 1])
     )
     results = verify.suite_binomial(8, 0)
     assert results and all(not r.passed and r.detail == "n=1" for r in results)
