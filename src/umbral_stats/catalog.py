@@ -128,6 +128,12 @@ def _cached_build(name: str, order: int, frozen: tuple) -> Statistics:
     return Statistics(F, name=name)
 
 
+# The quantities of an in-space entry, and the order each comes back at from
+# a statistics of order n: F, z, w, X_of_w, entropy and phi_entropy keep n;
+# phi = X/X' and ln_phi = log p + log(X/p) lose one, as X' and X/p do, and
+# phi_in_X and xi, built from phi, lose the same one; gamma holds
+# p_0..p_min(8, n).  ``quantity`` builds at order + 2 and truncates, so each
+# comes back at the order asked.
 DERIVED_QUANTITIES = (
     "F",
     "z",

@@ -13,7 +13,7 @@ from umbral_stats import series as fps
 from umbral_stats import statistics as st
 from umbral_stats.catalog import CatalogError
 from umbral_stats.deformed_entropy import phi_from_x
-from umbral_stats.series import TruncatedSeries
+from umbral_stats.series import LogSeries, TruncatedSeries
 from umbral_stats.umbral import DeltaSeries, conjugate_sequence
 
 
@@ -122,6 +122,43 @@ class TestSpecializations:
 
     def test_bell_default_is_exponential(self):
         assert cat.build("bell-universal", 10) == cat.build("exponential", 10)
+
+
+# The order each derived quantity comes back at from a statistics of order n,
+# as an offset from n (see catalog.DERIVED_QUANTITIES).  ``quantity`` pads by
+# two orders and truncates, so only this test sees a quantity come back short.
+DERIVED_ORDER_OFFSET = {
+    "F": 0,
+    "z": 0,
+    "w": 0,
+    "X_of_w": 0,
+    "phi": -1,
+    "phi_in_X": -1,
+    "xi": -1,
+    "ln_phi": -1,
+    "entropy": 0,
+    "phi_entropy": 0,
+}
+
+
+class TestDerivedOrders:
+    def test_every_series_quantity_is_listed(self):
+        assert set(cat.DERIVED_QUANTITIES) == set(DERIVED_ORDER_OFFSET) | {"gamma"}
+
+    @pytest.mark.parametrize("name", cat.entries_in_space())
+    @pytest.mark.parametrize("n", [3, 11])
+    def test_order_of_each_derived_quantity(self, name, n):
+        # a fresh statistics, read twice: the second read comes from its memo
+        entry, stat = cat.get(name), st.Statistics(cat.build(name, n).F, name)
+        for _ in range(2):
+            for quantity, offset in DERIVED_ORDER_OFFSET.items():
+                value = cat._derived_quantity(entry, stat, quantity)
+                assert value.order == n + offset, quantity
+                if isinstance(value, LogSeries):
+                    for part in ("plain", "log"):
+                        series = cat._derived_quantity(entry, stat, f"{quantity}_{part}")
+                        assert series.order == n + offset, f"{quantity}_{part}"
+            assert len(cat._derived_quantity(entry, stat, "gamma")) == min(8, n) + 1
 
 
 class TestFixtures:

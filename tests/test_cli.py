@@ -6,12 +6,16 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import umbral_stats
+from umbral_stats import catalog as cat
 from umbral_stats import cli
 from umbral_stats import deformed_entropy as de
 from umbral_stats import series as fps
@@ -512,3 +516,101 @@ def test_import_does_not_load_http_client():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert result.stdout.strip() == "False"
+
+
+# -- fuzzing: argument vectors from a bounded grammar ----------------------------
+
+_digits = hs.from_regex(r"[0-9]{1,3}", fullmatch=True)
+# rationals of at most 3 digits, with the edge cases written out
+_rational = hs.one_of(
+    hs.sampled_from(["0", "1/0", "", "-0", "1/2", " 1 "]),
+    hs.builds(
+        lambda sign, num, den: f"{sign}{num}{den}",
+        hs.sampled_from(["", "-", "+"]),
+        _digits,
+        hs.one_of(hs.just(""), _digits.map("/{}".format), _digits.map(".{}".format)),
+    ),
+)
+# comma lists, where an empty item is a stray comma
+_rationals = hs.lists(_rational, max_size=4).map(",".join)
+_stat = hs.sampled_from(cat.list_entries() + ["no-such-entry"])
+_param = hs.one_of(
+    hs.builds(
+        "{}={}".format,
+        hs.sampled_from(["eps", "a", "b", "t", "p", "q"]),
+        hs.one_of(_rational, _rationals),
+    ),
+    hs.sampled_from(["eps", "=1", ""]),
+)
+
+
+def _flag(name, values):
+    return values.map(lambda v: [name, v])
+
+
+def _optional(name, values):
+    return hs.one_of(hs.just([]), _flag(name, values))
+
+
+def _params(name):
+    return hs.lists(_flag(name, _param), max_size=2).map(lambda fs: sum(fs, []))
+
+
+_common = [
+    _optional("--order", hs.one_of(hs.integers(-1, 12).map(str), hs.just("x"))),
+    _optional("--format", hs.sampled_from(["json", "csv", "pretty", "xml"])),
+]
+_with_stat = [_flag("--stat", _stat), _params("--param")] + _common
+_small_int = hs.integers(-1, 5).map(str)
+_floats = hs.sampled_from(["0", "1", "-1", "nan", "inf"])
+
+_COMMANDS = {
+    "expand": _with_stat + [
+        _flag("--quantity", hs.sampled_from(cli.EXPAND_QUANTITIES + ("gamma",))),
+    ],
+    "dual": _with_stat,
+    "compose": _with_stat + [
+        _flag("--stat2", _stat), _params("--param2"), _optional("--m", _small_int),
+    ],
+    "polyseq": _with_stat + [
+        _flag("--kind", hs.sampled_from(["conjugate", "associated", "sheffer"])),
+        _flag("--n", hs.integers(-1, 12).map(str)),
+        _optional("--g-coeffs", _rationals),
+    ],
+    "spectral": _with_stat + [_flag("--points", _rationals)],
+    "maxent": _with_stat + [
+        _flag("--energies", _rationals),
+        _flag("--energy-target", _rational),
+        _optional("--number-target", _rational),
+        _optional("--a0", _floats),
+        _optional("--b0", _floats),
+    ],
+    "verify": _common + [
+        _optional("--suite", hs.sampled_from(("all", "bogus") + verify.SUITES)),
+        _optional("--seed", _small_int),
+    ],
+    # offline only: --fetch would reach the network
+    "oeis-check": _common + [
+        _flag("--entry", _stat),
+        _flag("--quantity", hs.sampled_from(["X_of_w", "w", "phi", "z", "gamma", "nope"])),
+        _optional("--sequence", hs.sampled_from(["A000108", "A000000", "x"])),
+    ],
+}
+_argv = hs.sampled_from(sorted(_COMMANDS)).flatmap(
+    lambda command: hs.tuples(*_COMMANDS[command]).map(
+        lambda parts: [command] + sum(parts, [])
+    )
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_argv)
+def test_fuzzed_argv_ends_without_traceback(argv):
+    stderr = io.StringIO()
+    with redirect_stderr(stderr):
+        try:
+            code = cli.main(argv, stream=io.StringIO())
+        except SystemExit as exc:  # argparse rejects the vector
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in stderr.getvalue(), argv

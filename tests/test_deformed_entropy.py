@@ -3,14 +3,17 @@
 import math
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 from math import factorial
 
 import pytest
 
 from oracles import bernoulli_numbers, weighted_multinomial_sum
+from umbral_stats import catalog as cat
 from umbral_stats import deformed_entropy as de
 from umbral_stats import series as fps
 from umbral_stats import statistics as st
+from umbral_stats import verify
 from umbral_stats.deformed_entropy import (
     EntropyDensity,
     MaxentConvergenceError,
@@ -251,6 +254,81 @@ class TestEntropyDensity:
         for _ in range(20):
             w = [F(1)] + random_t(rng) + [F(0)] * 6
             assert de.main_theorem_holds(st.from_cluster(w))
+
+
+class TestDerivedMemo:
+    """The kernel, log X and H0 of a statistics are computed on first read only."""
+
+    @staticmethod
+    def spy(monkeypatch, *names):
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, real):
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return call
+
+        for name in names:
+            monkeypatch.setattr(de, name, counted(name, getattr(de, name)))
+        return calls
+
+    @staticmethod
+    def reads(s):
+        return (de.map_g_inverse(s), de.ln_phi(s).plain, de.phi_entropy(s).series.plain)
+
+    def test_second_read_computes_nothing(self, monkeypatch):
+        s = st.from_cluster([1, 2, F(-1, 3), 0, 5] + [0] * 7, "memo")
+        X = s.X_of_w
+        calls = self.spy(monkeypatch, "phi_from_x", "log_series", "compose")
+        first = self.reads(s)
+        assert calls == {"phi_from_x": 1, "log_series": 1, "compose": 1}
+        second = self.reads(s)
+        de.xi(s), de.main_theorem_holds(s), de.entropy_gradient_holds(s)
+        assert calls == {"phi_from_x": 1, "log_series": 1, "compose": 1}
+        assert all(a is b for a, b in zip(first, second))
+        log_X = fps.log_series(fps.shift_down(X))
+        assert first[0] == de.phi_from_x(X)
+        assert first[1] == log_X
+        assert first[2] == fps.compose(s.F, X) - fps.shift_up(log_X)
+
+    def test_gradient_check_computes_log_X_once(self, monkeypatch):
+        calls = self.spy(monkeypatch, "log_series")
+        assert de.entropy_gradient_holds(bose())
+        assert calls == {"log_series": 1}
+
+    def test_kernel_roundtrip_is_computed_not_stored(self, monkeypatch):
+        # map_g must not store phi on the statistics it builds, or the
+        # suite's map_g_inverse(map_g(phi)) roundtrip would check nothing
+        phi = PhiSeries.from_t(random_t(random.Random(5)), order=N)
+        calls = self.spy(monkeypatch, "phi_from_x")
+        assert de.map_g_inverse(de.map_g(phi)).agrees_with(phi, N - 1)
+        assert calls == {"phi_from_x": 1}
+        de.tau(phi)
+        assert calls == {"phi_from_x": 2}
+
+    def test_kernel_argument_builds_a_fresh_statistics(self, monkeypatch):
+        phi = PhiSeries.from_t([F(1, 2), F(-1)], order=N)
+        calls = self.spy(monkeypatch, "log_series")
+        de.phi_entropy(phi), de.phi_entropy(phi)
+        assert calls == {"log_series": 2}
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_warm_memo_changes_no_verify_payload(self, monkeypatch, seed):
+        # a catalog cache of its own: the first run fills the memos, the second reads them
+        monkeypatch.setattr(
+            cat, "_cached_build", lru_cache(256)(cat._cached_build.__wrapped__)
+        )
+
+        def payload():
+            data = verify.run("all", 16, seed).to_json()
+            del data["elapsed_seconds"]
+            return data
+
+        cold = payload()
+        assert cold["passed"]
+        assert payload() == cold
 
 
 class TestDensityBijection:

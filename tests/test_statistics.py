@@ -7,10 +7,11 @@ from math import comb, factorial
 import pytest
 
 from oracles import cluster_to_occupation
+from umbral_stats import catalog as cat
 from umbral_stats import series as fps
 from umbral_stats import statistics as st
 from umbral_stats.series import TruncatedSeries
-from umbral_stats.umbral import Polynomial
+from umbral_stats.umbral import DeltaSeries, Polynomial, conjugate_sequence
 
 N = 12
 
@@ -106,6 +107,57 @@ class TestLazyDerivedData:
         calls["compose"] = 0
         fps.lagrange_invert(a.w)  # computes only: it does not check itself
         assert calls["compose"] == 0
+
+
+class TestConjugateMemo:
+    """One conjugate sequence per statistics, kept at the largest degree read."""
+
+    @staticmethod
+    def spy(monkeypatch, owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("name", cat.entries_in_space())
+    def test_every_prefix_equals_a_fresh_sequence(self, monkeypatch, name):
+        s = st.Statistics(cat.build(name, 10).F, name)
+        calls = self.spy(monkeypatch, st, "conjugate_sequence")
+        for n in (4, 7, 0, 10, 3, 10):
+            assert st.conjugate_polynomials(s, n) == conjugate_sequence(DeltaSeries(s.F), n)
+        assert [n for _, n in calls] == [4, 7, 10]
+
+    def test_second_read_computes_nothing(self, monkeypatch):
+        s = bose(8)
+        calls = self.spy(monkeypatch, st, "conjugate_sequence")
+        seq = st.conjugate_polynomials(s, 8)
+        assert st.conjugate_polynomials(s, 8) is seq
+        st.occupation_polynomials(s, 5), st.occupation_polynomial(s, 8)
+        assert st.occupation_recursion_holds(s, 2, 3, 6)
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="beyond truncation order"):
+            st.conjugate_polynomials(s, 9)
+
+    def test_occupation_polynomials_returns_a_fresh_list(self):
+        s = bose(8)
+        W = st.occupation_polynomials(s, 6)
+        W[0] = Polynomial([7])
+        W.append(W[1])
+        again = st.occupation_polynomials(s, 6)
+        assert again is not W and len(again) == 7 and again[0] == Polynomial([1])
+
+    def test_single_polynomial_scales_one_polynomial(self, monkeypatch):
+        s = fermi(8)
+        st.conjugate_polynomials(s, 8)
+        calls = self.spy(monkeypatch, Polynomial, "scale")
+        W6 = st.occupation_polynomial(s, 6)
+        assert len(calls) == 1
+        assert W6 == st.occupation_polynomials(s, 6)[6]
 
 
 class TestOccupationPolynomials:
