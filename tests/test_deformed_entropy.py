@@ -285,7 +285,8 @@ class TestDerivedMemo:
         first = self.reads(s)
         assert calls == {"phi_from_x": 1, "log_series": 1, "compose": 1}
         second = self.reads(s)
-        de.xi(s), de.main_theorem_holds(s), de.entropy_gradient_holds(s)
+        de.xi(s)
+        assert de.main_theorem_holds(s) and de.entropy_gradient_holds(s)
         assert calls == {"phi_from_x": 1, "log_series": 1, "compose": 1}
         assert all(a is b for a, b in zip(first, second))
         log_X = fps.log_series(fps.shift_down(X))
@@ -311,7 +312,8 @@ class TestDerivedMemo:
     def test_kernel_argument_builds_a_fresh_statistics(self, monkeypatch):
         phi = PhiSeries.from_t([F(1, 2), F(-1)], order=N)
         calls = self.spy(monkeypatch, "log_series")
-        de.phi_entropy(phi), de.phi_entropy(phi)
+        for _ in range(2):
+            de.phi_entropy(phi)
         assert calls == {"log_series": 2}
 
     @pytest.mark.parametrize("seed", [0, 3])

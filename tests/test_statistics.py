@@ -137,7 +137,8 @@ class TestConjugateMemo:
         calls = self.spy(monkeypatch, st, "conjugate_sequence")
         seq = st.conjugate_polynomials(s, 8)
         assert st.conjugate_polynomials(s, 8) is seq
-        st.occupation_polynomials(s, 5), st.occupation_polynomial(s, 8)
+        st.occupation_polynomials(s, 5)
+        st.occupation_polynomial(s, 8)
         assert st.occupation_recursion_holds(s, 2, 3, 6)
         assert len(calls) == 1
         with pytest.raises(ValueError, match="beyond truncation order"):
