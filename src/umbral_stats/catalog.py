@@ -44,7 +44,7 @@ class CatalogEntry:
         validate: Callable[[Params], None] | None = None,
         registered_constant: Fraction | None = None,
         extra_quantities: (
-            dict[str, Callable[[int, Params], TruncatedSeries]] | None
+            dict[str, tuple[int, Callable[[int, Params], TruncatedSeries]]] | None
         ) = None,
         notes: str = "",
     ):
@@ -70,12 +70,13 @@ class CatalogEntry:
                     f"entry {self.name!r} takes no parameter {key!r}; "
                     f"valid: {sorted(self.defaults) or 'none'}"
                 )
-            if key == "t":
-                merged[key] = tuple(as_rational(v) for v in value)
-            elif key == "p":
-                merged[key] = int(value)
-            else:
-                merged[key] = as_rational(value)
+            try:
+                merged[key] = (
+                    tuple(map(as_rational, value)) if key == "t" else as_rational(value)
+                )
+            except TypeError:
+                want = "a list of rationals" if key == "t" else "an exact rational"
+                raise CatalogError(f"parameter {key} expects {want}, got {value!r}")
         if self._validate is not None:
             self._validate(merged)
         return merged
@@ -88,104 +89,78 @@ class CatalogEntry:
                 f"({self.notes or 'weight function not normalized'}); "
                 "only its series quantities are available"
             )
-        return _cached_build(self.name, order, _freeze(p))
+        return _cached_build(self.name, order, tuple(sorted(p.items())))
 
     def quantity(self, name: str, order: int, **params):
         """A named series/log-series/polynomial-table quantity of this entry.
 
-        Computed with a small order margin so that quantities that lose an
-        order on the way (kernels, substitutions) still come back at the
-        requested order.
+        Each quantity is built from a statistics (or, for an extra quantity,
+        a series) of the order it needs to come back at ``order``: the order
+        asked plus the orders it loses on the way.  A derived quantity that
+        loses none reads the same cached statistics as ``build(order)``.
         """
         p = self.resolve_params(params)
         if name in self.extra_quantities:
-            value = self.extra_quantities[name](order + 2, p)
-        elif self._free_energy is None:
+            loss, compute = self.extra_quantities[name]
+            return compute(order + loss, p)
+        if self._free_energy is None:
             raise CatalogError(
                 f"entry {self.name!r} supports only "
                 f"{sorted(self.extra_quantities)}, not {name!r}"
             )
-        else:
-            stat = _cached_build(self.name, order + 2, _freeze(p))
-            value = _derived_quantity(self, stat, name)
-        if isinstance(value, (TruncatedSeries, LogSeries)) and value.order > order:
-            value = value.truncate(order)
-        return value
-
-
-def _freeze(params: dict) -> tuple:
-    return tuple(sorted(params.items()))
-
-
-def _thaw(frozen: tuple) -> dict:
-    return dict(frozen)
+        loss = _lookup(name)[0]
+        stat = _cached_build(self.name, order + loss, tuple(sorted(p.items())))
+        return _derived_quantity(self, stat, name)
 
 
 @lru_cache(maxsize=256)
 def _cached_build(name: str, order: int, frozen: tuple) -> Statistics:
     entry = get(name)
-    F = entry._free_energy(order, _thaw(frozen))
+    F = entry._free_energy(order, dict(frozen))
     return Statistics(F, name=name)
 
 
-# The quantities of an in-space entry, and the order each comes back at from
-# a statistics of order n: F, z, w, X_of_w, entropy and phi_entropy keep n;
+# The quantities of an in-space entry: each maps to the number of orders it
+# loses against its statistics, and how it is computed from (stat, entry).
 # phi = X/X' and ln_phi = log p + log(X/p) lose one, as X' and X/p do, and
 # phi_in_X and xi, built from phi, lose the same one; gamma holds
-# p_0..p_min(8, n).  ``quantity`` builds at order + 2 and truncates, so each
-# comes back at the order asked.
-DERIVED_QUANTITIES = (
-    "F",
-    "z",
-    "w",
-    "X_of_w",
-    "phi",
-    "phi_in_X",
-    "xi",
-    "ln_phi",
-    "entropy",
-    "phi_entropy",
-    "gamma",
-)
+# p_0..p_min(8, n), the degrees a statistics of order n determines.
+_QUANTITIES: dict[str, tuple[int, Callable[[Statistics, CatalogEntry], object]]] = {
+    "F": (0, lambda stat, entry: stat.F),
+    "z": (0, lambda stat, entry: stat.z),
+    "w": (0, lambda stat, entry: stat.w),
+    "X_of_w": (0, lambda stat, entry: stat.X_of_w),
+    "phi": (1, lambda stat, entry: map_g_inverse(stat).series),
+    "phi_in_X": (1, lambda stat, entry: fps.compose(map_g_inverse(stat).series, stat.w)),
+    "xi": (1, lambda stat, entry: xi(stat)),
+    "ln_phi": (1, lambda stat, entry: ln_phi(stat)),
+    "entropy": (0, lambda stat, entry: st.entropy(stat)),
+    "phi_entropy": (
+        0, lambda stat, entry: phi_entropy(stat, entry.registered_constant).series
+    ),
+    "gamma": (0, lambda stat, entry: st.conjugate_polynomials(stat, min(8, stat.order))),
+}
+DERIVED_QUANTITIES = tuple(_QUANTITIES)
+
+
+def _lookup(name: str) -> tuple[int, Callable, str]:
+    """The loss, builder and ``plain``/``log`` part ("" if whole) of a quantity."""
+    base, _, part = name.rpartition("_")
+    if part not in ("plain", "log"):
+        base, part = name, ""
+    if base not in _QUANTITIES:
+        raise CatalogError(
+            f"unknown quantity {name!r}; derived quantities: {DERIVED_QUANTITIES}"
+        )
+    return (*_QUANTITIES[base], part)
 
 
 def _derived_quantity(entry: CatalogEntry, stat: Statistics, name: str):
-    base, part = name, ""
-    for suffix in ("_plain", "_log"):
-        if name.endswith(suffix):
-            base, part = name[: -len(suffix)], suffix[1:]
-            break
-    if base == "F":
-        return stat.F
-    if base == "z":
-        return stat.z
-    if base == "w":
-        return stat.w
-    if base == "X_of_w":
-        return stat.X_of_w
-    if base == "phi":
-        return map_g_inverse(stat).series
-    if base == "phi_in_X":
-        return fps.compose(map_g_inverse(stat).series, stat.w)
-    if base == "xi":
-        return xi(stat)
-    if base in ("ln_phi", "entropy", "phi_entropy"):
-        if base == "ln_phi":
-            ls = ln_phi(stat)
-        elif base == "entropy":
-            ls = st.entropy(stat)
-        else:
-            ls = phi_entropy(stat, entry.registered_constant).series
-        if part == "plain":
-            return ls.plain
-        if part == "log":
-            return ls.logpart
-        return ls
-    if base == "gamma":
-        return st.conjugate_polynomials(stat, min(8, stat.order))
-    raise CatalogError(
-        f"unknown quantity {name!r}; derived quantities: {DERIVED_QUANTITIES}"
-    )
+    _, compute, part = _lookup(name)
+    value = compute(stat, entry)
+    if isinstance(value, LogSeries) and part:
+        return value.plain if part == "plain" else value.logpart
+    return value
 
 
 # -- free-energy recipes -------------------------------------------------------
@@ -372,7 +347,7 @@ def _validate_gould(p: Params) -> None:
 
 
 def _validate_gentile(p: Params) -> None:
-    if p["p"] < 1:
+    if p["p"] < 1 or p["p"].denominator != 1:
         raise CatalogError("maximum occupancy p must be a positive integer")
 
 
@@ -518,7 +493,7 @@ _register(
         "mott",
         "free energy (1 - sqrt(1-4X^2))/(2X); Mott polynomials",
         _F_mott,
-        extra_quantities={"Y": _q_mott_Y},
+        extra_quantities={"Y": (0, _q_mott_Y)},
         registered_constant=Fraction(0),
         notes="the even-power companion expansion 1 + 9X^2 + 50X^4 + ... is the "
         "ratio phi/X; the fixture stores the odd-power series",
@@ -557,10 +532,10 @@ _register(
         defaults={"eps": Fraction(2)},
         validate=_validate_eps_nonzero,
         extra_quantities={
-            "X_of_w": _q_averaged_3_X_of_w,
-            "X_of_w_scaled": _q_averaged_3_X_scaled,
-            "phi": _q_averaged_3_phi,
-            "u_over_phi": _q_averaged_3_u_over_phi,
+            "X_of_w": (0, _q_averaged_3_X_of_w),
+            "X_of_w_scaled": (0, _q_averaged_3_X_scaled),
+            "phi": (1, _q_averaged_3_phi),
+            "u_over_phi": (2, _q_averaged_3_u_over_phi),
         },
         notes="weight function has linear coefficient (eps+1/eps)/2 > 1 for "
         "eps != 1, outside the normalized space; series quantities only",
@@ -640,13 +615,9 @@ class Fixture:
     def required_order(self) -> int:
         return len(self.coeffs) - 1
 
-    def computed(self):
-        return get(self.entry).quantity(
-            self.quantity, self.required_order(), **dict(self.params)
-        )
-
     def check(self) -> bool:
-        value = self.computed()
+        n = self.required_order()
+        value = get(self.entry).quantity(self.quantity, n, **self.params)
         if self.quantity == "gamma":
             assert isinstance(value, PolynomialSequence)
             got = [
@@ -655,7 +626,7 @@ class Fixture:
             ]
             return got == self.coeffs
         assert isinstance(value, TruncatedSeries)
-        if value.order < self.required_order():
+        if value.order < n:
             raise CatalogError(
                 f"fixture {self.entry}/{self.quantity}: computed series order "
                 f"{value.order} is shorter than the fixture"

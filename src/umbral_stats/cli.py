@@ -41,18 +41,7 @@ from .umbral import (
     poly_to_json,
 )
 
-EXPAND_QUANTITIES = (
-    "F",
-    "z",
-    "w",
-    "X_of_w",
-    "phi",
-    "phi_in_X",
-    "xi",
-    "ln_phi",
-    "entropy",
-    "phi_entropy",
-)
+EXPAND_QUANTITIES = tuple(q for q in cat.DERIVED_QUANTITIES if q != "gamma")
 
 
 # Highest truncation order the CLI accepts (--order, polyseq --n and

@@ -482,9 +482,6 @@ class LogSeries:
     def __str__(self):
         return f"[{self.plain}] + [{self.logpart}] * log(p)"
 
-    def truncate(self, order: int) -> LogSeries:
-        return LogSeries(self.plain.truncate(order), self.logpart.truncate(order))
-
     def __add__(self, other: LogSeries) -> LogSeries:
         return LogSeries(add(self.plain, other.plain), add(self.logpart, other.logpart))
 
