@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 from math import comb, factorial
 
 import pytest
@@ -60,6 +61,16 @@ class TestRegistry:
     def test_gentile_requires_positive_occupancy(self):
         with pytest.raises(CatalogError):
             cat.build("gentile", 8, p=0)
+
+    def test_gentile_occupancy_must_be_an_integer(self):
+        for p in (F(5, 2), 2.7, "5/2"):
+            with pytest.raises(CatalogError, match="p must be a positive integer|p expects"):
+                cat.build("gentile", 8, p=p)
+        assert cat.build("gentile", 8, p=F(3)) == cat.build("gentile", 8, p=3)
+
+    def test_bell_coefficients_must_be_a_list(self):
+        with pytest.raises(CatalogError, match="t expects a list"):
+            cat.build("bell-universal", 8, t=F(1))
 
     def test_bell_first_coefficient_fixed(self):
         with pytest.raises(CatalogError, match="t_1"):
@@ -125,8 +136,9 @@ class TestSpecializations:
 
 
 # The order each derived quantity comes back at from a statistics of order n,
-# as an offset from n (see catalog.DERIVED_QUANTITIES).  ``quantity`` pads by
-# two orders and truncates, so only this test sees a quantity come back short.
+# as an offset from n, written out here apart from the losses in the catalog's
+# quantity table.  ``quantity`` builds each statistics at n plus that loss and
+# truncates nothing, so a wrong loss shows as a quantity of the wrong order.
 DERIVED_ORDER_OFFSET = {
     "F": 0,
     "z": 0,
@@ -159,6 +171,32 @@ class TestDerivedOrders:
                         series = cat._derived_quantity(entry, stat, f"{quantity}_{part}")
                         assert series.order == n + offset, f"{quantity}_{part}"
             assert len(cat._derived_quantity(entry, stat, "gamma")) == min(8, n) + 1
+
+    @pytest.mark.parametrize("n", [3, 11])
+    def test_quantity_comes_back_at_the_order_asked(self, n):
+        for name in cat.list_entries():
+            entry = cat.get(name)
+            names = list(entry.extra_quantities)
+            if entry.in_space:
+                names += [q for q in cat.DERIVED_QUANTITIES if q != "gamma"]
+                names += [f"{q}_{part}" for q in ("ln_phi", "entropy", "phi_entropy")
+                          for part in ("plain", "log")]
+                # p_0..p_min(8, n): the degrees a statistics of order n determines
+                assert len(entry.quantity("gamma", n)) == min(8, n) + 1, name
+            for quantity in names:
+                assert entry.quantity(quantity, n).order == n, f"{name}/{quantity}"
+
+    def test_build_and_quantity_share_the_cached_statistics(self, monkeypatch):
+        cached = lru_cache(256)(cat._cached_build.__wrapped__)
+        monkeypatch.setattr(cat, "_cached_build", cached)
+        stat = cat.build("lah", 16)
+        for quantity in ("F", "X_of_w", "entropy_plain", "gamma"):
+            cat.get("lah").quantity(quantity, 16)
+        info = cached.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+        assert cat.get("lah").quantity("z", 16) is stat.z
+        cat.get("lah").quantity("phi", 16)  # loses an order: built at 17
+        assert cached.cache_info().misses == 2
 
 
 class TestFixtures:

@@ -23,6 +23,22 @@ def test_single_suite_report_shape():
     assert all(c["suite"] == "duality" for c in data["checks"])
 
 
+@pytest.mark.parametrize("order", [4, 6])
+def test_every_suite_passes_at_small_orders(order):
+    assert verify.run("all", order, 0).passed
+
+
+def test_orders_a_suite_cannot_be_stated_at_are_rejected():
+    with pytest.raises(ValueError, match="main-theorem suite needs order 2"):
+        verify.run("all", 1, 0)
+    with pytest.raises(ValueError, match="xi suite needs order 3"):
+        verify.run("xi", 2, 0)
+    for suite in verify.SUITES:
+        if suite not in ("main-theorem", "xi"):
+            assert verify.run(suite, 1, 0).passed, suite
+    assert verify.run("main-theorem", 2, 0).passed
+
+
 def test_failures_are_listed():
     report = VerifyReport(
         [
