@@ -71,6 +71,8 @@ class CatalogEntry:
                     f"valid: {sorted(self.defaults) or 'none'}"
                 )
             try:
+                if key == "t" and isinstance(value, str):  # iterable, but of characters
+                    raise TypeError
                 merged[key] = (
                     tuple(map(as_rational, value)) if key == "t" else as_rational(value)
                 )
@@ -98,19 +100,25 @@ class CatalogEntry:
         a series) of the order it needs to come back at ``order``: the order
         asked plus the orders it loses on the way.  A derived quantity that
         loses none reads the same cached statistics as ``build(order)``.
+        The values are immutable, and a repeated request returns the same
+        object.
         """
         p = self.resolve_params(params)
-        if name in self.extra_quantities:
-            loss, compute = self.extra_quantities[name]
-            return compute(order + loss, p)
-        if self._free_energy is None:
-            raise CatalogError(
-                f"entry {self.name!r} supports only "
-                f"{sorted(self.extra_quantities)}, not {name!r}"
-            )
-        loss = _lookup(name)[0]
-        stat = _cached_build(self.name, order + loss, tuple(sorted(p.items())))
-        return _derived_quantity(self, stat, name)
+        return _cached_quantity(self, name, order, tuple(sorted(p.items())))
+
+
+@lru_cache(maxsize=256)
+def _cached_quantity(entry: CatalogEntry, name: str, order: int, frozen: tuple):
+    if name in entry.extra_quantities:
+        loss, compute = entry.extra_quantities[name]
+        return compute(order + loss, dict(frozen))
+    if not entry.in_space:
+        raise CatalogError(
+            f"entry {entry.name!r} supports only "
+            f"{sorted(entry.extra_quantities)}, not {name!r}"
+        )
+    stat = _cached_build(entry.name, order + _lookup(name)[0], frozen)
+    return _derived_quantity(entry, stat, name)
 
 
 @lru_cache(maxsize=256)
@@ -158,9 +166,12 @@ def _lookup(name: str) -> tuple[int, Callable, str]:
 def _derived_quantity(entry: CatalogEntry, stat: Statistics, name: str):
     _, compute, part = _lookup(name)
     value = compute(stat, entry)
-    if isinstance(value, LogSeries) and part:
-        return value.plain if part == "plain" else value.logpart
-    return value
+    if not part:
+        return value
+    if not isinstance(value, LogSeries):
+        base = name[: -len(part) - 1]
+        raise CatalogError(f"unknown quantity {name!r}: {base!r} has no log part")
+    return value.plain if part == "plain" else value.logpart
 
 
 # -- free-energy recipes -------------------------------------------------------

@@ -12,7 +12,11 @@ A deformation kernel phi(p) = p - sum_{n>=2} T_{n-1} p^n determines
 
 For a statistics, the kernel, log X and the plain part of H0 are computed
 once and kept in its memo (:meth:`Statistics.derived`); a kernel argument
-builds a fresh statistics each call.
+builds a fresh statistics each call.  The plain part of H0 is read off
+L(u) = log(X(u)/u) with no composition: w(X(u)) = u gives
+d/du F(X(u)) = F'(X) X' = u X'/X = 1 + u L'(u), so
+F(X(u)) = u + sum_{m>=2} (m-1) L_{m-1} u^m / m and, as log X = log u + L,
+H0(u) = u - sum_{m>=2} L_{m-1} u^m / m - u log u.
 
 Everything is computed in constant-normalized form: the scalar constants
 log X(1) and F(X(1)) - log X(1) that a definite lower integration bound
@@ -47,6 +51,8 @@ from .series import (
     reciprocal,
     shift_down,
     shift_up,
+    _series,
+    _ZERO,
 )
 from .statistics import Statistics
 
@@ -249,16 +255,23 @@ def phi_entropy(arg: PhiOrStatistics, constant: Fraction | None = None) -> PhiEn
     The full (un-normalized) density subtracts [F(X(1)) - log X(1)] * p,
     a constant that is generally transcendental; pass ``constant`` to
     record an exactly known value, otherwise it is flagged unevaluated.
-    The plain part is computed once per statistics.
+    The plain part, F(X(p)) - p L(p) with L = log(X(p)/p), is computed once
+    per statistics as p - sum_{m>=2} L_{m-1} p^m / m: from w(X(p)) = p,
+    d/dp F(X(p)) = p X'/X = 1 + p L', so the p^m coefficient of F(X(p)) is
+    (m-1) L_{m-1} / m for m >= 2.
     """
     stat = _as_statistics(arg)
-    plain = stat.derived(
-        "H0", lambda: compose(stat.F, stat.X_of_w) - shift_up(_log_X(stat))
-    )
+    plain = stat.derived("H0", lambda: _h0_plain(_log_X(stat)))
     logpart = TruncatedSeries(
         [Fraction(0), Fraction(-1)] + [Fraction(0)] * (plain.order - 1)
     )
     return PhiEntropy(LogSeries(plain, logpart), constant)
+
+
+def _h0_plain(L: TruncatedSeries) -> TruncatedSeries:
+    """p - sum_{m>=2} L_{m-1} p^m / m, through order L.order + 1."""
+    tail = [-c / m if c else _ZERO for m, c in enumerate(L.coeffs[1:], 2)]
+    return _series([_ZERO, Fraction(1)] + tail)
 
 
 def entropy_gradient_holds(arg: PhiOrStatistics) -> bool:

@@ -108,7 +108,7 @@ class TruncatedSeries:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         if order == self.order:
             return self
-        return TruncatedSeries(self.coeffs[: order + 1])
+        return _series(self.coeffs[: order + 1])
 
     def agrees_with(self, other: TruncatedSeries, through: int | None = None) -> bool:
         """Coefficient-wise equality through ``through`` (default: common order)."""
@@ -140,6 +140,13 @@ class TruncatedSeries:
         return scale(self, Fraction(-1))
 
 
+def _series(coeffs: Iterable[Fraction]) -> TruncatedSeries:
+    """A series on Fractions the caller has just built: not coerced or checked."""
+    s = object.__new__(TruncatedSeries)
+    object.__setattr__(s, "coeffs", tuple(coeffs))
+    return s
+
+
 def constant(value: RationalLike, order: int = 0) -> TruncatedSeries:
     c = as_rational(value)
     return TruncatedSeries([c] + [Fraction(0)] * order)
@@ -169,17 +176,17 @@ def from_function(fn, order: int) -> TruncatedSeries:
 
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     n = min(a.order, b.order)
-    return TruncatedSeries([a.coeffs[k] + b.coeffs[k] for k in range(n + 1)])
+    return _series([a.coeffs[k] + b.coeffs[k] for k in range(n + 1)])
 
 
 def sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     n = min(a.order, b.order)
-    return TruncatedSeries([a.coeffs[k] - b.coeffs[k] for k in range(n + 1)])
+    return _series([a.coeffs[k] - b.coeffs[k] for k in range(n + 1)])
 
 
 def scale(a: TruncatedSeries, c: RationalLike) -> TruncatedSeries:
     c = as_rational(c)
-    return TruncatedSeries([c * x for x in a.coeffs])
+    return _series([c * x for x in a.coeffs])
 
 
 def _numerators(coeffs) -> tuple[list[int], int]:
@@ -200,7 +207,7 @@ def _int_mul(x: list[int], y: list[int], n: int) -> list[int]:
 
 
 def _over(nums: Iterable[int], d: int) -> TruncatedSeries:
-    return TruncatedSeries([Fraction(c, d) if c else _ZERO for c in nums])
+    return _series([Fraction(c, d) if c else _ZERO for c in nums])
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -213,7 +220,7 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 def shift_up(a: TruncatedSeries) -> TruncatedSeries:
     """Multiply by X.  Order rises by one; no information is lost."""
-    return TruncatedSeries((Fraction(0),) + a.coeffs)
+    return _series((_ZERO,) + a.coeffs)
 
 
 def shift_down(a: TruncatedSeries) -> TruncatedSeries:
@@ -222,7 +229,7 @@ def shift_down(a: TruncatedSeries) -> TruncatedSeries:
         raise ValueError("cannot divide by X: nonzero constant term")
     if a.order < 1:
         raise ValueError("cannot divide by X at order 0")
-    return TruncatedSeries(a.coeffs[1:])
+    return _series(a.coeffs[1:])
 
 
 def _int_powers(
@@ -280,7 +287,7 @@ def derivative(a: TruncatedSeries) -> TruncatedSeries:
     """d/dX; order drops by one."""
     if a.order == 0:
         raise ValueError("cannot differentiate an order-0 series")
-    return TruncatedSeries([k * a.coeffs[k] for k in range(1, a.order + 1)])
+    return _series([k * a.coeffs[k] for k in range(1, a.order + 1)])
 
 
 def integrate(a: TruncatedSeries) -> TruncatedSeries:
@@ -290,10 +297,7 @@ def integrate(a: TruncatedSeries) -> TruncatedSeries:
 
 def integrate_extend(a: TruncatedSeries) -> TruncatedSeries:
     """Antiderivative keeping every determined coefficient (order rises by one)."""
-    out = [Fraction(0)] * (a.order + 2)
-    for k in range(a.order + 1):
-        out[k + 1] = a.coeffs[k] / (k + 1)
-    return TruncatedSeries(out)
+    return _series([_ZERO] + [c / (k + 1) for k, c in enumerate(a.coeffs)])
 
 
 def _append_over(nums: list[int], q: int, num: int, den: int) -> int:
@@ -330,7 +334,7 @@ def exp_series(a: TruncatedSeries) -> TruncatedSeries:
         y = Fraction(acc, m * d * Q) if acc else _ZERO
         out.append(y)
         Q = _append_over(Y, Q, y.numerator, y.denominator)
-    return TruncatedSeries(out)
+    return _series(out)
 
 
 def log_series(a: TruncatedSeries) -> TruncatedSeries:
@@ -354,7 +358,7 @@ def log_series(a: TruncatedSeries) -> TruncatedSeries:
         y = Fraction(acc, m * d * Q) if acc else _ZERO
         out.append(y)
         Q = _append_over(Z, Q, m * y.numerator, y.denominator)
-    return TruncatedSeries(out)
+    return _series(out)
 
 
 def pow_rational(a: TruncatedSeries, r: RationalLike) -> TruncatedSeries:
@@ -385,7 +389,7 @@ def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
         y = Fraction(acc, A[0] * Q) if acc else _ZERO
         out.append(y)
         Q = _append_over(Y, Q, y.numerator, y.denominator)
-    return TruncatedSeries(out)
+    return _series(out)
 
 
 def lagrange_invert(a: TruncatedSeries) -> TruncatedSeries:
@@ -416,7 +420,7 @@ def lagrange_invert(a: TruncatedSeries) -> TruncatedSeries:
         t = Fraction(-d * acc, Q * A1**m) if acc else _ZERO
         out.append(t)
         Q = _append_over(T, Q, t.numerator, t.denominator)
-    return TruncatedSeries(out)
+    return _series(out)
 
 
 def evaluate(a: TruncatedSeries, x: RationalLike) -> Fraction:

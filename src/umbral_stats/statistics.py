@@ -36,6 +36,8 @@ from .series import (
     LogSeries,
     RationalLike,
     TruncatedSeries,
+    _series,
+    _ZERO,
     as_rational,
     compose,
     evaluate,
@@ -59,17 +61,19 @@ class Statistics:
         name: str = "statistics",
         *,
         inverse: TruncatedSeries | None = None,
+        _w: TruncatedSeries | None = None,
     ):
         """``inverse``, if given, must be the compositional inverse of the
         weight function through at least F's order; it is stored as X(w)
-        unchecked, in place of inverting w on first read."""
+        unchecked, in place of inverting w on first read.  ``_w`` is for
+        this module's builders, which already hold w = X F'."""
         if F.coeffs[0] != 0:
             raise ValueError("free energy must vanish at 0")
         if F.order < 1 or F.coeffs[1] != 1:
             raise ValueError(
                 "free energy must have unit linear coefficient (normalization w_1 = 1)"
             )
-        w = TruncatedSeries([k * F.coeffs[k] for k in range(F.order + 1)])
+        w = _series([k * c for k, c in enumerate(F.coeffs)]) if _w is None else _w
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "w", w)
@@ -142,11 +146,11 @@ def from_cluster(
     """Build from cluster coefficients w_1, w_2, ...; requires w_1 = 1.
 
     ``inverse`` is passed on to :class:`Statistics`."""
-    w = [as_rational(c) for c in w_list]
-    if not w or w[0] != 1:
+    w = [_ZERO] + [as_rational(c) for c in w_list]
+    if len(w) < 2 or w[1] != 1:
         raise ValueError("first cluster coefficient must be 1")
-    F = TruncatedSeries([Fraction(0)] + [c / (k + 1) for k, c in enumerate(w)])
-    return Statistics(F, name, inverse=inverse)
+    F = _series([_ZERO] + [c / k for k, c in enumerate(w[1:], 1)])
+    return Statistics(F, name, inverse=inverse, _w=_series(w))
 
 
 def from_weight(
@@ -235,7 +239,7 @@ def group_compose(v: Statistics, w: Statistics, name: str | None = None) -> Stat
 
 def _twist(w: TruncatedSeries, m: int) -> TruncatedSeries:
     """Coefficient map w_n -> n^m w_n on X^n (leaves the normalization alone)."""
-    return TruncatedSeries([(k**m) * c for k, c in enumerate(w.coeffs)])
+    return _series([(k**m) * c for k, c in enumerate(w.coeffs)])
 
 
 def group_compose_m(v: Statistics, w: Statistics, m: int) -> Statistics:

@@ -72,6 +72,11 @@ class TestRegistry:
         with pytest.raises(CatalogError, match="t expects a list"):
             cat.build("bell-universal", 8, t=F(1))
 
+    def test_bell_coefficients_reject_a_string(self):
+        # a string is iterable, but of characters: "12" is not t = (1, 2)
+        with pytest.raises(CatalogError, match="t expects a list"):
+            cat.build("bell-universal", 8, t="12")
+
     def test_bell_first_coefficient_fixed(self):
         with pytest.raises(CatalogError, match="t_1"):
             cat.build("bell-universal", 8, t=[F(2)])
@@ -153,6 +158,13 @@ DERIVED_ORDER_OFFSET = {
 }
 
 
+def cold_quantity_cache(monkeypatch):
+    """A cold quantity memo of the test's own; the shared one is left as it is."""
+    cached = lru_cache(256)(cat._cached_quantity.__wrapped__)
+    monkeypatch.setattr(cat, "_cached_quantity", cached)
+    return cached
+
+
 class TestDerivedOrders:
     def test_every_series_quantity_is_listed(self):
         assert set(cat.DERIVED_QUANTITIES) == set(DERIVED_ORDER_OFFSET) | {"gamma"}
@@ -189,6 +201,7 @@ class TestDerivedOrders:
     def test_build_and_quantity_share_the_cached_statistics(self, monkeypatch):
         cached = lru_cache(256)(cat._cached_build.__wrapped__)
         monkeypatch.setattr(cat, "_cached_build", cached)
+        cold_quantity_cache(monkeypatch)
         stat = cat.build("lah", 16)
         for quantity in ("F", "X_of_w", "entropy_plain", "gamma"):
             cat.get("lah").quantity(quantity, 16)
@@ -467,6 +480,25 @@ class TestQuantityApi:
     def test_unknown_quantity_rejected(self):
         with pytest.raises(CatalogError, match="unknown quantity"):
             cat.get("abel").quantity("nonsense", 5)
+
+    def test_part_suffix_needs_a_log_part(self):
+        for name, quantity in (("lah", "F_plain"), ("lah", "gamma_log"), ("mott", "xi_log"),
+                               ("mott", "Y_plain")):
+            with pytest.raises(CatalogError, match="unknown quantity"):
+                cat.get(name).quantity(quantity, 4)
+        entropy = cat.get("lah").quantity("entropy", 4)
+        assert cat.get("lah").quantity("entropy_log", 4) == entropy.logpart
+
+    def test_second_request_returns_the_same_object(self, monkeypatch):
+        cached = cold_quantity_cache(monkeypatch)
+        entry = cat.get("acharya-swamy")
+        for quantity in ("xi", "phi_entropy_plain", "gamma"):
+            first = entry.quantity(quantity, 12, eps=F(1, 3))
+            assert entry.quantity(quantity, 12, eps="1/3") is first, quantity
+        assert entry.quantity("xi", 12, eps=F(1, 4)) != entry.quantity("xi", 12, eps=F(1, 3))
+        phi = cat.get("averaged-as-3").quantity("phi", 6)
+        assert cat.get("averaged-as-3").quantity("phi", 6) is phi
+        assert cached.cache_info().misses == 5
 
     def test_off_space_quantities_limited(self):
         entry = cat.get("averaged-as-3")

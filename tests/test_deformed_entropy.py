@@ -7,6 +7,8 @@ from functools import lru_cache
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from oracles import bernoulli_numbers, weighted_multinomial_sum
 from umbral_stats import catalog as cat
@@ -283,11 +285,12 @@ class TestDerivedMemo:
         X = s.X_of_w
         calls = self.spy(monkeypatch, "phi_from_x", "log_series", "compose")
         first = self.reads(s)
-        assert calls == {"phi_from_x": 1, "log_series": 1, "compose": 1}
+        # H0 is read off log X, with no composition
+        assert calls == {"phi_from_x": 1, "log_series": 1, "compose": 0}
         second = self.reads(s)
         de.xi(s)
         assert de.main_theorem_holds(s) and de.entropy_gradient_holds(s)
-        assert calls == {"phi_from_x": 1, "log_series": 1, "compose": 1}
+        assert calls == {"phi_from_x": 1, "log_series": 1, "compose": 0}
         assert all(a is b for a, b in zip(first, second))
         log_X = fps.log_series(fps.shift_down(X))
         assert first[0] == de.phi_from_x(X)
@@ -318,9 +321,12 @@ class TestDerivedMemo:
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_warm_memo_changes_no_verify_payload(self, monkeypatch, seed):
-        # a catalog cache of its own: the first run fills the memos, the second reads them
+        # catalog caches of its own: the first run fills the memos, the second reads them
         monkeypatch.setattr(
             cat, "_cached_build", lru_cache(256)(cat._cached_build.__wrapped__)
+        )
+        monkeypatch.setattr(
+            cat, "_cached_quantity", lru_cache(256)(cat._cached_quantity.__wrapped__)
         )
 
         def payload():
@@ -331,6 +337,43 @@ class TestDerivedMemo:
         cold = payload()
         assert cold["passed"]
         assert payload() == cold
+
+
+def composed_h0(stat):
+    """The plain part of H0 by its definition, F(X(u)) - u log(X(u)/u)."""
+    X = stat.X_of_w
+    return fps.compose(stat.F, X) - fps.shift_up(fps.log_series(fps.shift_down(X)))
+
+
+class TestH0FromLogX:
+    """phi_entropy reads the plain part of H0 off L = log(X/u), composing nothing."""
+
+    @pytest.mark.parametrize("n", [3, 8, 16, 24])
+    def test_equals_the_composition_on_the_catalog(self, n):
+        for name in cat.entries_in_space():
+            stat = st.Statistics(cat.build(name, n).F, name)  # an empty memo
+            assert de.phi_entropy(stat).series.plain == composed_h0(stat), name
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(hs.lists(hs.builds(F, hs.integers(-9, 9), hs.integers(1, 9)), max_size=20))
+    def test_equals_the_composition_on_random_statistics(self, cluster):
+        stat = st.from_cluster([1] + cluster)
+        assert de.phi_entropy(stat).series.plain == composed_h0(stat)
+
+    @pytest.mark.parametrize("suite, plant", [
+        ("main-theorem", lambda cs: [c * F(m, m + 1) for m, c in enumerate(cs)]),
+        ("gradient", lambda cs: cs[:-1] + [F(0)]),
+    ])
+    def test_a_wrong_h0_fails_verify(self, monkeypatch, suite, plant):
+        real = de._h0_plain
+        monkeypatch.setattr(de, "_h0_plain", lambda L: TruncatedSeries(plant(list(real(L).coeffs))))
+        # a catalog cache of its own, so that no memo holds the true H0
+        monkeypatch.setattr(
+            cat, "_cached_build", lru_cache(256)(cat._cached_build.__wrapped__)
+        )
+        results = verify.run(suite, 16, 0).results
+        failed = [r.name for r in results if not r.passed]
+        assert len(failed) > len(results) // 2, failed
 
 
 class TestDensityBijection:

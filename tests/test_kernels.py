@@ -68,6 +68,19 @@ def coefficient_lists(draw, order, zero_constant=False):
     return cs
 
 
+@hs.composite
+def low_degree_lists(draw, order):
+    """order + 1 coefficients, zero above a degree e < order (all zero for e = -1)."""
+    e = draw(hs.sampled_from((-1, 0, 1)) | hs.integers(-1, order - 1))
+    return draw(hs.lists(coefficient, min_size=e + 1, max_size=e + 1)) + [F(0)] * (order - e)
+
+
+def integral_lists(order):
+    """order + 1 integer coefficients with zero constant term: a common denominator of 1."""
+    tail = hs.lists(hs.builds(F, hs.integers(-9, 9)), min_size=order, max_size=order)
+    return tail.map(lambda cs: [F(0)] + cs)
+
+
 orders = hs.integers(1, 20)
 
 
@@ -83,8 +96,9 @@ def test_mul_matches_schoolbook(data, n):
 @kernel_settings
 @given(hs.data(), orders)
 def test_compose_matches_schoolbook(data, n):
-    outer = data.draw(coefficient_lists(n))
-    inner = data.draw(coefficient_lists(n, zero_constant=True))
+    # also outer series that end early and inner series over denominator 1
+    outer = data.draw(coefficient_lists(n) | low_degree_lists(n))
+    inner = data.draw(coefficient_lists(n, zero_constant=True) | integral_lists(n))
     result = fps.compose(TruncatedSeries(outer), TruncatedSeries(inner))
     assert list(result.coeffs) == schoolbook_compose(outer, inner, n)
 

@@ -79,10 +79,14 @@ def test_binomial_suite_reports_first_failing_degree(monkeypatch):
     shifted = [Polynomial([1])]  # (x+1)^n fails at n = 1
     for _ in range(8):
         shifted.append(shifted[-1] * Polynomial([1, 1]))
-    # A cold catalog cache of its own, so that no statistics memoized its
-    # conjugate sequence before the plant; the shared cache is left as it is.
+    # Cold catalog caches of its own, so that no statistics memoized its
+    # conjugate sequence before the plant; the shared caches are left as they are.
     monkeypatch.setattr(
         verify.cat, "_cached_build", lru_cache(256)(verify.cat._cached_build.__wrapped__)
+    )
+    monkeypatch.setattr(
+        verify.cat, "_cached_quantity",
+        lru_cache(256)(verify.cat._cached_quantity.__wrapped__),
     )
     monkeypatch.setattr(
         verify.st, "conjugate_sequence", lambda F, n: PolynomialSequence(shifted[: n + 1])
