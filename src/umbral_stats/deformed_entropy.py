@@ -36,6 +36,8 @@ from .series import (
     LogSeries,
     RationalLike,
     TruncatedSeries,
+    _ZERO,
+    _series,
     as_rational,
     compose,
     derivative,
@@ -51,8 +53,6 @@ from .series import (
     reciprocal,
     shift_down,
     shift_up,
-    _series,
-    _ZERO,
 )
 from .statistics import Statistics
 

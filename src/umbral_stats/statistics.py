@@ -36,8 +36,8 @@ from .series import (
     LogSeries,
     RationalLike,
     TruncatedSeries,
-    _series,
     _ZERO,
+    _series,
     as_rational,
     compose,
     evaluate,
