@@ -70,7 +70,8 @@ def coefficient_lists(draw, order, zero_constant=False):
 
 @hs.composite
 def low_degree_lists(draw, order):
-    """order + 1 coefficients, zero above a degree e < order (all zero for e = -1)."""
+    """order + 1 coefficients, zero above a degree e: 0, 1, any e < order, or
+    -1 (all zero)."""
     e = draw(hs.sampled_from((-1, 0, 1)) | hs.integers(-1, order - 1))
     return draw(hs.lists(coefficient, min_size=e + 1, max_size=e + 1)) + [F(0)] * (order - e)
 
