@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -45,21 +46,28 @@ EXPAND_QUANTITIES = tuple(q for q in cat.DERIVED_QUANTITIES if q != "gamma")
 
 
 # Highest truncation order the CLI accepts (--order, polyseq --n and
-# UMBRAL_ORDER).  Cost grows steeply with the order: the slowest single
-# request measured, expand acharya-swamy eps=1/3 phi_entropy, takes about
-# 0.2 s at order 64 and 3.5 s at order 128 (see README).
+# UMBRAL_ORDER), and highest compose --m.  Cost grows steeply with both: the
+# slowest requests measured are compose --m 128 at order 128, 6-9 s for
+# bose-einstein with fermi-dirac and about 80 s for abel with abel, while
+# expand acharya-swamy eps=1/3 phi_entropy takes 0.2 s at order 64 and
+# 0.8 s at order 128 (2-core VM, see README).
 MAX_ORDER = 128
 
 
-def order_arg(text: str) -> int:
-    """argparse type for --order and --n: an integer in 1..MAX_ORDER."""
+def order_arg(text: str, low: int = 1) -> int:
+    """argparse type for --order and --n: an integer in low..MAX_ORDER."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 1 <= value <= MAX_ORDER:
-        raise argparse.ArgumentTypeError(f"{value} is outside 1..{MAX_ORDER}")
+    if not low <= value <= MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"{value} is outside {low}..{MAX_ORDER}")
     return value
+
+
+def twist_arg(text: str) -> int:
+    """argparse type for compose --m: an integer in 0..MAX_ORDER."""
+    return order_arg(text, low=0)
 
 
 def default_order() -> int:
@@ -85,10 +93,9 @@ def default_order() -> int:
 # the text, whose conversion grows with the exponent (Fraction("1e2000000")
 # alone takes 0.75 s on a 2-core VM), and it leaves room for rationals too
 # large for a float, which maxent reports as errors.  Cost still grows with
-# the digits: expand acharya-swamy eps=1e999 phi_entropy takes 0.6 s at
-# order 16 and 9 s at order 32, and eps=1e99 takes 100 s at order 128
-# (2-core VM).  Results can exceed Python's int-to-str limit, which main
-# lifts.
+# the digits: expand acharya-swamy eps=1e999 phi_entropy takes 0.2-0.3 s at
+# order 16 and 2.4-3.4 s at order 32 (2-core VM).  Results can exceed
+# Python's int-to-str limit, which main lifts.
 MAX_DIGITS = 1000
 
 # Fraction's own grammar, with underscores between digits.  Left to re's
@@ -313,13 +320,16 @@ def cmd_maxent(args, stream) -> int:
             energies,
             energy_target=parse_float(args.energy_target),
             number_target=parse_float(args.number_target),
-            a0=args.a0,
-            b0=args.b0,
+            a0=parse_float(args.a0),
+            b0=parse_float(args.b0),
         )
         code = 0
     except MaxentConvergenceError as exc:
         sol = exc.last
         code = 1
+    if not all(map(math.isfinite, (sol.a, sol.b, *sol.p, *sol.residuals))):
+        raise ValueError(f"maxent did not converge: the last iterate is not finite "
+                         f"(a={sol.a}, b={sol.b}, residuals={list(sol.residuals)})")
     payload = {
         "a": sol.a,
         "b": sol.b,
@@ -409,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--stat2", required=True)
     p.add_argument("--param2", action="append", metavar="K=V")
-    p.add_argument("--m", type=int, default=0, help="twist exponent (default 0)")
+    p.add_argument("--m", type=twist_arg, default=0,
+                   help=f"twist exponent, 0..{MAX_ORDER} (default 0)")
     p.set_defaults(handler=cmd_compose)
 
     p = sub.add_parser("polyseq", help="polynomial sequence of an entry")
@@ -432,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--energies", required=True, help="comma-separated rationals")
     p.add_argument("--energy-target", required=True)
     p.add_argument("--number-target", default="1")
-    p.add_argument("--a0", type=float, default=0.0)
-    p.add_argument("--b0", type=float, default=0.0)
+    p.add_argument("--a0", default="0", help="starting a (default 0)")
+    p.add_argument("--b0", default="0", help="starting b (default 0)")
     p.set_defaults(handler=cmd_maxent)
 
     p = sub.add_parser("verify", help="run property/fixture suites")

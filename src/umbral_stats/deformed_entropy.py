@@ -445,7 +445,8 @@ def maxent_solve(
     """Damped two-variable Newton iteration for the multipliers (a, b).
 
     Raises :class:`MaxentConvergenceError` (carrying the last iterate)
-    rather than returning an unconverged answer silently.
+    rather than returning an unconverged answer silently, and ValueError if
+    exp overflows at the start point.
     """
     dw_coeffs = [k * float(c) for k, c in enumerate(stat.w.coeffs)][1:]
     a, b = a0, b0
@@ -453,7 +454,10 @@ def maxent_solve(
     def evaluate_at(a: float, b: float) -> MaxentEvaluation:
         return max_entropy_distribution(stat, energies, a, b, energy_target, number_target)
 
-    p, (r1, r2) = evaluate_at(a, b)
+    try:
+        p, (r1, r2) = evaluate_at(a, b)
+    except OverflowError:  # math.exp out of range at the start point
+        raise ValueError(f"start point (a0, b0) = ({a0}, {b0}) overflows exp") from None
     for iteration in range(1, max_iter + 1):
         if abs(r1) < tol and abs(r2) < tol:
             return MaxentSolution(a, b, p, (r1, r2), iteration - 1, True)

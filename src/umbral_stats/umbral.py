@@ -469,41 +469,58 @@ def binomial_identity_holds(
     return lhs == rhs
 
 
-def first_binomial_failure(seq: PolynomialSequence) -> int | None:
-    """Least n at which p_n(x+y) = sum_k C(n,k) p_k(x) p_{n-k}(y) fails as a
-    polynomial identity in x and y, or None if it holds for every p_n in seq.
+def _first_convolution_failure(
+    table: Sequence[tuple[list[int], int]], weights: Sequence[int]
+) -> int | None:
+    """Least k at which W_0 = 1 (k = 0) or W_k(x+y) = sum_i W_i(x) W_{k-i}(y)
+    fails as a polynomial identity in x and y, or None, for the polynomials
+    W_k = N_k / (d_k weights[k]) with (N_k, d_k) = table[k].
 
-    Write G_j(t) = sum_n [x^j]p_n t^n / n! for the columns of the EGF
-    sum_n p_n(x) t^n / n! = sum_j x^j G_j(t).  Comparing the coefficients
-    of x^i y^j t^n on both sides, the identity holds at degree n iff
-    [t^n] G_i G_j = C(i+j, i) [t^n] G_{i+j} for all i, j.  Through degree n
-    this is equivalent to two families of conditions through t^n:
+    Write G_j(t) = sum_k [x^j]W_k t^k for the columns of the generating
+    function sum_k W_k(x) t^k = sum_j x^j G_j(t).  Comparing the
+    coefficients of x^i y^j t^k on both sides, the identity holds at degree
+    k iff [t^k] G_i G_j = C(i+j, i) [t^k] G_{i+j} for all i, j.  Through
+    degree k this is equivalent to two families of conditions through t^k:
 
-    * G_0 = 1: it is G_0**2 = G_0 (i = j = 0), and G_0(0) = p_0 = 1 makes
+    * G_0 = 1: it is G_0**2 = G_0 (i = j = 0), and G_0(0) = W_0 = 1 makes
       G_0 a unit;
     * G_1 G_j = (j+1) G_{j+1} for j >= 1 (the case i = 1).
 
     Conversely, these give G_j = G_1**j / j! by induction on j, hence
     G_i G_j = G_1**(i+j) / (i! j!) = C(i+j, i) G_{i+j}.  As the two forms
-    hold through the same degrees, they first fail at the same n, which is
-    the least t-degree where one of the conditions above fails.
+    hold through the same degrees, they first fail at the same k, which is
+    the least t-degree where one of the conditions above fails.  Since
+    G_1(0) = 0 makes G_j = O(t^j), a W_k of degree above k fails by degree k.
 
-    In integers: with p_n = N_n / d_n, every column lies over
-    L = lcm_n(d_n n!), G_j = C_j / L, and G_1 G_j = (j+1) G_{j+1} reads
+    In integers: every column lies over L = lcm_k(d_k weights[k]),
+    G_j = C_j / L, and G_1 G_j = (j+1) G_{j+1} reads
     C_1 C_j = (j+1) L C_{j+1}.  That is N - 1 integer Cauchy products for
-    p_0..p_N; no Fraction is built.
+    W_0..W_N; no Fraction is built.
     """
-    table = seq.numerators
     N = len(table) - 1
-    scales = [d * factorial(n) for n, (_, d) in enumerate(table)]
+    scales = [d * c for (_, d), c in zip(table, weights)]
     L = lcm(*scales)
-    # C[j][n] = L [t^n] G_j; C[0][0] = L since p_0 = 1
+    # C[j][k] = L [t^k] G_j
     C = [[0] * (N + 1) for _ in range(N + 1)]
-    for n, ((nums, _), s) in enumerate(zip(table, scales)):
-        for j, c in enumerate(nums):
-            C[j][n] = c * (L // s)
-    bad = [n for n in range(1, N + 1) if C[0][n]]
+    for k, ((nums, _), s) in enumerate(zip(table, scales)):
+        for j, c in enumerate(nums[: N + 1]):
+            C[j][k] = c * (L // s)
+    bad = [k for k, (nums, _) in enumerate(table) if len(nums) > k + 1]
+    bad += [k for k in range(N + 1) if C[0][k] != (L if k == 0 else 0)]
     for j in range(1, N):
         lhs = _int_mul(C[1], C[j], N)
-        bad += [n for n in range(N + 1) if lhs[n] != (j + 1) * L * C[j + 1][n]]
+        bad += [k for k in range(N + 1) if lhs[k] != (j + 1) * L * C[j + 1][k]]
     return min(bad, default=None)
+
+
+def first_convolution_failure(W: Sequence[Polynomial]) -> int | None:
+    """The least failing degree of the convolution identity of W_0..W_N
+    (see :func:`_first_convolution_failure`), or None."""
+    return _first_convolution_failure([_numerators(p.coeffs) for p in W], [1] * len(W))
+
+
+def first_binomial_failure(seq: PolynomialSequence) -> int | None:
+    """Least n at which p_n(x+y) = sum_k C(n,k) p_k(x) p_{n-k}(y) fails as a
+    polynomial identity, or None: the convolution identity of p_n / n!."""
+    table = seq.numerators
+    return _first_convolution_failure(table, [factorial(n) for n in range(len(table))])

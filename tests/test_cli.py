@@ -30,9 +30,14 @@ def run(argv):
     return code, stream.getvalue()
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    return json.loads(text, parse_constant=lambda c: pytest.fail(f"not JSON: {c}"))
+
+
 def run_json(argv):
     code, out = run(argv)
-    return code, json.loads(out)
+    return code, strict_json(out)
 
 
 class TestExpand:
@@ -182,6 +187,34 @@ class TestMaxent:
         )
         assert code == 1
         assert data["payload"]["converged"] is False
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--a0", "-1000"], "start point (a0, b0) = (-1000.0, 0.0) overflows exp"),
+            (["--energies", "0,1e300", "--b0", "-1"],
+             "start point (a0, b0) = (0.0, -1.0) overflows exp"),
+            (["--a0", "nan"], "not a rational number: 'nan'"),
+            (["--a0", "inf"], "not a rational number: 'inf'"),
+            (["--b0", "1e400"], "'1e400' is too large for a float"),
+            (["--stat", "bose-einstein", "--a0=-50"],
+             "maxent did not converge: the last iterate is not finite"),
+        ],
+    )
+    def test_bad_start_or_infinite_iterate_is_an_error(self, args, message, capsys):
+        argv = ["maxent", "--stat", "boltzmann-gibbs", "--energies", "0,1",
+                "--energy-target", "1/4"] + args
+        code, out = run(argv)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_start_point_is_a_rational(self):
+        code, data = run_json(
+            ["maxent", "--stat", "boltzmann-gibbs", "--energies", "0,1",
+             "--energy-target", "1/4", "--order", "8", "--a0", "1/3", "--b0=-1/2"]
+        )
+        assert code == 0
+        assert abs(data["payload"]["b"] - math.log(3)) < 1e-9
 
 
 @pytest.mark.parametrize(
@@ -395,6 +428,21 @@ def test_order_outside_ceiling_is_usage_error(argv, monkeypatch, capsys):
     assert f"is outside 1..{cli.MAX_ORDER}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m", ["-1", "129"])
+def test_twist_outside_ceiling_is_usage_error(m, monkeypatch, capsys):
+    monkeypatch.setattr(cli.cat, "get", lambda name: pytest.fail("series work done"))
+    with pytest.raises(SystemExit) as exc:
+        run(["compose", "--stat", "bose-einstein", "--stat2", "fermi-dirac", "--m", m])
+    assert exc.value.code == 2
+    assert f"{m} is outside 0..{cli.MAX_ORDER}" in capsys.readouterr().err
+
+
+def test_twist_at_ceiling_is_accepted():
+    code, data = run_json(["compose", "--stat", "bose-einstein", "--stat2", "fermi-dirac",
+                           "--m", str(cli.MAX_ORDER), "--order", "4"])
+    assert code == 0 and data["parameters"]["m"] == cli.MAX_ORDER
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "129", "10000"])
 def test_env_order_outside_ceiling_is_an_error(value, monkeypatch, capsys):
     monkeypatch.setenv("UMBRAL_ORDER", value)
@@ -562,7 +610,7 @@ _common = [
 ]
 _with_stat = [_flag("--stat", _stat), _params("--param")] + _common
 _small_int = hs.integers(-1, 5).map(str)
-_floats = hs.sampled_from(["0", "1", "-1", "nan", "inf"])
+_floats = hs.sampled_from(["0", "1", "-1", "-1000", "nan", "inf", "1e400"])
 
 _COMMANDS = {
     "expand": _with_stat + [
@@ -606,11 +654,14 @@ _argv = hs.sampled_from(sorted(_COMMANDS)).flatmap(
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_argv)
 def test_fuzzed_argv_ends_without_traceback(argv):
-    stderr = io.StringIO()
+    stderr, stdout = io.StringIO(), io.StringIO()
     with redirect_stderr(stderr):
         try:
-            code = cli.main(argv, stream=io.StringIO())
+            code = cli.main(argv, stream=stdout)
         except SystemExit as exc:  # argparse rejects the vector
             code = exc.code
     assert code in (0, 1, 2), argv
     assert "Traceback" not in stderr.getvalue(), argv
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    if stdout.getvalue() and fmt == "json":
+        strict_json(stdout.getvalue())

@@ -27,6 +27,7 @@ from umbral_stats.umbral import (
     conjugate_sheffer_sequence,
     connection_coefficients,
     first_binomial_failure,
+    first_convolution_failure,
     functional,
     poly_from_json,
     poly_to_json,
@@ -356,16 +357,25 @@ class TestUmbralInvariants:
             assert not binomial_identity_holds(perturbed, a, b, 5), (a, b)
             assert binomial_identity_holds(perturbed, a, b, 4)
 
+    @staticmethod
+    def first_failure(seq):
+        """first_binomial_failure(seq), checked to equal the least failing
+        degree of the convolution identity of W_n = p_n / n!."""
+        n = first_binomial_failure(seq)
+        W = [p.scale(F(1, factorial(k))) for k, p in enumerate(seq)]
+        assert first_convolution_failure(W) == n
+        return n
+
     def test_exact_check_passes_catalog_sequences(self):
         for name, fn in self.CATALOG_F.items():
             seq = conjugate_sequence(delta(fn), 8)
-            assert first_binomial_failure(seq) is None, name
+            assert self.first_failure(seq) is None, name
 
     def test_exact_check_fails_shifted_powers_at_one(self):
         polys = [Polynomial([1])]
         for _ in range(8):
             polys.append(polys[-1] * Polynomial([1, 1]))
-        assert first_binomial_failure(PolynomialSequence(polys)) == 1
+        assert self.first_failure(PolynomialSequence(polys)) == 1
 
     @staticmethod
     def bumped_lah(m, j):
@@ -377,19 +387,41 @@ class TestUmbralInvariants:
         return PolynomialSequence(polys)
 
     def test_exact_check_finds_perturbed_lah_degree(self):
-        assert first_binomial_failure(self.bumped_lah(5, 3)) == 5
+        assert self.first_failure(self.bumped_lah(5, 3)) == 5
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_perturbed_linear_coefficient_fails_one_degree_later(self, m):
         # p_m + c x keeps the degree-m identity: both sides gain c (x + y)
-        assert first_binomial_failure(self.bumped_lah(m, 1)) == m + 1
+        assert self.first_failure(self.bumped_lah(m, 1)) == m + 1
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_nonzero_constant_term_fails_at_its_degree(self, m):
-        assert first_binomial_failure(self.bumped_lah(m, 0)) == m
+        assert self.first_failure(self.bumped_lah(m, 0)) == m
 
     def test_perturbed_leading_coefficient_of_last_polynomial(self):
-        assert first_binomial_failure(self.bumped_lah(8, 8)) == 8
+        assert self.first_failure(self.bumped_lah(8, 8)) == 8
+
+    def test_convolution_check_needs_w0_equal_to_one(self):
+        lah = conjugate_sequence(delta(F_GEOM_SUM), 8)
+        W = [p.scale(F(1, factorial(k))) for k, p in enumerate(lah)]
+        assert first_convolution_failure(W) is None
+        for w0 in (Polynomial([2]), Polynomial([1, 1]), Polynomial()):
+            assert first_convolution_failure([w0] + W[1:]) == 0, w0
+
+    def test_convolution_check_fails_wrong_factorial_at_two(self):
+        # p_k / (k+1)! in place of p_k / k!: degrees 0 and 1 (W_0 = 1,
+        # W_1 = N/2) still hold
+        lah = conjugate_sequence(delta(F_GEOM_SUM), 8)
+        W = [p.scale(F(1, factorial(k + 1))) for k, p in enumerate(lah)]
+        assert first_convolution_failure(W) == 2
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_convolution_check_fails_a_degree_above_k_at_k(self, k):
+        # W_k + N^(k+1): the identity forces deg W_k <= k
+        lah = conjugate_sequence(delta(F_GEOM_SUM), 8)
+        W = [p.scale(F(1, factorial(j))) for j, p in enumerate(lah)]
+        W[k] = W[k] + poly_x(k + 1)
+        assert first_convolution_failure(W) == k
 
     def test_integer_table_is_built_once(self):
         seq = conjugate_sequence(delta(F_GEOM_SUM), 6)

@@ -69,10 +69,12 @@ def test_random_statistics_is_seed_deterministic():
     assert a == b
 
 
-def test_binomial_suite_draws_no_random_numbers(monkeypatch):
+@pytest.mark.parametrize("suite", ["binomial", "occupation"])
+def test_exact_suites_draw_no_random_numbers(monkeypatch, suite):
     monkeypatch.setattr(verify.random, "Random", lambda *a: pytest.fail("drew"))
-    results = verify.suite_binomial(8, 0)
-    assert len(results) == 20 and all(r.passed for r in results)
+    results = verify._SUITE_FUNCTIONS[suite](8, 0)
+    checks = {"binomial": 20, "occupation": 40}[suite]  # 20 catalog entries
+    assert len(results) == checks and all(r.passed for r in results)
 
 
 def test_binomial_suite_reports_first_failing_degree(monkeypatch):
@@ -96,18 +98,21 @@ def test_binomial_suite_reports_first_failing_degree(monkeypatch):
 
 
 def test_occupation_recursion_reports_first_failing_triple(monkeypatch):
-    real = verify.st.convolution_holds
-    planted = {(0, 1, 2), (3, 4, 5)}
+    # The suite checks the polynomials exactly, so the plant is a wrong W_k:
+    # one more N^2 in W_k breaks the identity first at degree k.
+    real = verify.st.occupation_polynomials
+    for k in (2, 5, 8):
+        def planted(stat, k_max, k=k):
+            W = real(stat, k_max)
+            bumped = list(W[k].coeffs)
+            bumped[2] += 1
+            W[k] = Polynomial(bumped)
+            return W
 
-    def holds(W, n1, n2, k):
-        if type(n1) is int and (n1, n2, k) in planted:
-            return False
-        return real(W, n1, n2, k)
-
-    monkeypatch.setattr(verify.st, "convolution_holds", holds)
-    results = [r for r in verify.suite_occupation(8, 0) if r.name.startswith("recursion:")]
-    assert len(results) == 20
-    assert all(not r.passed and r.detail == "(N1,N2,k)=(0,1,2)" for r in results)
+        monkeypatch.setattr(verify.st, "occupation_polynomials", planted)
+        results = verify.suite_occupation(8, 0)
+        assert len(results) == 40
+        assert all(not r.passed and r.detail == f"k={k}" for r in results), k
 
 
 def test_result_stops_at_first_failure():
