@@ -385,8 +385,24 @@ def cmd_oeis_check(args, stream) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a word made of "-" and a digit, or "-."
+    and a digit, and whatever follows, as a value, never as an option.
+
+    argparse takes only integers and plain decimals such as "-1" or "-0.5"
+    for negative values, so "--energy-target -1/4" or "--points -1/3,0"
+    would end in "expected one argument".  No option of this CLI starts
+    with "-" and a digit, and "-x" stays an unknown option.  Subparsers
+    are built with the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="umbral-stats",
         description="exact series engine for interpolating statistics, "
         "polynomial sequences, and deformed entropy",

@@ -37,22 +37,22 @@ from .series import (
     RationalLike,
     TruncatedSeries,
     _ZERO,
+    _append_over,
+    _numerators,
     _series,
     as_rational,
     compose,
     derivative,
+    divide,
     evaluate,
-    exp_series,
     identity,
     integrate_extend,
     lagrange_invert,
     log_series,
     logseries_compose,
     logseries_derivative,
-    mul,
     reciprocal,
     shift_down,
-    shift_up,
 )
 from .statistics import Statistics
 
@@ -165,13 +165,32 @@ def a_coefficients(phi: PhiSeries, n_max: int | None = None) -> list[Fraction]:
 
 
 def x_from_phi(phi: PhiSeries) -> TruncatedSeries:
-    """X(p) = p * exp(sum a_n p^n / n) = exp(ln_phi(p))."""
-    return shift_up(exp_series(ln_phi(phi).plain))
+    """X(p) = p * exp(sum a_n p^n / n) = exp(ln_phi(p)).
+
+    X is the solution of phi X' = X with X = p + O(p^2); comparing the
+    p^M coefficients gives (M-1) x_M = -sum_{j=2..M} c_j (M-j+1) x_{M-j+1}
+    for phi = sum c_j p^j.  With c_j = C_j / d and the values found so far
+    k x_k = Z_k / Q, x_M = -sum_j C_j Z_{M-j+1} / ((M-1) d Q).
+    """
+    C, d = _numerators(phi.series.coeffs)
+    terms = [(j, c) for j, c in enumerate(C[2:], 2) if c]
+    out = [_ZERO, Fraction(1)]
+    Z, Q = [0, 1], 1
+    for M in range(2, phi.order + 1):
+        acc = 0
+        for j, c in terms:
+            if j > M:
+                break
+            acc += c * Z[M - j + 1]
+        x = Fraction(-acc, (M - 1) * d * Q) if acc else _ZERO
+        out.append(x)
+        Q = _append_over(Z, Q, M * x.numerator, x.denominator)
+    return _series(out)
 
 
 def phi_from_x(X: TruncatedSeries) -> PhiSeries:
     """phi(u) = X(u) / X'(u) = 1 / (d/du log X(u)); inverse of x_from_phi."""
-    return PhiSeries(mul(X, reciprocal(derivative(X))))
+    return PhiSeries(divide(X, derivative(X)))
 
 
 def map_g(phi: PhiSeries, name: str = "from-kernel") -> Statistics:
@@ -365,8 +384,13 @@ def map_h(stat: Statistics) -> EntropyDensity:
 
 
 def tau(phi: PhiSeries) -> PhiSeries:
-    """The involution on kernels induced by the weight-function duality."""
-    return map_g_inverse(st.dual(map_g(phi)))
+    """The involution on kernels induced by the weight-function duality.
+
+    The statistics of phi has weight-function inverse X = x_from_phi(phi),
+    and its dual has weight function X, hence inverse X^-1: so
+    tau(phi) = phi_from_x(X^-1), one inversion and no statistics built.
+    """
+    return phi_from_x(lagrange_invert(x_from_phi(phi)))
 
 
 def rho(h: EntropyDensity) -> EntropyDensity:

@@ -10,20 +10,21 @@ an operation loses information, e.g. differentiation).
 Coefficients are stored as :class:`fractions.Fraction`; nothing here ever
 rounds.  The hot kernels (:func:`mul`, :func:`powers`, :func:`compose`,
 :func:`lagrange_invert`, :func:`exp_series`, :func:`log_series`,
-:func:`reciprocal` and evaluation at a rational point) clear denominators
-once per call: they write each operand as ``int`` numerators over its least
-common denominator, run their inner loops on ``int``s alone and build one
-``Fraction`` per output coefficient, as FLINT's ``fmpq_poly`` does.  One
-power table, ``_int_powers``, serves :func:`powers`, :func:`compose` and
-:func:`lagrange_invert`, which solves a triangular system on the powers of
-its argument.  Inversion and the three recurrences (exp, log, reciprocal)
-also keep the outputs found so far as ``int`` numerators over the lcm of
-their denominators, so their integers stay the size of the reduced
-coefficients.  The kernels compute and do not check themselves: identities
-such as compose(a, lagrange_invert(a)) = X are checked by
-:mod:`umbral_stats.verify` and the tests.  :class:`LogSeries` extends the
-model with a single logarithmic generator: it represents
-``A(p) + B(p) * log(p)`` for truncated series ``A`` and ``B``.
+:func:`reciprocal`, :func:`divide` and evaluation at a rational point)
+clear denominators once per call: they write each operand as ``int``
+numerators over its least common denominator, run their inner loops on
+``int``s alone and build one ``Fraction`` per output coefficient, as
+FLINT's ``fmpq_poly`` does.  One power table, ``_int_powers``, serves
+:func:`powers`, :func:`compose` and :func:`lagrange_invert`, which solves
+a triangular system on the powers of its argument.  Inversion and the four
+recurrences (exp, log, reciprocal, divide) also keep the outputs found so
+far as ``int`` numerators over the lcm of their denominators, so their
+integers stay the size of the reduced coefficients.  The kernels compute
+and do not check themselves: identities such as
+compose(a, lagrange_invert(a)) = X are checked by :mod:`umbral_stats.verify`
+and the tests.  :class:`LogSeries` extends the model with a single
+logarithmic generator: it represents ``A(p) + B(p) * log(p)`` for truncated
+series ``A`` and ``B``.
 """
 
 from __future__ import annotations
@@ -233,16 +234,20 @@ def shift_down(a: TruncatedSeries) -> TruncatedSeries:
 
 
 def _int_powers(
-    base: TruncatedSeries, n: int, start: TruncatedSeries | None = None
+    base: TruncatedSeries,
+    n: int,
+    start: TruncatedSeries | None = None,
+    last: int | None = None,
 ) -> tuple[list[list[int]], int, int]:
-    """(rows, ds, d) with start * base**k == rows[k] / (ds * d**k) through X^n."""
+    """(rows, ds, d) with start * base**k == rows[k] / (ds * d**k) through X^n,
+    for k = 0..last (default n)."""
     b, d = _numerators(base.truncate(n).coeffs)
     if start is None:
         row, ds = [1] + [0] * n, 1
     else:
         row, ds = _numerators(start.truncate(n).coeffs)
     rows = [row]
-    for _ in range(n):
+    for _ in range(n if last is None else last):
         row = _int_mul(row, b, n)
         rows.append(row)
     return rows, ds, d
@@ -267,13 +272,15 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     Sums outer_k * inner**k over the power table of ``inner``: with
     outer_k = O_k / do and inner**k = I_k / d**k, the result is
     sum_k O_k d**(n-k) I_k / (do d**n), valid through
-    ``min(outer.order, inner.order)``.
+    ``min(outer.order, inner.order)``.  The table stops at the last
+    nonzero O_k, so an outer series of degree e costs e products.
     """
     if inner.coeffs[0] != 0:
         raise ValueError("composition requires inner series with zero constant term")
     n = min(outer.order, inner.order)
     o, do = _numerators(outer.coeffs[: n + 1])
-    rows, _, d = _int_powers(inner, n)
+    last = next((k for k in range(n, 0, -1) if o[k]), 0)
+    rows, _, d = _int_powers(inner, n, last=last)
     out = [0] * (n + 1)
     for k, row in enumerate(rows):
         if o[k]:
@@ -387,6 +394,33 @@ def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
             if A[k]:
                 acc -= A[k] * Y[m - k]
         y = Fraction(acc, A[0] * Q) if acc else _ZERO
+        out.append(y)
+        Q = _append_over(Y, Q, y.numerator, y.denominator)
+    return _series(out)
+
+
+def divide(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """a / b for a series b with nonzero constant term, truncated at the
+    smaller input order.
+
+    Uses b_0 y_m = a_m - sum_{k>=1} b_k y_{m-k}.  With a_k = A_k / da,
+    b_k = B_k / db and the outputs so far y_j = Y_j / Q,
+    y_m = (A_m db Q - da sum_k B_k Y_{m-k}) / (da B_0 Q).
+    """
+    if b.coeffs[0] == 0:
+        raise ValueError("division requires a divisor with nonzero constant term")
+    n = min(a.order, b.order)
+    A, da = _numerators(a.coeffs[: n + 1])
+    B, db = _numerators(b.coeffs[: n + 1])
+    out = []
+    Y, Q = [], 1
+    for m in range(n + 1):
+        acc = 0
+        for k in range(1, m + 1):
+            if B[k]:
+                acc += B[k] * Y[m - k]
+        num = A[m] * db * Q - da * acc
+        y = Fraction(num, da * B[0] * Q) if num else _ZERO
         out.append(y)
         Q = _append_over(Y, Q, y.numerator, y.denominator)
     return _series(out)

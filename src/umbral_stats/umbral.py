@@ -22,7 +22,6 @@ from .series import (
     _ZERO,
     _horner,
     _int_horner,
-    _int_mul,
     _int_powers,
     _numerators,
     RationalLike,
@@ -492,9 +491,15 @@ def _first_convolution_failure(
     the least t-degree where one of the conditions above fails.  Since
     G_1(0) = 0 makes G_j = O(t^j), a W_k of degree above k fails by degree k.
 
+    So only the triangle k > j need be compared: below the least k whose
+    W_k has degree above k, [t^k] G_j = 0 for k < j, and both sides of
+    G_1 G_j = (j+1) G_{j+1} vanish below t^(j+1).  Each column is compared
+    up to the least failing degree found so far, and stops at its own first
+    failure.
+
     In integers: every column lies over L = lcm_k(d_k weights[k]),
     G_j = C_j / L, and G_1 G_j = (j+1) G_{j+1} reads
-    C_1 C_j = (j+1) L C_{j+1}.  That is N - 1 integer Cauchy products for
+    C_1 C_j = (j+1) L C_{j+1}, a triangle of integer products for
     W_0..W_N; no Fraction is built.
     """
     N = len(table) - 1
@@ -507,10 +512,17 @@ def _first_convolution_failure(
             C[j][k] = c * (L // s)
     bad = [k for k, (nums, _) in enumerate(table) if len(nums) > k + 1]
     bad += [k for k in range(N + 1) if C[0][k] != (L if k == 0 else 0)]
+    least = min(bad, default=N + 1)
     for j in range(1, N):
-        lhs = _int_mul(C[1], C[j], N)
-        bad += [k for k in range(N + 1) if lhs[k] != (j + 1) * L * C[j + 1][k]]
-    return min(bad, default=None)
+        C1, Cj, Cnext, factor = C[1], C[j], C[j + 1], (j + 1) * L
+        for k in range(j + 1, least):
+            acc = 0
+            for i in range(1, k - j + 1):
+                acc += C1[i] * Cj[k - i]
+            if acc != factor * Cnext[k]:
+                least = k
+                break
+    return least if least <= N else None
 
 
 def first_convolution_failure(W: Sequence[Polynomial]) -> int | None:

@@ -8,7 +8,7 @@ partitions/compositions, and textbook closed forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from umbral_stats.umbral import Polynomial, poly_x
 
@@ -254,3 +254,38 @@ def schoolbook_binomial_defect(seq, n: int) -> list[list[Fraction]]:
             for j, b in enumerate(seq[n - k].coeffs):
                 D[i][j] -= comb(n, k) * a * b
     return D
+
+
+# -- earlier library routes, kept as references for their faster successors -----
+
+
+def tau_through_statistics(phi):
+    """tau(phi) by the round trip through the statistics space: the kernel
+    of the dual of the statistics of phi."""
+    from umbral_stats import deformed_entropy as de
+    from umbral_stats import statistics as st
+
+    return de.map_g_inverse(st.dual(de.map_g(phi)))
+
+
+def full_convolution_failure(table, weights) -> int | None:
+    """Least k at which W_0 = 1 or W_k(x+y) = sum_i W_i(x) W_{k-i}(y) fails,
+    or None, for W_k = N_k / (d_k weights[k]) with (N_k, d_k) = table[k].
+
+    Compares the whole columns of G_1 G_j = (j+1) G_{j+1}, G_j the x^j
+    column of sum_k W_k t^k, at every t-degree, over one common
+    denominator, and checks deg W_k <= k and G_0 = 1.
+    """
+    N = len(table) - 1
+    scales = [d * c for (_, d), c in zip(table, weights)]
+    L = lcm(*scales)
+    C = [[0] * (N + 1) for _ in range(N + 1)]
+    for k, ((nums, _), s) in enumerate(zip(table, scales)):
+        for j, c in enumerate(nums[: N + 1]):
+            C[j][k] = c * (L // s)
+    bad = [k for k, (nums, _) in enumerate(table) if len(nums) > k + 1]
+    bad += [k for k in range(N + 1) if C[0][k] != (L if k == 0 else 0)]
+    for j in range(1, N):
+        lhs = [sum(C[1][i] * C[j][k - i] for i in range(k + 1)) for k in range(N + 1)]
+        bad += [k for k in range(N + 1) if lhs[k] != (j + 1) * L * C[j + 1][k]]
+    return min(bad, default=None)

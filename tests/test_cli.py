@@ -428,6 +428,85 @@ def test_order_outside_ceiling_is_usage_error(argv, monkeypatch, capsys):
     assert f"is outside 1..{cli.MAX_ORDER}" in capsys.readouterr().err
 
 
+# -- negative rationals as separate words ---------------------------------------
+
+NEGATIVE_VALUES = [
+    ["maxent", "--stat", "boltzmann-gibbs", "--energies", "-1/2,1",
+     "--energy-target", "-1/4", "--order", "8"],
+    ["maxent", "--stat", "bose-einstein", "--energies", "0,1/2,1",
+     "--energy-target", "1/4", "--a0", "-1/2", "--b0", "-1/3", "--order", "8"],
+    ["maxent", "--stat", "boltzmann-gibbs", "--energies", "0,1",
+     "--energy-target", "1/4", "--number-target", "-1", "--order", "8"],
+    ["spectral", "--stat", "fermi-dirac", "--points", "-1/3,0", "--order", "8"],
+    ["spectral", "--stat", "fermi-dirac", "--points", "-.5e-1", "--order", "8"],
+]
+
+
+def _joined(argv):
+    """argv with every option and the negative word after it as one --opt=value."""
+    out, words = [], iter(argv)
+    for word in words:
+        out.append(word)
+        if word.startswith("--"):
+            value = next(words)
+            if value.startswith("-"):
+                out[-1] = f"{word}={value}"
+            else:
+                out.append(value)
+    return out
+
+
+def _without_time(record):
+    return {k: v for k, v in record.items() if k != "elapsed_seconds"}
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_VALUES, ids=lambda a: " ".join(a[:1] + a[3:]))
+def test_negative_rational_as_separate_word(argv):
+    """A negative rational after an option is its value, as with --opt=value."""
+    assert _joined(argv) != argv
+    code, data = run_json(argv)
+    joined_code, joined = run_json(_joined(argv))
+    assert (code, _without_time(data)) == (joined_code, _without_time(joined))
+
+
+def test_negative_energy_target_converges():
+    code, data = run_json(NEGATIVE_VALUES[0])
+    assert code == 0 and data["payload"]["converged"] is True
+    assert data["parameters"]["energy_target"] == "-1/4"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectral", "--stat", "fermi-dirac", "--points", "-x"],
+         "argument --points: expected one argument"),
+        (["spectral", "--stat", "fermi-dirac", "--points", "0", "-x"],
+         "unrecognized arguments: -x"),
+        (["maxent", "--stat", "boltzmann-gibbs", "--energies", "0,1",
+          "--energy-target", "-x"], "argument --energy-target: expected one argument"),
+    ],
+)
+def test_word_that_is_not_a_number_is_still_an_option(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_negative_g_coeffs_reach_the_sequence_check(capsys):
+    # g(0) = -1 gives s_0 = -1: the value is read, and the library rejects it
+    code, out = run(["polyseq", "--stat", "exponential", "--kind", "sheffer",
+                     "--n", "2", "--g-coeffs", "-1,0,1/2"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: sequence must start with p_0 = 1\n"
+
+
+def test_malformed_negative_rational_is_an_error_line(capsys):
+    code, out = run(["spectral", "--stat", "fermi-dirac", "--points", "-1/x"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err.startswith("error: not a rational number: '-1/x'")
+
+
 @pytest.mark.parametrize("m", ["-1", "129"])
 def test_twist_outside_ceiling_is_usage_error(m, monkeypatch, capsys):
     monkeypatch.setattr(cli.cat, "get", lambda name: pytest.fail("series work done"))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from oracles import bernoulli_numbers, weighted_multinomial_sum
+from oracles import bernoulli_numbers, tau_through_statistics, weighted_multinomial_sum
 from umbral_stats import catalog as cat
 from umbral_stats import deformed_entropy as de
 from umbral_stats import series as fps
@@ -409,6 +409,80 @@ class TestDensityBijection:
     def test_kernel_json_roundtrip(self):
         phi = PhiSeries.from_t([F(1, 2), F(-1)], order=7)
         assert de.phi_from_json(de.phi_to_json(phi)) == phi
+
+
+def kernels(order):
+    """A sparse kernel (T_1, T_2 only), a dense one (every T_n) and one with
+    large denominators, at one order."""
+    rng = random.Random(order)
+    dense = [F(rng.randint(-9, 9), rng.randint(1, 2**40)) for _ in range(order - 1)]
+    return [
+        PhiSeries.from_t(random_t(rng, min(2, order - 1)), order=order),
+        PhiSeries.from_t(random_t(rng, order - 1), order=order),
+        PhiSeries.from_t(dense, order=order),
+    ]
+
+
+class TestKernelMaps:
+    """x_from_phi's recurrence, phi_from_x's division and tau's direct route
+    against the routes they replaced."""
+
+    @pytest.mark.parametrize("order", range(1, 33))
+    def test_x_from_phi_matches_exp_of_ln_phi(self, order):
+        for phi in kernels(order):
+            expected = fps.shift_up(fps.exp_series(de.ln_phi(phi).plain))
+            assert de.x_from_phi(phi) == expected
+
+    def test_x_from_phi_of_catalog_kernels(self):
+        for name in cat.entries_in_space():
+            phi = de.map_g_inverse(cat.build(name, 24))
+            expected = fps.shift_up(fps.exp_series(de.ln_phi(phi).plain))
+            assert de.x_from_phi(phi) == expected, name
+
+    @pytest.mark.parametrize("order", range(2, 21))
+    def test_phi_from_x_matches_product_with_reciprocal(self, order):
+        for phi in kernels(order):
+            X = de.x_from_phi(phi)
+            expected = fps.mul(X, fps.reciprocal(fps.derivative(X)))
+            assert de.phi_from_x(X).series == expected
+
+    @pytest.mark.parametrize("order", range(2, 21))
+    def test_tau_matches_statistics_round_trip(self, order):
+        for phi in kernels(order):
+            assert de.tau(phi) == tau_through_statistics(phi)
+
+    def test_tau_of_catalog_kernels_matches_statistics_round_trip(self):
+        for name in cat.entries_in_space():
+            phi = de.map_g_inverse(cat.build(name, 16))
+            assert de.tau(phi) == tau_through_statistics(phi), name
+
+    def test_tau_at_order_1_fails_as_the_round_trip_does(self):
+        phi = PhiSeries.from_t([], order=1)
+        with pytest.raises(ValueError) as direct:
+            de.tau(phi)
+        with pytest.raises(ValueError) as round_trip:
+            tau_through_statistics(phi)
+        assert str(direct.value) == str(round_trip.value)
+
+    def test_tau_builds_no_statistics_and_inverts_once(self, monkeypatch):
+        built, inverted = [], []
+        real_init, real_invert = st.Statistics.__init__, de.lagrange_invert
+
+        def init(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        def invert(a):
+            inverted.append(a)
+            return real_invert(a)
+
+        monkeypatch.setattr(st.Statistics, "__init__", init)
+        monkeypatch.setattr(de, "lagrange_invert", invert)
+        phi = PhiSeries.from_t([F(1, 2), F(-1, 3), F(2)], order=10)
+        de.tau(phi)
+        assert built == [] and len(inverted) == 1
+        tau_through_statistics(phi)  # the spies see the old route's statistics
+        assert len(built) == 2
 
 
 class TestInvolutions:

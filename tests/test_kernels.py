@@ -7,8 +7,9 @@ large denominators, several linear and constant coefficients and awkward
 rational points.
 """
 
+import random
 from fractions import Fraction as F
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as hs
 
 from oracles import (
     divide_series,
+    full_convolution_failure,
     schoolbook_binomial_defect,
     schoolbook_compose,
     schoolbook_eval,
@@ -26,11 +28,12 @@ from oracles import (
 )
 from umbral_stats import catalog
 from umbral_stats import series as fps
-from umbral_stats.series import TruncatedSeries
+from umbral_stats.series import TruncatedSeries, _numerators
 from umbral_stats.umbral import (
     DeltaSeries,
     Polynomial,
     PolynomialSequence,
+    _first_convolution_failure,
     binomial_identity_holds,
     conjugate_sequence,
     first_binomial_failure,
@@ -104,6 +107,39 @@ def test_compose_matches_schoolbook(data, n):
     assert list(result.coeffs) == schoolbook_compose(outer, inner, n)
 
 
+def count_products(monkeypatch) -> list:
+    """Record the truncation order of every integer Cauchy product."""
+    calls = []
+    real = fps._int_mul
+
+    def counted(x, y, n):
+        calls.append(n)
+        return real(x, y, n)
+
+    monkeypatch.setattr(fps, "_int_mul", counted)
+    return calls
+
+
+@pytest.mark.parametrize("degree", range(9))
+def test_compose_builds_power_rows_through_the_last_outer_term(monkeypatch, degree):
+    """One product per power of the inner series up to the outer series'
+    last nonzero coefficient, whatever the order."""
+    inner = catalog.build("bose-einstein", 12).w
+    outer = [F(0)] * 13
+    outer[: degree + 1] = [F(k - 3, k + 1) for k in range(degree)] + [F(-7, 2)]
+    calls = count_products(monkeypatch)
+    result = fps.compose(TruncatedSeries(outer), inner)
+    assert len(calls) == degree
+    assert list(result.coeffs) == schoolbook_compose(outer, list(inner.coeffs), 12)
+
+
+def test_compose_with_minus_x_is_one_product(monkeypatch):
+    w = catalog.build("abel", 16).w
+    calls = count_products(monkeypatch)
+    assert fps.compose(-fps.identity(16), w) == -w
+    assert len(calls) == 1
+
+
 @kernel_settings
 @given(hs.data(), orders)
 def test_powers_match_repeated_schoolbook_products(data, n):
@@ -169,6 +205,22 @@ def test_reciprocal_matches_long_division(data, n, c0):
 
 
 @kernel_settings
+@given(hs.data(), orders, orders, hs.sampled_from(CONSTANTS))
+def test_divide_matches_long_division(data, na, nb, c0):
+    a = data.draw(coefficient_lists(na) | low_degree_lists(na))
+    b = data.draw(coefficient_lists(nb) | low_degree_lists(nb))
+    b[0] = c0
+    n = min(na, nb)
+    quotient = fps.divide(TruncatedSeries(a), TruncatedSeries(b))
+    assert list(quotient.coeffs) == divide_series(a, b, n)
+
+
+def test_divide_rejects_zero_constant_divisor():
+    with pytest.raises(ValueError, match="nonzero constant term"):
+        fps.divide(fps.one(3), fps.identity(3))
+
+
+@kernel_settings
 @given(hs.data(), hs.integers(1, 8), point, point, hs.booleans())
 def test_binomial_check_matches_termwise_evaluation(data, n, a, b, perturb):
     """The integer check against Fraction sums, on conjugate sequences of
@@ -222,6 +274,56 @@ def test_exact_binomial_check_matches_coefficient_defect(data, n, a, b, perturb)
     for m in range(n + 1):
         if not binomial_identity_holds(seq, a, b, m):
             assert first is not None and first <= m
+
+
+def _tables(seq):
+    """The binomial-type table of p_0..p_n with weights n!, and the
+    convolution table of W_k = p_k / k! with weights 1."""
+    n = len(seq) - 1
+    factorials = [factorial(k) for k in range(n + 1)]
+    W = [[c / factorials[k] for c in p.coeffs] for k, p in enumerate(seq)]
+    return [
+        ([list(p.coeffs) for p in seq], factorials),
+        (W, [1] * (n + 1)),
+    ]
+
+
+def _perturbed(polys, positions, bump):
+    out = [list(p) for p in polys]
+    for k, j in positions:
+        out[k] += [F(0)] * (j + 1 - len(out[k]))
+        out[k][j] += bump
+    return [_numerators(p) for p in out]
+
+
+DEGREE = 5
+# every coefficient of W_0..W_DEGREE, and the one above each degree
+POSITIONS = [(k, j) for k in range(DEGREE + 1) for j in range(k + 2)]
+
+
+@pytest.mark.parametrize("name", ["bose-einstein", "abel", "random"])
+def test_triangle_check_matches_full_columns(name):
+    """The least failing degree equals that of the full-column check, with
+    weights n! and weights 1, for one or two coefficients perturbed at every
+    position, the degree-raising ones included."""
+    if name == "random":
+        rng = random.Random(7)
+        tail = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(DEGREE - 1)]
+        F_series = TruncatedSeries([F(0), F(-2, 3)] + tail)
+    else:
+        F_series = catalog.build(name, DEGREE).F
+    seq = conjugate_sequence(DeltaSeries(F_series), DEGREE)
+    for polys, weights in _tables(seq):
+        table = [_numerators(p) for p in polys]
+        assert _first_convolution_failure(table, weights) is None
+        assert full_convolution_failure(table, weights) is None
+        for i, first in enumerate(POSITIONS):
+            pairs = [(first, second) for second in POSITIONS[i + 1:]]
+            for positions in [(first,)] + pairs:
+                table = _perturbed(polys, positions, F(1, 3))
+                assert _first_convolution_failure(table, weights) == (
+                    full_convolution_failure(table, weights)
+                ), positions
 
 
 def test_zero_polynomial_evaluates_to_zero():
@@ -278,3 +380,17 @@ def test_kernels_match_sympy_ring_series(rs, data, n):
     unit = [F(1)] + delta[1:]
     log = ring_series.rs_log(to_ring(unit, x), x, n + 1)
     assert list(fps.log_series(TruncatedSeries(unit)).coeffs) == from_ring(log, n, x)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(hs.data(), orders)
+def test_divide_matches_sympy_ring_series(rs, data, n):
+    ring_series, x, y, to_ring, from_ring = rs
+    a = data.draw(coefficient_lists(n))
+    b = data.draw(coefficient_lists(n))
+    b[0] = data.draw(hs.sampled_from(CONSTANTS))
+    inverse = ring_series.rs_series_inversion(to_ring(b, x), x, n + 1)
+    quotient = ring_series.rs_mul(to_ring(a, x), inverse, x, n + 1)
+    assert list(fps.divide(TruncatedSeries(a), TruncatedSeries(b)).coeffs) == from_ring(
+        quotient, n, x
+    )
