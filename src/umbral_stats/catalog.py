@@ -131,8 +131,9 @@ def _cached_build(name: str, order: int, frozen: tuple) -> Statistics:
 # The quantities of an in-space entry: each maps to the number of orders it
 # loses against its statistics, and how it is computed from (stat, entry).
 # phi = X/X' and ln_phi = log p + log(X/p) lose one, as X' and X/p do, and
-# phi_in_X and xi, built from phi, lose the same one; gamma holds
-# p_0..p_min(8, n), the degrees a statistics of order n determines.
+# phi_in_X, built from phi, loses the same one; xi = integral X'/(X/p) gains
+# back the one its integrand loses; gamma holds p_0..p_min(8, n), the degrees
+# a statistics of order n determines.
 _QUANTITIES: dict[str, tuple[int, Callable[[Statistics, CatalogEntry], object]]] = {
     "F": (0, lambda stat, entry: stat.F),
     "z": (0, lambda stat, entry: stat.z),
@@ -140,7 +141,7 @@ _QUANTITIES: dict[str, tuple[int, Callable[[Statistics, CatalogEntry], object]]]
     "X_of_w": (0, lambda stat, entry: stat.X_of_w),
     "phi": (1, lambda stat, entry: map_g_inverse(stat).series),
     "phi_in_X": (1, lambda stat, entry: fps.compose(map_g_inverse(stat).series, stat.w)),
-    "xi": (1, lambda stat, entry: xi(stat)),
+    "xi": (0, lambda stat, entry: xi(stat)),
     "ln_phi": (1, lambda stat, entry: ln_phi(stat)),
     "entropy": (0, lambda stat, entry: st.entropy(stat)),
     "phi_entropy": (

@@ -10,13 +10,15 @@ A deformation kernel phi(p) = p - sum_{n>=2} T_{n-1} p^n determines
   corresponding free energy F, and
 * the entropy density H0(p) = F(X(p)) - p log X(p).
 
-For a statistics, the kernel, log X and the plain part of H0 are computed
-once and kept in its memo (:meth:`Statistics.derived`); a kernel argument
-builds a fresh statistics each call.  The plain part of H0 is read off
-L(u) = log(X(u)/u) with no composition: w(X(u)) = u gives
-d/du F(X(u)) = F'(X) X' = u X'/X = 1 + u L'(u), so
-F(X(u)) = u + sum_{m>=2} (m-1) L_{m-1} u^m / m and, as log X = log u + L,
-H0(u) = u - sum_{m>=2} L_{m-1} u^m / m - u log u.
+All four are read off one series, G(u) = u/phi(u) = 1 + sum a_n u^n: the
+a_n of ln_phi are its coefficients, and they are also the s_n of the
+entropy density.  For a kernel, G = 1/(phi/u); for a statistics,
+G = u X'/X = X'/(X/u), computed once and kept in its memo
+(:meth:`Statistics.derived`).  No statistics is built for a kernel.
+Then xi = integral G, and the plain part of H0 needs no composition:
+w(X(u)) = u gives d/du F(X(u)) = F'(X) X' = u X'/X = G, so
+F(X(u)) = u + sum a_n u^(n+1) / (n+1) and, as log X = log u + sum a_n u^n / n,
+H0(u) = u - sum_{n>=1} a_n u^(n+1) / (n(n+1)) - u log u.
 
 Everything is computed in constant-normalized form: the scalar constants
 log X(1) and F(X(1)) - log X(1) that a definite lower integration bound
@@ -41,14 +43,12 @@ from .series import (
     _numerators,
     _series,
     as_rational,
-    compose,
     derivative,
     divide,
     evaluate,
     identity,
     integrate_extend,
     lagrange_invert,
-    log_series,
     logseries_compose,
     logseries_derivative,
     reciprocal,
@@ -143,8 +143,15 @@ class EntropyDensity:
 PhiOrStatistics = Union[PhiSeries, Statistics]
 
 
-def _as_statistics(arg: PhiOrStatistics) -> Statistics:
-    return map_g(arg) if isinstance(arg, PhiSeries) else arg
+def _g(arg: PhiOrStatistics) -> TruncatedSeries:
+    """G(u) = u/phi(u) = 1 + sum a_n u^n, the series every quantity here is
+    read off.  A kernel's G is 1/(phi/u).  A statistics' G is X'/(X/u),
+    through u^(n-1) at order n, and is computed once per statistics."""
+    if isinstance(arg, PhiSeries):
+        return reciprocal(shift_down(arg.series))
+    return arg.derived(
+        "G", lambda: divide(derivative(arg.X_of_w), shift_down(arg.X_of_w))
+    )
 
 
 # -- the correspondence with statistics ---------------------------------------
@@ -154,9 +161,9 @@ def a_coefficients(phi: PhiSeries, n_max: int | None = None) -> list[Fraction]:
     """a_1..a_{n_max} in ln_phi(p) = log p + sum a_n p^n / n.
 
     Since 1/phi = (1/p) * (p/phi), the a_n are the coefficients of the
-    unit series p/phi(p).
+    unit series G = p/phi(p).
     """
-    G = reciprocal(shift_down(phi.series))
+    G = _g(phi)
     if n_max is None:
         n_max = G.order
     if n_max > G.order:
@@ -205,11 +212,6 @@ def map_g_inverse(stat: Statistics) -> PhiSeries:
     return stat.derived("phi", lambda: phi_from_x(stat.X_of_w))
 
 
-def _log_X(stat: Statistics) -> TruncatedSeries:
-    """log(X(u)/u), the plain part of ln_phi(stat), computed once per statistics."""
-    return stat.derived("log_X", lambda: log_series(shift_down(stat.X_of_w)))
-
-
 # -- deformed logarithm, exponential, xi, chi ---------------------------------
 
 
@@ -217,33 +219,31 @@ def ln_phi(arg: PhiOrStatistics) -> LogSeries:
     """The normalized deformed logarithm log X(p) = log p + sum a_n p^n / n.
 
     The scalar constant -log X(1) of the definite integral is dropped.
-    For a statistics, the plain part is computed once.
     """
-    if isinstance(arg, PhiSeries):
-        a = a_coefficients(arg)
-        plain = TruncatedSeries(
-            [Fraction(0)] + [c / (k + 1) for k, c in enumerate(a)]
-        )
-    else:
-        plain = _log_X(arg)
-    logpart = TruncatedSeries([Fraction(1)] + [Fraction(0)] * plain.order)
-    return LogSeries(plain, logpart)
+    return _ln_phi(_g(arg))
+
+
+def _ln_phi(G: TruncatedSeries) -> LogSeries:
+    plain = _series(
+        [_ZERO] + [c / n if c else _ZERO for n, c in enumerate(G.coeffs[1:], 1)]
+    )
+    return LogSeries(plain, _series([Fraction(1)] + [_ZERO] * plain.order))
 
 
 def exp_phi(arg: PhiOrStatistics) -> TruncatedSeries:
     """The deformed exponential, structurally: p as a series in q = exp(ln_phi p),
     which is exactly the weight function of the corresponding statistics."""
-    return _as_statistics(arg).w
+    return (map_g(arg) if isinstance(arg, PhiSeries) else arg).w
 
 
 def xi(arg: PhiOrStatistics) -> TruncatedSeries:
-    """xi(u) = integral_0^u v/phi(v) dv, which equals F(X(u)).
+    """xi(u) = integral_0^u v/phi(v) dv = integral G, which equals F(X(u)).
 
     Computed by the integral, the shorter of the two routes; the suite
-    ``verify.suite_xi`` and the tests compare it with F(X(u)).
+    ``verify.suite_xi`` and the tests compare it with F(X(u)).  For a
+    statistics of order n it keeps every order X determines, through u^n.
     """
-    phi = arg if isinstance(arg, PhiSeries) else map_g_inverse(arg)
-    return integrate_extend(reciprocal(shift_down(phi.series)))
+    return integrate_extend(_g(arg))
 
 
 def chi(phi: PhiSeries, u: RationalLike) -> Fraction:
@@ -274,22 +274,22 @@ def phi_entropy(arg: PhiOrStatistics, constant: Fraction | None = None) -> PhiEn
     The full (un-normalized) density subtracts [F(X(1)) - log X(1)] * p,
     a constant that is generally transcendental; pass ``constant`` to
     record an exactly known value, otherwise it is flagged unevaluated.
-    The plain part, F(X(p)) - p L(p) with L = log(X(p)/p), is computed once
-    per statistics as p - sum_{m>=2} L_{m-1} p^m / m: from w(X(p)) = p,
-    d/dp F(X(p)) = p X'/X = 1 + p L', so the p^m coefficient of F(X(p)) is
-    (m-1) L_{m-1} / m for m >= 2.
+    The plain part, F(X(p)) - p log(X(p)/p), is read off G = p X'/X = 1 +
+    sum a_n p^n as p - sum a_n p^(n+1) / (n(n+1)) (see the module docstring).
     """
-    stat = _as_statistics(arg)
-    plain = stat.derived("H0", lambda: _h0_plain(_log_X(stat)))
-    logpart = TruncatedSeries(
-        [Fraction(0), Fraction(-1)] + [Fraction(0)] * (plain.order - 1)
-    )
-    return PhiEntropy(LogSeries(plain, logpart), constant)
+    return PhiEntropy(_h0(_g(arg)), constant)
 
 
-def _h0_plain(L: TruncatedSeries) -> TruncatedSeries:
-    """p - sum_{m>=2} L_{m-1} p^m / m, through order L.order + 1."""
-    tail = [-c / m if c else _ZERO for m, c in enumerate(L.coeffs[1:], 2)]
+def _h0(G: TruncatedSeries) -> LogSeries:
+    plain = _h0_plain(G)
+    logpart = _series([_ZERO, Fraction(-1)] + [_ZERO] * (plain.order - 1))
+    return LogSeries(plain, logpart)
+
+
+def _h0_plain(G: TruncatedSeries) -> TruncatedSeries:
+    """p - sum_{n>=1} a_n p^(n+1) / (n(n+1)) for G = 1 + sum a_n p^n,
+    through order G.order + 1."""
+    tail = [-c / (n * (n + 1)) if c else _ZERO for n, c in enumerate(G.coeffs[1:], 1)]
     return _series([_ZERO, Fraction(1)] + tail)
 
 
@@ -299,9 +299,9 @@ def entropy_gradient_holds(arg: PhiOrStatistics) -> bool:
     Log parts must match coefficient-wise; plain parts may differ only in
     the constant term.
     """
-    stat = _as_statistics(arg)
-    grad = logseries_derivative(phi_entropy(stat).series)
-    rhs = -ln_phi(stat)
+    G = _g(arg)
+    grad = logseries_derivative(_h0(G))
+    rhs = -_ln_phi(G)
     n = min(grad.order, rhs.order)
     if not grad.logpart.agrees_with(rhs.logpart, n):
         return False
@@ -366,9 +366,10 @@ def t_from_s(s: Sequence[RationalLike]) -> list[Fraction]:
 
 
 def map_f(phi: PhiSeries) -> EntropyDensity:
-    """Kernel -> entropy density; the s_n solve the reciprocal relation and
-    coincide with the a_n of the deformed logarithm."""
-    return EntropyDensity(s_from_t(phi.t_coefficients()))
+    """Kernel -> entropy density; the s_n solve the reciprocal relation
+    1 + sum s_n p^n = p/phi(p) = G and coincide with the a_n of the
+    deformed logarithm."""
+    return EntropyDensity(_g(phi).coeffs[1:])
 
 
 def map_f_inverse(h: EntropyDensity) -> PhiSeries:
@@ -376,8 +377,9 @@ def map_f_inverse(h: EntropyDensity) -> PhiSeries:
 
 
 def map_h(stat: Statistics) -> EntropyDensity:
-    """Statistics -> entropy density, through the kernel."""
-    return map_f(map_g_inverse(stat))
+    """Statistics -> entropy density, read off G = X'/(X/u): s_1..s_{n-1}
+    for a statistics of order n."""
+    return EntropyDensity(_g(stat).coeffs[1:])
 
 
 # -- induced involutions -------------------------------------------------------
@@ -518,22 +520,3 @@ def maxent_solve(
     if last.converged:
         return last
     raise MaxentConvergenceError(last)
-
-
-# -- JSON ----------------------------------------------------------------------
-
-
-def phi_to_json(phi: PhiSeries) -> dict:
-    return {"order": phi.order, "T": [str(c) for c in phi.t_coefficients()]}
-
-
-def phi_from_json(data: dict) -> PhiSeries:
-    return PhiSeries.from_t(data["T"], order=data["order"])
-
-
-def entropy_density_to_json(h: EntropyDensity) -> dict:
-    return {"s": [str(c) for c in h.s_coeffs]}
-
-
-def entropy_density_from_json(data: dict) -> EntropyDensity:
-    return EntropyDensity(data["s"])

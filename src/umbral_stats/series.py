@@ -580,8 +580,3 @@ def series_from_json(data: dict) -> TruncatedSeries:
 
 def logseries_to_json(ls: LogSeries) -> dict:
     return {"plain": series_to_json(ls.plain), "log": series_to_json(ls.logpart)}
-
-
-def logseries_from_json(data: dict) -> LogSeries:
-    return LogSeries(series_from_json(data["plain"]), series_from_json(data["log"]))
-

@@ -14,10 +14,10 @@ F(X) = sum w_n X^n / n with w_1 = 1.  Derived data:
   largest degree read so far.
 
 Each derived value is computed on first read and kept in the statistics'
-memo (:meth:`Statistics.derived`), which also holds the kernel, the
-deformed logarithm and the entropy density of :mod:`.deformed_entropy`;
-only the conjugate sequence is computed again, when a larger degree is
-read.
+memo (:meth:`Statistics.derived`), which also holds the kernel and the
+series G = u X'/X that :mod:`.deformed_entropy` reads the deformed
+logarithm, xi and the entropy density off; only the conjugate sequence is
+computed again, when a larger degree is read.
 
 The involution swapping Bose-Einstein and Fermi-Dirac statistics sends a
 weight function to its compositional inverse; series composition of
@@ -89,8 +89,8 @@ class Statistics:
         on first read.
 
         A derived value is a function of F alone, immutable, and never
-        ``None``.  Keys in use: "z" and "X_of_w" (here), "phi", "log_X" and
-        "H0" (:mod:`.deformed_entropy`); the memo also holds "conjugate",
+        ``None``.  Keys in use: "z" and "X_of_w" (here), "phi" and "G"
+        (:mod:`.deformed_entropy`); the memo also holds "conjugate",
         which grows with the degree read (:func:`conjugate_polynomials`).
         """
         value = self._memo.get(key)
@@ -320,7 +320,3 @@ def statistics_to_json(stat: Statistics) -> dict:
         "W": [str(c) for c in stat.occupation_numbers()],
         "w_cluster": [str(c) for c in stat.cluster_coefficients()],
     }
-
-
-def statistics_from_json(data: dict) -> Statistics:
-    return Statistics(fps.series_from_json(data["F"]), name=data["name"])

@@ -152,10 +152,6 @@ def poly_to_json(p: Polynomial) -> dict:
     return {"coeffs": [str(c) for c in p.coeffs]}
 
 
-def poly_from_json(data: dict) -> Polynomial:
-    return Polynomial(data["coeffs"])
-
-
 # -- series wrappers ---------------------------------------------------------
 
 
@@ -341,7 +337,9 @@ def apply_operator(h: TruncatedSeries, p: Polynomial) -> Polynomial:
 
 
 def functional(h: TruncatedSeries, p: Polynomial) -> Fraction:
-    """<h(D) | p> = (h(D) p)(0)."""
+    """The umbral pairing <h | p> of the paper: the linear functional of the
+    series h(t) = sum h_k t^k on polynomials with <t^k | x^n> = n! if k == n
+    and 0 otherwise, which is (h(D) p)(0)."""
     return apply_operator(h, p).coefficient(0)
 
 

@@ -10,6 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, lcm
 
+from umbral_stats import deformed_entropy as de
+from umbral_stats import series as fps
+from umbral_stats.series import TruncatedSeries
 from umbral_stats.umbral import Polynomial, poly_x
 
 
@@ -262,10 +265,33 @@ def schoolbook_binomial_defect(seq, n: int) -> list[list[Fraction]]:
 def tau_through_statistics(phi):
     """tau(phi) by the round trip through the statistics space: the kernel
     of the dual of the statistics of phi."""
-    from umbral_stats import deformed_entropy as de
     from umbral_stats import statistics as st
 
     return de.map_g_inverse(st.dual(de.map_g(phi)))
+
+
+def ln_phi_plain_through_log(X):
+    """The plain part of ln_phi of the statistics whose weight-function
+    inverse is X, as log(X(u)/u)."""
+    return fps.log_series(fps.shift_down(X))
+
+
+def h0_plain_through_log(X):
+    """The plain part of H0 read off L = log(X(u)/u): u - sum_{m>=2} L_{m-1} u^m / m."""
+    L = ln_phi_plain_through_log(X)
+    return TruncatedSeries([0, 1] + [-c / m for m, c in enumerate(L.coeffs[1:], 2)])
+
+
+def h0_plain_of_kernel_through_statistics(phi):
+    """A kernel's H0 by way of its statistics map_g(phi) and log X."""
+    return h0_plain_through_log(de.map_g(phi).X_of_w)
+
+
+def xi_through_kernel(X):
+    """xi as the integral of 1/(phi/u) with the kernel phi = X/X', which keeps
+    one order less than X determines."""
+    phi = de.phi_from_x(X)
+    return fps.integrate_extend(fps.reciprocal(fps.shift_down(phi.series)))
 
 
 def full_convolution_failure(table, weights) -> int | None:

@@ -151,7 +151,7 @@ DERIVED_ORDER_OFFSET = {
     "X_of_w": 0,
     "phi": -1,
     "phi_in_X": -1,
-    "xi": -1,
+    "xi": 0,
     "ln_phi": -1,
     "entropy": 0,
     "phi_entropy": 0,
@@ -208,6 +208,8 @@ class TestDerivedOrders:
         info = cached.cache_info()
         assert (info.misses, info.hits) == (1, 4)
         assert cat.get("lah").quantity("z", 16) is stat.z
+        cat.get("lah").quantity("xi", 16)  # keeps every order: read at 16
+        assert cached.cache_info().misses == 1
         cat.get("lah").quantity("phi", 16)  # loses an order: built at 17
         assert cached.cache_info().misses == 2
 

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from oracles import bernoulli_numbers, tau_through_statistics, weighted_multinomial_sum
+from oracles import (
+    bernoulli_numbers,
+    h0_plain_of_kernel_through_statistics,
+    h0_plain_through_log,
+    ln_phi_plain_through_log,
+    tau_through_statistics,
+    weighted_multinomial_sum,
+    xi_through_kernel,
+)
 from umbral_stats import catalog as cat
 from umbral_stats import deformed_entropy as de
 from umbral_stats import series as fps
@@ -158,14 +166,21 @@ class TestDeformedLogExp:
 
 class TestXi:
     def test_boltzmann(self):
-        # xi determines one less coefficient than the build order
-        assert de.xi(boltzmann()) == fps.identity(N - 1)
+        # xi keeps every coefficient the build order determines
+        assert de.xi(boltzmann()) == fps.identity(N)
 
     def test_fermi(self):
         # -log(1-u)
         assert de.xi(fermi()) == fps.from_function(
-            lambda k: 0 if k == 0 else F(1, k), N - 1
+            lambda k: 0 if k == 0 else F(1, k), N
         )
+
+    def test_order_1_statistics(self):
+        # G = X'/(X/u) = 1 at order 0, so xi = u; there is no kernel at order 1
+        stat = st.from_cluster([F(1)])
+        assert de.xi(stat) == fps.identity(1)
+        with pytest.raises(ValueError, match="unit linear coefficient"):
+            de.map_g_inverse(stat)
 
     def test_abel_kernel(self):
         # phi = u(1-au)^2 -> xi = u/(1-au)
@@ -259,7 +274,7 @@ class TestEntropyDensity:
 
 
 class TestDerivedMemo:
-    """The kernel, log X and H0 of a statistics are computed on first read only."""
+    """The kernel and G = u X'/X of a statistics are computed on first read only."""
 
     @staticmethod
     def spy(monkeypatch, *names):
@@ -278,29 +293,40 @@ class TestDerivedMemo:
 
     @staticmethod
     def reads(s):
-        return (de.map_g_inverse(s), de.ln_phi(s).plain, de.phi_entropy(s).series.plain)
+        return (
+            de.map_g_inverse(s),
+            de.ln_phi(s).plain,
+            de.xi(s),
+            de.phi_entropy(s).series.plain,
+            de.map_h(s),
+        )
 
     def test_second_read_computes_nothing(self, monkeypatch):
         s = st.from_cluster([1, 2, F(-1, 3), 0, 5] + [0] * 7, "memo")
         X = s.X_of_w
-        calls = self.spy(monkeypatch, "phi_from_x", "log_series", "compose")
+        # the kernel is one division and G = X'/(X/u) the other
+        calls = self.spy(monkeypatch, "phi_from_x", "divide", "reciprocal")
         first = self.reads(s)
-        # H0 is read off log X, with no composition
-        assert calls == {"phi_from_x": 1, "log_series": 1, "compose": 0}
+        assert calls == {"phi_from_x": 1, "divide": 2, "reciprocal": 0}
         second = self.reads(s)
-        de.xi(s)
         assert de.main_theorem_holds(s) and de.entropy_gradient_holds(s)
-        assert calls == {"phi_from_x": 1, "log_series": 1, "compose": 0}
-        assert all(a is b for a, b in zip(first, second))
-        log_X = fps.log_series(fps.shift_down(X))
+        assert calls == {"phi_from_x": 1, "divide": 2, "reciprocal": 0}
+        assert first[0] is second[0] and first[1:] == second[1:]
+        # neither log X nor a composition: the module cannot call them
+        assert not hasattr(de, "log_series") and not hasattr(de, "compose")
         assert first[0] == de.phi_from_x(X)
-        assert first[1] == log_X
-        assert first[2] == fps.compose(s.F, X) - fps.shift_up(log_X)
+        assert first[1] == ln_phi_plain_through_log(X)
+        assert first[3] == fps.compose(s.F, X) - fps.shift_up(first[1])
 
-    def test_gradient_check_computes_log_X_once(self, monkeypatch):
-        calls = self.spy(monkeypatch, "log_series")
-        assert de.entropy_gradient_holds(bose())
-        assert calls == {"log_series": 1}
+    def test_gradient_check_computes_G_once(self, monkeypatch):
+        calls = self.spy(monkeypatch, "divide", "reciprocal")
+        s = bose()
+        assert de.entropy_gradient_holds(s) and de.entropy_gradient_holds(s)
+        assert calls == {"divide": 1, "reciprocal": 0}
+        # a kernel's G is one reciprocal per call, kept nowhere
+        phi = PhiSeries.from_t([F(1, 2), F(-1)], order=N)
+        assert de.entropy_gradient_holds(phi) and de.entropy_gradient_holds(phi)
+        assert calls == {"divide": 1, "reciprocal": 2}
 
     def test_kernel_roundtrip_is_computed_not_stored(self, monkeypatch):
         # map_g must not store phi on the statistics it builds, or the
@@ -312,12 +338,24 @@ class TestDerivedMemo:
         de.tau(phi)
         assert calls == {"phi_from_x": 2}
 
-    def test_kernel_argument_builds_a_fresh_statistics(self, monkeypatch):
+    def test_kernel_argument_builds_no_statistics(self, monkeypatch):
         phi = PhiSeries.from_t([F(1, 2), F(-1)], order=N)
-        calls = self.spy(monkeypatch, "log_series")
-        for _ in range(2):
-            de.phi_entropy(phi)
-        assert calls == {"log_series": 2}
+        calls = self.spy(monkeypatch, "map_g", "x_from_phi", "lagrange_invert")
+        built = []
+        real_init = st.Statistics.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(st.Statistics, "__init__", init)
+        de.ln_phi(phi), de.xi(phi), de.phi_entropy(phi), de.map_f(phi)
+        assert de.entropy_gradient_holds(phi)
+        assert built == []
+        assert calls == {"map_g": 0, "x_from_phi": 0, "lagrange_invert": 0}
+        de.exp_phi(phi)  # the weight function needs the statistics
+        assert len(built) == 1
+        assert calls == {"map_g": 1, "x_from_phi": 1, "lagrange_invert": 1}
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_warm_memo_changes_no_verify_payload(self, monkeypatch, seed):
@@ -346,7 +384,8 @@ def composed_h0(stat):
 
 
 class TestH0FromLogX:
-    """phi_entropy reads the plain part of H0 off L = log(X/u), composing nothing."""
+    """phi_entropy reads the plain part of H0 off G = u X'/X, the logarithmic
+    derivative of X, composing nothing."""
 
     @pytest.mark.parametrize("n", [3, 8, 16, 24])
     def test_equals_the_composition_on_the_catalog(self, n):
@@ -366,7 +405,7 @@ class TestH0FromLogX:
     ])
     def test_a_wrong_h0_fails_verify(self, monkeypatch, suite, plant):
         real = de._h0_plain
-        monkeypatch.setattr(de, "_h0_plain", lambda L: TruncatedSeries(plant(list(real(L).coeffs))))
+        monkeypatch.setattr(de, "_h0_plain", lambda G: TruncatedSeries(plant(list(real(G).coeffs))))
         # a catalog cache of its own, so that no memo holds the true H0
         monkeypatch.setattr(
             cat, "_cached_build", lru_cache(256)(cat._cached_build.__wrapped__)
@@ -374,6 +413,47 @@ class TestH0FromLogX:
         results = verify.run(suite, 16, 0).results
         failed = [r.name for r in results if not r.passed]
         assert len(failed) > len(results) // 2, failed
+
+
+class TestOneSeries:
+    """ln_phi, xi, H0 and map_h read off G = u/phi against the routes they
+    replaced: log(X/u) for ln_phi and H0, the kernel phi = X/X' for xi and
+    map_h, and a kernel's statistics map_g(phi) for its H0.  xi and map_h
+    keep one order more than the kernel route, whose values are a prefix."""
+
+    @staticmethod
+    def check_statistics(stat):
+        X = stat.X_of_w
+        assert de.ln_phi(stat).plain == ln_phi_plain_through_log(X)
+        assert de.phi_entropy(stat).series.plain == h0_plain_through_log(X)
+        xi = de.xi(stat)
+        assert xi.order == stat.order
+        if stat.order >= 2:  # an order-1 statistics has no kernel
+            old = xi_through_kernel(X)
+            assert old.order == stat.order - 1 and xi.truncate(old.order) == old
+            s, old_s = de.map_h(stat).s_coeffs, de.map_f(de.map_g_inverse(stat)).s_coeffs
+            assert len(s) == len(old_s) + 1 and s[:-1] == old_s
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_catalog_matches_earlier_routes(self, n):
+        for name in cat.entries_in_space():
+            self.check_statistics(st.Statistics(cat.build(name, n).F, name))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(hs.lists(hs.builds(F, hs.integers(-9, 9), hs.integers(1, 9)), max_size=20))
+    def test_random_statistics_match_earlier_routes(self, cluster):
+        self.check_statistics(st.from_cluster([1] + cluster))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(hs.lists(hs.builds(F, hs.integers(-9, 9), hs.integers(1, 9)), max_size=20))
+    def test_random_kernels_match_earlier_routes(self, T):
+        phi = PhiSeries.from_t(T)
+        X = de.x_from_phi(phi)
+        assert de.ln_phi(phi).plain == ln_phi_plain_through_log(X)
+        assert de.phi_entropy(phi).series.plain == h0_plain_of_kernel_through_statistics(phi)
+        if T:
+            old = xi_through_kernel(X)
+            assert de.xi(phi).truncate(old.order) == old
 
 
 class TestDensityBijection:
@@ -401,14 +481,6 @@ class TestDensityBijection:
         rng = random.Random(59)
         phi = PhiSeries.from_t(random_t(rng), order=10)
         assert list(de.map_f(phi).s_coeffs) == de.a_coefficients(phi)
-
-    def test_density_json_roundtrip(self):
-        h = EntropyDensity([F(1, 2), F(3)])
-        assert de.entropy_density_from_json(de.entropy_density_to_json(h)) == h
-
-    def test_kernel_json_roundtrip(self):
-        phi = PhiSeries.from_t([F(1, 2), F(-1)], order=7)
-        assert de.phi_from_json(de.phi_to_json(phi)) == phi
 
 
 def kernels(order):

@@ -79,7 +79,7 @@ class TestConstruction:
         s = fermi(6)
         data = st.statistics_to_json(s)
         assert data["W"][:3] == ["1", "0", "0"]
-        assert st.statistics_from_json(data) == s
+        assert st.Statistics(fps.series_from_json(data["F"]), name=data["name"]) == s
 
 
 class TestLazyDerivedData:
