@@ -604,6 +604,7 @@ class Fixture:
         "transform",
         "min_prefix",
         "note",
+        "_series",
     )
 
     def __init__(self, record: dict):
@@ -620,12 +621,20 @@ class Fixture:
         self.transform = record.get("transform", {})
         self.min_prefix = record.get("min_prefix", 0)
         self.note = record.get("note", "")
+        self._series = None
 
     def __repr__(self):
         return f"Fixture({self.entry}/{self.quantity})"
 
     def required_order(self) -> int:
         return len(self.coeffs) - 1
+
+    def series(self) -> TruncatedSeries:
+        """The coefficients as one series, built on first call (a record of
+        series coefficients only)."""
+        if self._series is None:
+            self._series = TruncatedSeries(self.coeffs)
+        return self._series
 
     def check(self) -> bool:
         n = self.required_order()
@@ -643,7 +652,7 @@ class Fixture:
                 f"fixture {self.entry}/{self.quantity}: computed series order "
                 f"{value.order} is shorter than the fixture"
             )
-        return list(value.coeffs[: len(self.coeffs)]) == self.coeffs
+        return value.truncate(n) == self.series()
 
     def integer_sequence(self) -> list[int]:
         """Apply the fixture's documented transform to produce the integer
@@ -654,24 +663,26 @@ class Fixture:
         sign = tf.get("sign", "none")
         scale = tf.get("scale", "none")
         geometric = as_rational(tf.get("geometric", 1))
-        coeffs = self.coeffs
+        series = self.series()
+        nums, den = series._nums, series._den
         out = []
-        k = start
-        acc_scale = Fraction(1)
-        while k < len(coeffs):
-            c = coeffs[k] * acc_scale
+        gp, gq = 1, 1  # geometric ** j, for the j-th term taken
+        for k in range(start, len(nums), stride):
             if scale == "factorial":
-                c = coeffs[k] * factorial(k)
+                num, d = nums[k] * factorial(k), den
+            else:
+                num, d = nums[k] * gp, den * gq
             if sign == "abs":
-                c = abs(c)
-            if c.denominator != 1:
+                num = abs(num)
+            value, rest = divmod(num, d)
+            if rest:
                 raise CatalogError(
                     f"fixture {self.entry}/{self.quantity}: transform did not "
-                    f"produce an integer at index {k} ({c})"
+                    f"produce an integer at index {k} ({Fraction(num, d)})"
                 )
-            out.append(int(c))
-            k += stride
-            acc_scale *= geometric
+            out.append(value)
+            gp *= geometric.numerator
+            gq *= geometric.denominator
         return out
 
 

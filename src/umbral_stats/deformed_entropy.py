@@ -38,9 +38,9 @@ from .series import (
     LogSeries,
     RationalLike,
     TruncatedSeries,
-    _ZERO,
     _append_over,
-    _numerators,
+    _canonical,
+    _ratio,
     _series,
     as_rational,
     derivative,
@@ -51,6 +51,7 @@ from .series import (
     lagrange_invert,
     logseries_compose,
     logseries_derivative,
+    one,
     reciprocal,
     shift_down,
 )
@@ -63,9 +64,9 @@ class PhiSeries:
     __slots__ = ("series",)
 
     def __init__(self, series: TruncatedSeries):
-        if series.coeffs[0] != 0:
+        if series._nums[0]:
             raise ValueError("deformation kernel must vanish at 0")
-        if series.order < 1 or series.coeffs[1] != 1:
+        if series.order < 1 or series._nums[1] != series._den:
             raise ValueError("deformation kernel must have unit linear coefficient")
         object.__setattr__(self, "series", series)
 
@@ -179,9 +180,8 @@ def x_from_phi(phi: PhiSeries) -> TruncatedSeries:
     for phi = sum c_j p^j.  With c_j = C_j / d and the values found so far
     k x_k = Z_k / Q, x_M = -sum_j C_j Z_{M-j+1} / ((M-1) d Q).
     """
-    C, d = _numerators(phi.series.coeffs)
+    C, d = phi.series._nums, phi.series._den
     terms = [(j, c) for j, c in enumerate(C[2:], 2) if c]
-    out = [_ZERO, Fraction(1)]
     Z, Q = [0, 1], 1
     for M in range(2, phi.order + 1):
         acc = 0
@@ -189,10 +189,9 @@ def x_from_phi(phi: PhiSeries) -> TruncatedSeries:
             if j > M:
                 break
             acc += c * Z[M - j + 1]
-        x = Fraction(-acc, (M - 1) * d * Q) if acc else _ZERO
-        out.append(x)
-        Q = _append_over(Z, Q, M * x.numerator, x.denominator)
-    return _series(out)
+        num, den = _ratio(-acc, (M - 1) * d * Q)
+        Q = _append_over(Z, Q, M * num, den)
+    return _series([0] + [Z[k] // k for k in range(1, len(Z))], Q)
 
 
 def phi_from_x(X: TruncatedSeries) -> PhiSeries:
@@ -224,10 +223,17 @@ def ln_phi(arg: PhiOrStatistics) -> LogSeries:
 
 
 def _ln_phi(G: TruncatedSeries) -> LogSeries:
-    plain = _series(
-        [_ZERO] + [c / n if c else _ZERO for n, c in enumerate(G.coeffs[1:], 1)]
-    )
-    return LogSeries(plain, _series([Fraction(1)] + [_ZERO] * plain.order))
+    plain = _a_over_n(G)
+    return LogSeries(plain, one(plain.order))
+
+
+def _a_over_n(G: TruncatedSeries) -> TruncatedSeries:
+    """sum_{n>=1} a_n u^n / n for G = 1 + sum a_n u^n, through order
+    G.order: with a_n = A_n / d and L = lcm(1..order), the numerators are
+    A_n (L / n) over d L."""
+    nums = G._nums
+    L = math.lcm(*range(1, len(nums)))
+    return _canonical([0] + [c * (L // n) for n, c in enumerate(nums[1:], 1)], G._den * L)
 
 
 def exp_phi(arg: PhiOrStatistics) -> TruncatedSeries:
@@ -282,15 +288,13 @@ def phi_entropy(arg: PhiOrStatistics, constant: Fraction | None = None) -> PhiEn
 
 def _h0(G: TruncatedSeries) -> LogSeries:
     plain = _h0_plain(G)
-    logpart = _series([_ZERO, Fraction(-1)] + [_ZERO] * (plain.order - 1))
-    return LogSeries(plain, logpart)
+    return LogSeries(plain, -identity(plain.order))
 
 
 def _h0_plain(G: TruncatedSeries) -> TruncatedSeries:
     """p - sum_{n>=1} a_n p^(n+1) / (n(n+1)) for G = 1 + sum a_n p^n,
-    through order G.order + 1."""
-    tail = [-c / (n * (n + 1)) if c else _ZERO for n, c in enumerate(G.coeffs[1:], 1)]
-    return _series([_ZERO, Fraction(1)] + tail)
+    through order G.order + 1: p minus the integral of sum a_n p^n / n."""
+    return identity(G.order + 1) - integrate_extend(_a_over_n(G))
 
 
 def entropy_gradient_holds(arg: PhiOrStatistics) -> bool:
@@ -306,7 +310,7 @@ def entropy_gradient_holds(arg: PhiOrStatistics) -> bool:
     if not grad.logpart.agrees_with(rhs.logpart, n):
         return False
     diff = grad.plain - rhs.plain
-    return all(c == 0 for c in diff.coeffs[1 : n + 1])
+    return not any(diff._nums[1 : n + 1])
 
 
 def main_theorem_holds(
@@ -329,9 +333,9 @@ def main_theorem_holds(
     if not lhs.logpart.agrees_with(rhs.logpart, n):
         return False
     diff = lhs.plain.truncate(n) - rhs.plain.truncate(n)
-    if diff.coeffs[0] != 0:
+    if diff._nums[0]:
         return False
-    lam = diff.coeffs[1]
+    lam = Fraction(diff._nums[1], diff._den)
     if not diff.agrees_with(lam * stat.w.truncate(n), n):
         return False
     if constant is not None:

@@ -7,39 +7,43 @@ order is the largest through which all coefficients are determined by the
 inputs (conservatively ``min`` of the input orders, reduced further where
 an operation loses information, e.g. differentiation).
 
-Coefficients are stored as :class:`fractions.Fraction`; nothing here ever
-rounds.  The hot kernels (:func:`mul`, :func:`powers`, :func:`compose`,
-:func:`lagrange_invert`, :func:`exp_series`, :func:`log_series`,
-:func:`reciprocal`, :func:`divide` and evaluation at a rational point)
-clear denominators once per call: they write each operand as ``int``
-numerators over its least common denominator, run their inner loops on
-``int``s alone and build one ``Fraction`` per output coefficient, as
-FLINT's ``fmpq_poly`` does.  One power table, ``_int_powers``, serves
-:func:`powers`, :func:`compose` and :func:`lagrange_invert`, which solves
-a triangular system on the powers of its argument.  Inversion and the four
-recurrences (exp, log, reciprocal, divide) also keep the outputs found so
-far as ``int`` numerators over the lcm of their denominators, so their
-integers stay the size of the reduced coefficients.  The kernels compute
-and do not check themselves: identities such as
-compose(a, lagrange_invert(a)) = X are checked by :mod:`umbral_stats.verify`
-and the tests.  :class:`LogSeries` extends the model with a single
-logarithmic generator: it represents ``A(p) + B(p) * log(p)`` for truncated
-series ``A`` and ``B``.
+A series is stored as FLINT's ``fmpq_poly`` stores a polynomial: ``int``
+numerators over one positive ``int`` denominator, in canonical form (the
+denominator and the numerators have no common factor, so the denominator
+is the least common denominator of the coefficients).  Two series are
+equal exactly when their canonical pairs are.  The public ``coeffs`` is a
+tuple of :class:`fractions.Fraction`, built on first read and kept;
+nothing here ever rounds.  Every kernel (:func:`mul`, :func:`powers`,
+:func:`compose`, :func:`lagrange_invert`, :func:`exp_series`,
+:func:`log_series`, :func:`reciprocal`, :func:`divide`, evaluation at a
+rational point and the linear helpers) reads the numerators directly, runs
+its inner loops on ``int``s alone and returns a canonical pair, reduced by
+one ``gcd`` at the end.  One power table, ``_int_powers``, serves
+:func:`powers`, :func:`compose` and :func:`lagrange_invert`, which solves a
+triangular system on the powers of its argument.  Inversion and the four
+recurrences (exp, log, reciprocal, divide) keep the outputs found so far
+as numerators over the lcm of their denominators, which is already the
+canonical pair of the result, so their integers stay the size of the
+reduced coefficients.  The kernels compute and do not check themselves:
+identities such as compose(a, lagrange_invert(a)) = X are checked by
+:mod:`umbral_stats.verify` and the tests.  :class:`LogSeries` extends the
+model with a single logarithmic generator: it represents
+``A(p) + B(p) * log(p)`` for truncated series ``A`` and ``B``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Union
+from math import gcd, lcm
+from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
 DEFAULT_ORDER = 16
 
-# The integer kernels output this one object for every zero coefficient:
-# Fractions are immutable, so a zero costs no construction and a kept series
-# no memory.
+# ``coeffs`` holds this one object for every zero coefficient a kernel
+# produced: Fractions are immutable, so a zero costs no construction and a
+# kept series no memory.
 _ZERO = Fraction(0)
 
 
@@ -56,23 +60,37 @@ class TruncatedSeries:
     """A formal power series known exactly through ``order``.
 
     ``coeffs[k]`` is the coefficient of ``X**k``; ``len(coeffs) == order + 1``.
-    Instances are immutable.
+    It is stored as ``_nums[k] / _den`` with ``_den > 0`` and
+    ``gcd(_den, *_nums) == 1``.  Instances are immutable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_nums", "_den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[RationalLike]):
         cs = tuple(as_rational(c) for c in coeffs)
         if not cs:
             raise ValueError("a truncated series needs at least the constant term")
-        object.__setattr__(self, "coeffs", cs)
+        nums, den = _numerators(cs)
+        object.__setattr__(self, "_nums", tuple(nums))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_coeffs", cs)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced Fractions, built on first read."""
+        cs = self._coeffs
+        if cs is None:
+            d = self._den
+            cs = tuple(Fraction(c, d) if c else _ZERO for c in self._nums)
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
+
+    @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     def __getitem__(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
@@ -82,10 +100,10 @@ class TruncatedSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._nums, self._den))
 
     def __repr__(self):
         return f"TruncatedSeries({[str(c) for c in self.coeffs]})"
@@ -109,17 +127,21 @@ class TruncatedSeries:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         if order == self.order:
             return self
-        return _series(self.coeffs[: order + 1])
+        return _canonical(self._nums[: order + 1], self._den)
 
     def agrees_with(self, other: TruncatedSeries, through: int | None = None) -> bool:
         """Coefficient-wise equality through ``through`` (default: common order)."""
         n = min(self.order, other.order) if through is None else through
         if n > min(self.order, other.order):
             raise ValueError("comparison order exceeds a truncation order")
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
+        da, db = self._den, other._den
+        a, b = self._nums[: n + 1], other._nums[: n + 1]
+        if da == db:
+            return a == b
+        return all(x * db == y * da for x, y in zip(a, b))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._nums)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -138,19 +160,40 @@ class TruncatedSeries:
         return scale(self, as_rational(other))
 
     def __neg__(self) -> TruncatedSeries:
-        return scale(self, Fraction(-1))
+        return _series([-c for c in self._nums], self._den)
 
 
-def _series(coeffs: Iterable[Fraction]) -> TruncatedSeries:
-    """A series on Fractions the caller has just built: not coerced or checked."""
+def _series(nums: Iterable[int], den: int) -> TruncatedSeries:
+    """The series nums / den, already canonical: not reduced or checked."""
     s = object.__new__(TruncatedSeries)
-    object.__setattr__(s, "coeffs", tuple(coeffs))
+    object.__setattr__(s, "_nums", tuple(nums))
+    object.__setattr__(s, "_den", den)
+    object.__setattr__(s, "_coeffs", None)
     return s
+
+
+def _canonical(nums: Sequence[int], den: int) -> TruncatedSeries:
+    """The series nums / den for any nonzero ``den``, put in canonical form."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = [c // g for c in nums]
+        den //= g
+    return _series(nums, den)
+
+
+def _ratio(num: int, den: int) -> tuple[int, int]:
+    """num / den in lowest terms with a positive denominator."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
 
 
 def constant(value: RationalLike, order: int = 0) -> TruncatedSeries:
     c = as_rational(value)
-    return TruncatedSeries([c] + [Fraction(0)] * order)
+    return _series((c.numerator,) + (0,) * order, c.denominator)
 
 
 def zero(order: int) -> TruncatedSeries:
@@ -165,9 +208,7 @@ def identity(order: int) -> TruncatedSeries:
     """The series X."""
     if order < 1:
         raise ValueError("identity series needs order >= 1")
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[1] = Fraction(1)
-    return TruncatedSeries(coeffs)
+    return _series((0, 1) + (0,) * (order - 1), 1)
 
 
 def from_function(fn, order: int) -> TruncatedSeries:
@@ -175,29 +216,36 @@ def from_function(fn, order: int) -> TruncatedSeries:
     return TruncatedSeries([as_rational(fn(k)) for k in range(order + 1)])
 
 
+def _linear(a: TruncatedSeries, b: TruncatedSeries, sign: int) -> TruncatedSeries:
+    """a + sign * b through the smaller order, over lcm of the denominators."""
+    d = lcm(a._den, b._den)
+    fa, fb = d // a._den, sign * (d // b._den)
+    return _canonical([x * fa + y * fb for x, y in zip(a._nums, b._nums)], d)
+
+
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    n = min(a.order, b.order)
-    return _series([a.coeffs[k] + b.coeffs[k] for k in range(n + 1)])
+    return _linear(a, b, 1)
 
 
 def sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    n = min(a.order, b.order)
-    return _series([a.coeffs[k] - b.coeffs[k] for k in range(n + 1)])
+    return _linear(a, b, -1)
 
 
 def scale(a: TruncatedSeries, c: RationalLike) -> TruncatedSeries:
     c = as_rational(c)
-    return _series([c * x for x in a.coeffs])
+    p = c.numerator
+    return _canonical([p * x for x in a._nums], a._den * c.denominator)
 
 
 def _numerators(coeffs) -> tuple[list[int], int]:
-    """(nums, d) with coeffs[k] == nums[k] / d and d the least common denominator."""
+    """(nums, d) with coeffs[k] == nums[k] / d and d the least common
+    denominator: the canonical pair of the Fractions ``coeffs``."""
     dens = [c.denominator for c in coeffs]
     d = lcm(*dens)
     return [c.numerator * (d // e) for c, e in zip(coeffs, dens)], d
 
 
-def _int_mul(x: list[int], y: list[int], n: int) -> list[int]:
+def _int_mul(x: Sequence[int], y: Sequence[int], n: int) -> list[int]:
     """Integer Cauchy product of two lists of n + 1 coefficients, truncated at X^n."""
     out = [0] * (n + 1)
     for i, xi in enumerate(x):
@@ -207,30 +255,25 @@ def _int_mul(x: list[int], y: list[int], n: int) -> list[int]:
     return out
 
 
-def _over(nums: Iterable[int], d: int) -> TruncatedSeries:
-    return _series([Fraction(c, d) if c else _ZERO for c in nums])
-
-
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at the smaller input order."""
     n = min(a.order, b.order)
-    an, da = _numerators(a.coeffs[: n + 1])
-    bn, db = _numerators(b.coeffs[: n + 1])
-    return _over(_int_mul(an, bn, n), da * db)
+    a, b = a.truncate(n), b.truncate(n)
+    return _canonical(_int_mul(a._nums, b._nums, n), a._den * b._den)
 
 
 def shift_up(a: TruncatedSeries) -> TruncatedSeries:
     """Multiply by X.  Order rises by one; no information is lost."""
-    return _series((_ZERO,) + a.coeffs)
+    return _series((0,) + a._nums, a._den)
 
 
 def shift_down(a: TruncatedSeries) -> TruncatedSeries:
     """Divide by X; requires zero constant term.  Order drops by one."""
-    if a.coeffs[0] != 0:
+    if a._nums[0]:
         raise ValueError("cannot divide by X: nonzero constant term")
     if a.order < 1:
         raise ValueError("cannot divide by X at order 0")
-    return _series(a.coeffs[1:])
+    return _series(a._nums[1:], a._den)
 
 
 def _int_powers(
@@ -241,16 +284,17 @@ def _int_powers(
 ) -> tuple[list[list[int]], int, int]:
     """(rows, ds, d) with start * base**k == rows[k] / (ds * d**k) through X^n,
     for k = 0..last (default n)."""
-    b, d = _numerators(base.truncate(n).coeffs)
+    base = base.truncate(n)
     if start is None:
         row, ds = [1] + [0] * n, 1
     else:
-        row, ds = _numerators(start.truncate(n).coeffs)
+        start = start.truncate(n)
+        row, ds = list(start._nums), start._den
     rows = [row]
     for _ in range(n if last is None else last):
-        row = _int_mul(row, b, n)
+        row = _int_mul(row, base._nums, n)
         rows.append(row)
-    return rows, ds, d
+    return rows, ds, base._den
 
 
 def powers(
@@ -263,7 +307,7 @@ def powers(
     sequences (hence the occupation polynomials) read directly as integers.
     """
     rows, ds, d = _int_powers(base, n, start)
-    return [_over(row, ds * d**k) for k, row in enumerate(rows)]
+    return [_canonical(row, ds * d**k) for k, row in enumerate(rows)]
 
 
 def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
@@ -275,10 +319,11 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     ``min(outer.order, inner.order)``.  The table stops at the last
     nonzero O_k, so an outer series of degree e costs e products.
     """
-    if inner.coeffs[0] != 0:
+    if inner._nums[0]:
         raise ValueError("composition requires inner series with zero constant term")
     n = min(outer.order, inner.order)
-    o, do = _numerators(outer.coeffs[: n + 1])
+    outer = outer.truncate(n)
+    o = outer._nums
     last = next((k for k in range(n, 0, -1) if o[k]), 0)
     rows, _, d = _int_powers(inner, n, last=last)
     out = [0] * (n + 1)
@@ -287,14 +332,15 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
             c = o[k] * d ** (n - k)
             for m in range(k, n + 1):
                 out[m] += c * row[m]
-    return _over(out, do * d**n)
+    return _canonical(out, outer._den * d**n)
 
 
 def derivative(a: TruncatedSeries) -> TruncatedSeries:
     """d/dX; order drops by one."""
     if a.order == 0:
         raise ValueError("cannot differentiate an order-0 series")
-    return _series([k * a.coeffs[k] for k in range(1, a.order + 1)])
+    nums = a._nums
+    return _canonical([k * nums[k] for k in range(1, len(nums))], a._den)
 
 
 def integrate(a: TruncatedSeries) -> TruncatedSeries:
@@ -303,8 +349,13 @@ def integrate(a: TruncatedSeries) -> TruncatedSeries:
 
 
 def integrate_extend(a: TruncatedSeries) -> TruncatedSeries:
-    """Antiderivative keeping every determined coefficient (order rises by one)."""
-    return _series([_ZERO] + [c / (k + 1) for k, c in enumerate(a.coeffs)])
+    """Antiderivative keeping every determined coefficient (order rises by one).
+
+    With a_k = A_k / d and L = lcm(1..order+1), the X^(k+1) coefficient
+    a_k / (k+1) is A_k (L / (k+1)) / (d L)."""
+    nums = a._nums
+    L = lcm(*range(1, len(nums) + 1))
+    return _canonical([0] + [c * (L // k) for k, c in enumerate(nums, 1)], a._den * L)
 
 
 def _append_over(nums: list[int], q: int, num: int, den: int) -> int:
@@ -326,22 +377,19 @@ def exp_series(a: TruncatedSeries) -> TruncatedSeries:
     far y_j = Y_j / Q over the lcm Q of their denominators,
     y_m = sum_k k A_k Y_{m-k} / (m d Q).
     """
-    if a.coeffs[0] != 0:
+    A, d = a._nums, a._den
+    if A[0]:
         raise ValueError("exp requires zero constant term")
     n = a.order
-    A, d = _numerators(a.coeffs)
     B = [k * A[k] for k in range(1, n + 1)]
-    out = [Fraction(1)]
     Y, Q = [1], 1
     for m in range(1, n + 1):
         acc = 0
         for k in range(m):
             if B[k]:
                 acc += B[k] * Y[m - 1 - k]
-        y = Fraction(acc, m * d * Q) if acc else _ZERO
-        out.append(y)
-        Q = _append_over(Y, Q, y.numerator, y.denominator)
-    return _series(out)
+        Q = _append_over(Y, Q, *_ratio(acc, m * d * Q))
+    return _series(Y, Q)
 
 
 def log_series(a: TruncatedSeries) -> TruncatedSeries:
@@ -351,26 +399,24 @@ def log_series(a: TruncatedSeries) -> TruncatedSeries:
     a_k = A_k / d and k y_k = Z_k / Q for the outputs so far,
     y_m = (m A_m Q - sum_{0<k<m} Z_k A_{m-k}) / (m d Q).
     """
-    if a.coeffs[0] != 1:
+    A, d = a._nums, a._den
+    if A[0] != d:
         raise ValueError("log requires constant term 1")
     n = a.order
-    A, d = _numerators(a.coeffs)
-    out = [_ZERO]
     Z, Q = [0], 1
     for m in range(1, n + 1):
         acc = m * A[m] * Q
         for k in range(1, m):
             if A[m - k]:
                 acc -= Z[k] * A[m - k]
-        y = Fraction(acc, m * d * Q) if acc else _ZERO
-        out.append(y)
-        Q = _append_over(Z, Q, m * y.numerator, y.denominator)
-    return _series(out)
+        num, den = _ratio(acc, m * d * Q)
+        Q = _append_over(Z, Q, m * num, den)
+    return _series([0] + [Z[k] // k for k in range(1, n + 1)], Q)
 
 
 def pow_rational(a: TruncatedSeries, r: RationalLike) -> TruncatedSeries:
     """a**r = exp(r * log a) for a series with constant term 1."""
-    if a.coeffs[0] != 1:
+    if a._nums[0] != a._den:
         raise ValueError("rational power requires constant term 1")
     return exp_series(scale(log_series(a), as_rational(r)))
 
@@ -381,22 +427,19 @@ def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     Uses a_0 y_m = -sum_{k>=1} a_k y_{m-k}.  With a_k = A_k / d and the
     outputs so far y_j = Y_j / Q, y_m = -sum_k A_k Y_{m-k} / (A_0 Q).
     """
-    if a.coeffs[0] == 0:
+    A, d = a._nums, a._den
+    if not A[0]:
         raise ValueError("reciprocal requires nonzero constant term")
     n = a.order
-    A, d = _numerators(a.coeffs)
-    y = Fraction(d, A[0])
-    out = [y]
-    Y, Q = [y.numerator], y.denominator
+    y, Q = _ratio(d, A[0])
+    Y = [y]
     for m in range(1, n + 1):
         acc = 0
         for k in range(1, m + 1):
             if A[k]:
                 acc -= A[k] * Y[m - k]
-        y = Fraction(acc, A[0] * Q) if acc else _ZERO
-        out.append(y)
-        Q = _append_over(Y, Q, y.numerator, y.denominator)
-    return _series(out)
+        Q = _append_over(Y, Q, *_ratio(acc, A[0] * Q))
+    return _series(Y, Q)
 
 
 def divide(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -407,23 +450,20 @@ def divide(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     b_k = B_k / db and the outputs so far y_j = Y_j / Q,
     y_m = (A_m db Q - da sum_k B_k Y_{m-k}) / (da B_0 Q).
     """
-    if b.coeffs[0] == 0:
+    if not b._nums[0]:
         raise ValueError("division requires a divisor with nonzero constant term")
     n = min(a.order, b.order)
-    A, da = _numerators(a.coeffs[: n + 1])
-    B, db = _numerators(b.coeffs[: n + 1])
-    out = []
+    a, b = a.truncate(n), b.truncate(n)
+    A, da = a._nums, a._den
+    B, db = b._nums, b._den
     Y, Q = [], 1
     for m in range(n + 1):
         acc = 0
         for k in range(1, m + 1):
             if B[k]:
                 acc += B[k] * Y[m - k]
-        num = A[m] * db * Q - da * acc
-        y = Fraction(num, da * B[0] * Q) if num else _ZERO
-        out.append(y)
-        Q = _append_over(Y, Q, y.numerator, y.denominator)
-    return _series(out)
+        Q = _append_over(Y, Q, *_ratio(A[m] * db * Q - da * acc, da * B[0] * Q))
+    return _series(Y, Q)
 
 
 def lagrange_invert(a: TruncatedSeries) -> TruncatedSeries:
@@ -437,46 +477,44 @@ def lagrange_invert(a: TruncatedSeries) -> TruncatedSeries:
     t_m = -d sum_{1<=k<m} T_k R_k[m] d^(m-1-k) / (Q A_1^m),
     the sum taken by Horner's rule in d.
     """
-    if a.coeffs[0] != 0:
+    if a._nums[0]:
         raise ValueError("inversion requires zero constant term")
-    if a.order < 1 or a.coeffs[1] == 0:
+    if a.order < 1 or not a._nums[1]:
         raise ValueError("no compositional inverse: zero linear coefficient")
     n = a.order
     rows, _, d = _int_powers(a, n)
     A1 = rows[1][1]
-    t = Fraction(d, A1)
-    out = [_ZERO, t]
-    T, Q = [0, t.numerator], t.denominator
+    t, Q = _ratio(d, A1)
+    T = [0, t]
     for m in range(2, n + 1):
         acc = 0
         for k in range(1, m):
             acc = acc * d + T[k] * rows[k][m]
-        t = Fraction(-d * acc, Q * A1**m) if acc else _ZERO
-        out.append(t)
-        Q = _append_over(T, Q, t.numerator, t.denominator)
-    return _series(out)
+        Q = _append_over(T, Q, *_ratio(-d * acc, Q * A1**m))
+    return _series(T, Q)
 
 
 def evaluate(a: TruncatedSeries, x: RationalLike) -> Fraction:
     """Exact partial-sum evaluation sum_{k<=order} c_k x^k."""
-    return _horner(a.coeffs, x)
+    return _eval_over(a._nums, a._den, as_rational(x))
 
 
 def _horner(coeffs: tuple[Fraction, ...], x: RationalLike) -> Fraction:
-    """sum_k coeffs[k] x**k by Horner's rule on integers.
-
-    With coeffs[k] = N_k / d and x = p / q, the sum is
-    _int_horner(N, p, q) / (d q**deg).
-    """
+    """sum_k coeffs[k] x**k by Horner's rule on integers."""
     x = as_rational(x)
     if not coeffs:
         return Fraction(0)
-    nums, d = _numerators(coeffs)
+    return _eval_over(*_numerators(coeffs), x)
+
+
+def _eval_over(nums: Sequence[int], d: int, x: Fraction) -> Fraction:
+    """sum_k (nums[k] / d) x**k: with x = p / q, this is
+    _int_horner(nums, p, q) / (d q**deg)."""
     q = x.denominator
     return Fraction(_int_horner(nums, x.numerator, q), d * q ** (len(nums) - 1))
 
 
-def _int_horner(nums: list[int], p: int, q: int) -> int:
+def _int_horner(nums: Sequence[int], p: int, q: int) -> int:
     """sum_k nums[k] p**k q**(deg-k), deg = len(nums) - 1: the numerator of
     sum_k nums[k] (p/q)**k over q**deg."""
     acc, qk = nums[-1], 1
@@ -543,9 +581,9 @@ def logseries_compose(ls: LogSeries, u: TruncatedSeries) -> LogSeries:
     introduces no scalar log constant:  the result is
     A(u) + B(u) * log(u/X)  +  B(u) * log X.
     """
-    if u.coeffs[0] != 0:
+    if u._nums[0]:
         raise ValueError("substitution requires zero constant term")
-    if u.order < 1 or u.coeffs[1] != 1:
+    if u.order < 1 or u._nums[1] != u._den:
         raise ValueError(
             "substitution requires unit linear coefficient "
             "(a scalar log constant would otherwise arise)"
@@ -558,7 +596,7 @@ def logseries_compose(ls: LogSeries, u: TruncatedSeries) -> LogSeries:
 
 def logseries_derivative(ls: LogSeries) -> LogSeries:
     """d/dp of A(p) + B(p) log p = A' + B/p + B' log p; needs B(0) = 0."""
-    if ls.logpart.coeffs[0] != 0:
+    if ls.logpart._nums[0]:
         raise ValueError("derivative requires log coefficient with zero constant term")
     plain = add(derivative(ls.plain), shift_down(ls.logpart))
     return LogSeries(plain, derivative(ls.logpart))

@@ -36,14 +36,17 @@ from .series import (
     LogSeries,
     RationalLike,
     TruncatedSeries,
-    _ZERO,
-    _series,
+    _canonical,
     as_rational,
     compose,
+    derivative,
     evaluate,
     exp_series,
+    integrate_extend,
     lagrange_invert,
     log_series,
+    shift_down,
+    shift_up,
 )
 from .umbral import DeltaSeries, Polynomial, PolynomialSequence, conjugate_sequence
 
@@ -67,13 +70,13 @@ class Statistics:
         weight function through at least F's order; it is stored as X(w)
         unchecked, in place of inverting w on first read.  ``_w`` is for
         this module's builders, which already hold w = X F'."""
-        if F.coeffs[0] != 0:
+        if F._nums[0]:
             raise ValueError("free energy must vanish at 0")
-        if F.order < 1 or F.coeffs[1] != 1:
+        if F.order < 1 or F._nums[1] != F._den:
             raise ValueError(
                 "free energy must have unit linear coefficient (normalization w_1 = 1)"
             )
-        w = _series([k * c for k, c in enumerate(F.coeffs)]) if _w is None else _w
+        w = shift_up(derivative(F)) if _w is None else _w
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "w", w)
@@ -146,11 +149,7 @@ def from_cluster(
     """Build from cluster coefficients w_1, w_2, ...; requires w_1 = 1.
 
     ``inverse`` is passed on to :class:`Statistics`."""
-    w = [_ZERO] + [as_rational(c) for c in w_list]
-    if len(w) < 2 or w[1] != 1:
-        raise ValueError("first cluster coefficient must be 1")
-    F = _series([_ZERO] + [c / k for k, c in enumerate(w[1:], 1)])
-    return Statistics(F, name, inverse=inverse, _w=_series(w))
+    return from_weight(TruncatedSeries([0, *w_list]), name, inverse=inverse)
 
 
 def from_weight(
@@ -162,8 +161,13 @@ def from_weight(
     """Build from the weight function w(X) = X + ....
 
     Pass ``inverse`` when the compositional inverse of w is already known,
-    so that reading X(w) inverts nothing."""
-    return from_cluster(w.coeffs[1:], name, inverse=inverse)
+    so that reading X(w) inverts nothing.  The constant term of ``w`` is
+    ignored; F = sum w_n X^n / n is the integral of w / X."""
+    if w.order < 1 or w._nums[1] != w._den:
+        raise ValueError("first cluster coefficient must be 1")
+    if w._nums[0]:
+        w = _canonical((0,) + w._nums[1:], w._den)
+    return Statistics(integrate_extend(shift_down(w)), name, inverse=inverse, _w=w)
 
 
 def from_occupation(
@@ -239,7 +243,7 @@ def group_compose(v: Statistics, w: Statistics, name: str | None = None) -> Stat
 
 def _twist(w: TruncatedSeries, m: int) -> TruncatedSeries:
     """Coefficient map w_n -> n^m w_n on X^n (leaves the normalization alone)."""
-    return _series([(k**m) * c for k, c in enumerate(w.coeffs)])
+    return _canonical([(k**m) * c for k, c in enumerate(w._nums)], w._den)
 
 
 def group_compose_m(v: Statistics, w: Statistics, m: int) -> Statistics:

@@ -161,9 +161,9 @@ class DeltaSeries:
     __slots__ = ("series",)
 
     def __init__(self, series: TruncatedSeries):
-        if series.coeffs[0] != 0:
+        if series._nums[0]:
             raise ValueError("delta series must have zero constant term")
-        if series.order < 1 or series.coeffs[1] == 0:
+        if series.order < 1 or not series._nums[1]:
             raise ValueError("delta series must have nonzero linear coefficient")
         object.__setattr__(self, "series", series)
 
@@ -192,7 +192,7 @@ class InvertibleSeries:
     __slots__ = ("series",)
 
     def __init__(self, series: TruncatedSeries):
-        if series.coeffs[0] == 0:
+        if not series._nums[0]:
             raise ValueError("invertible series must have nonzero constant term")
         object.__setattr__(self, "series", series)
 
