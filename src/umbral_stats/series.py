@@ -135,10 +135,7 @@ class TruncatedSeries:
         if n > min(self.order, other.order):
             raise ValueError("comparison order exceeds a truncation order")
         da, db = self._den, other._den
-        a, b = self._nums[: n + 1], other._nums[: n + 1]
-        if da == db:
-            return a == b
-        return all(x * db == y * da for x, y in zip(a, b))
+        return all(x * db == y * da for x, y in zip(self._nums[: n + 1], other._nums[: n + 1]))
 
     def is_zero(self) -> bool:
         return not any(self._nums)

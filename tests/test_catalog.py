@@ -1,5 +1,6 @@
 """Catalog entries: closed forms, fixtures, derived-value regeneration."""
 
+import json
 import random
 from fractions import Fraction as F
 from functools import lru_cache
@@ -214,6 +215,23 @@ class TestDerivedOrders:
         assert cached.cache_info().misses == 2
 
 
+def fraction_sequence(fixture: cat.Fixture) -> list[int] | str:
+    """Fixture.integer_sequence on Fractions, or the text of its error."""
+    tf = fixture.transform
+    geometric = F(tf.get("geometric", 1))
+    out, acc = [], F(1)
+    for k in range(tf.get("start", 0), len(fixture.coeffs), tf.get("stride", 1)):
+        c = fixture.coeffs[k] * (factorial(k) if tf.get("scale") == "factorial" else acc)
+        if tf.get("sign") == "abs":
+            c = abs(c)
+        if c.denominator != 1:
+            return (f"fixture {fixture.entry}/{fixture.quantity}: transform did not "
+                    f"produce an integer at index {k} ({c})")
+        out.append(int(c))
+        acc *= geometric
+    return out
+
+
 class TestFixtures:
     def test_every_fixture_checks(self):
         for fixture in cat.fixtures():
@@ -224,6 +242,32 @@ class TestFixtures:
             if fixture.oeis:
                 check = oeis.check_fixture(fixture, fetch=False)
                 assert check.passed, f"{fixture.entry}/{fixture.quantity}"
+
+    def test_integer_sequences_match_fraction_arithmetic(self):
+        """Every fixture transform (and three more) on every series fixture,
+        against the transform done on Fractions term by term: the same
+        integers, or the same CatalogError text."""
+        records = [r for r in cat._fixture_data()["fixtures"]
+                   if not isinstance(r["coeffs"][0], list)]
+        transforms = {json.dumps(r.get("transform", {}), sort_keys=True) for r in records}
+        transforms = [json.loads(t) for t in sorted(transforms)] + [
+            {"geometric": "1/3"}, {"geometric": "-2", "sign": "abs", "start": 2},
+            {"scale": "factorial", "geometric": "5", "stride": 3},
+        ]
+        outcomes = {"integers": 0, "errors": 0}
+        for record in records:
+            for transform in transforms:
+                fixture = cat.Fixture({**record, "transform": transform})
+                expected = fraction_sequence(fixture)
+                if isinstance(expected, str):
+                    outcomes["errors"] += 1
+                    with pytest.raises(CatalogError) as info:
+                        fixture.integer_sequence()
+                    assert str(info.value) == expected
+                else:
+                    outcomes["integers"] += 1
+                    assert fixture.integer_sequence() == expected
+        assert min(outcomes.values()) > 50
 
     def test_fixture_filter_validates_entry(self):
         with pytest.raises(CatalogError):

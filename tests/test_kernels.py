@@ -5,11 +5,13 @@ numerators; the references in ``oracles`` do one ``Fraction`` operation per
 step.  Inputs cover orders 1-20 (0-20 for ``mul``, ``reciprocal`` and
 ``divide``), runs of zero coefficients, coprime and very large denominators,
 several linear and constant coefficients and awkward rational points.
+The same inputs check the storage contract: every output is int numerators
+over one positive denominator with no common factor.
 """
 
 import random
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,7 +29,9 @@ from oracles import (
     schoolbook_reversion,
 )
 from umbral_stats import catalog
+from umbral_stats import deformed_entropy as de
 from umbral_stats import series as fps
+from umbral_stats import statistics as st
 from umbral_stats.series import TruncatedSeries, _numerators
 from umbral_stats.umbral import (
     DeltaSeries,
@@ -395,3 +399,84 @@ def test_divide_matches_sympy_ring_series(rs, data, n):
     assert list(fps.divide(TruncatedSeries(a), TruncatedSeries(b)).coeffs) == from_ring(
         quotient, n, x
     )
+
+
+# -- the canonical storage contract -------------------------------------------
+
+
+def assert_canonical(s: TruncatedSeries) -> None:
+    """s is stored as int numerators over a positive int denominator with no
+    common factor, reads back as the reduced Fractions (the same tuple on a
+    second read), and equals and hashes as the same value built by the
+    public constructor and from an unreduced pair."""
+    nums, den = s._nums, s._den
+    assert type(den) is int and den > 0
+    assert all(type(c) is int for c in nums)
+    assert gcd(den, *nums) == 1
+    cs = s.coeffs
+    assert cs == tuple(F(c, den) for c in nums) and all(type(c) is F for c in cs)
+    assert s.coeffs is cs
+    unreduced = fps._canonical([-6 * c for c in nums], -6 * den)
+    for twin in (TruncatedSeries(cs), fps._series(nums, den), unreduced):
+        assert twin == s and hash(twin) == hash(s)
+    longer = TruncatedSeries(cs + (F(0),))
+    assert longer != s and longer.truncate(s.order) == s
+    if s.order:
+        assert s.truncate(s.order - 1) != s
+
+
+def kernel_outputs(a, b, delta, unit, c0, x) -> list[TruncatedSeries]:
+    """Every series kernel and helper applied to coefficient lists: a and b
+    of any orders, a delta series, a unit series and a nonzero constant."""
+    A, B, D, U = (TruncatedSeries(cs) for cs in (a, b, delta, unit))
+    XU = fps.shift_up(U).truncate(U.order)  # X + O(X^2)
+    n = A.order
+    out = [
+        fps.mul(A, B), fps.add(A, B), fps.sub(A, B), fps.scale(A, x), -A,
+        fps.shift_up(A), fps.integrate_extend(A), fps.integrate(A),
+        fps.reciprocal(TruncatedSeries([c0] + a[1:])),
+        fps.divide(A, TruncatedSeries([c0] + b[1:])),
+        fps.log_series(U), fps.pow_rational(U, x if x else F(1, 2)),
+        fps.constant(x, n), fps.zero(n), fps.one(n), fps.from_function(lambda k: a[k], n),
+        fps.shift_down(D), fps.compose(A, D), fps.compose(B, D), fps.exp_series(D),
+        fps.lagrange_invert(D), fps.identity(D.order), fps.derivative(D),
+        st.Statistics(XU).w, st.from_weight(XU).F, st._twist(D, 2),
+        de.x_from_phi(de.PhiSeries(XU)), de._ln_phi(U).plain, de._h0_plain(U),
+    ]
+    out += [A.truncate(k) for k in range(n + 1)]
+    out += fps.powers(A, n, B.truncate(n) if B.order >= n else None)
+    out += fps.powers(D, D.order)
+    return out
+
+
+@kernel_settings
+@given(hs.data(), orders_from_0, orders_from_0, orders, hs.sampled_from(CONSTANTS), point)
+def test_every_output_is_canonical(data, na, nb, nd, c0, x):
+    lists = [coefficient_lists, low_degree_lists, integral_lists]
+    a = data.draw(hs.one_of(*(f(na) for f in lists)))
+    b = data.draw(hs.one_of(*(f(nb) for f in lists)))
+    delta = data.draw(coefficient_lists(nd, zero_constant=True) | integral_lists(nd))
+    delta[1] = data.draw(hs.sampled_from(SLOPES))
+    unit = data.draw(coefficient_lists(nd))
+    unit[0] = F(1)
+    for s in kernel_outputs(a, b, delta, unit, c0, x):
+        assert_canonical(s)
+
+
+@kernel_settings
+@given(hs.data(), orders_from_0)
+def test_public_constructor_is_canonical(data, n):
+    cs = data.draw(coefficient_lists(n) | low_degree_lists(n) | integral_lists(n))
+    s = TruncatedSeries([str(c) for c in cs])
+    assert (list(s._nums), s._den) == _numerators(cs)
+    assert_canonical(s)
+
+
+def test_equal_values_store_equal_pairs():
+    a = TruncatedSeries([F(2, 4), 3, "4/6", 0])
+    assert (a._nums, a._den) == ((3, 18, 4, 0), 6)
+    assert a == TruncatedSeries(["1/2", F(6, 2), F(2, 3), F(0, 5)])
+    assert fps.zero(3)._nums == (0, 0, 0, 0) and fps.zero(3)._den == 1
+    assert fps.mul(a, fps.zero(3)) == fps.zero(3)
+    assert fps.reciprocal(TruncatedSeries([F(-2, 3)]))._nums == (-3,)
+    assert fps.zero(2) != fps.zero(3)
