@@ -56,27 +56,34 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-class TruncatedSeries:
-    """A formal power series known exactly through ``order``.
-
-    ``coeffs[k]`` is the coefficient of ``X**k``; ``len(coeffs) == order + 1``.
-    It is stored as ``_nums[k] / _den`` with ``_den > 0`` and
-    ``gcd(_den, *_nums) == 1``.  Instances are immutable.
+class _Exact:
+    """The one exact storage of series and polynomials: ``int`` numerators
+    ``_nums[k]`` over one ``int`` denominator ``_den > 0``, with
+    ``gcd(_den, *_nums) == 1``, so that equal values store equal pairs.
+    ``coeffs`` is the tuple of reduced Fractions ``_nums[k] / _den``.
+    Instances are immutable.
     """
 
     __slots__ = ("_nums", "_den", "_coeffs")
 
-    def __init__(self, coeffs: Iterable[RationalLike]):
-        cs = tuple(as_rational(c) for c in coeffs)
-        if not cs:
-            raise ValueError("a truncated series needs at least the constant term")
+    def _store(self, cs: tuple[Fraction, ...]) -> None:
+        """Keep the Fractions ``cs`` as ``coeffs``, with their canonical pair."""
         nums, den = _numerators(cs)
         object.__setattr__(self, "_nums", tuple(nums))
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_coeffs", cs)
 
+    @classmethod
+    def _from_pair(cls, nums: Iterable[int], den: int):
+        """The value nums / den, already canonical: not reduced or checked."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "_nums", tuple(nums))
+        object.__setattr__(s, "_den", den)
+        object.__setattr__(s, "_coeffs", None)
+        return s
+
     def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -88,6 +95,30 @@ class TruncatedSeries:
             object.__setattr__(self, "_coeffs", cs)
         return cs
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._den == other._den and self._nums == other._nums
+
+    def __hash__(self):
+        return hash((self._nums, self._den))
+
+
+class TruncatedSeries(_Exact):
+    """A formal power series known exactly through ``order``, stored as an
+    :class:`_Exact` pair.
+
+    ``coeffs[k]`` is the coefficient of ``X**k``; ``len(coeffs) == order + 1``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: Iterable[RationalLike]):
+        cs = tuple(as_rational(c) for c in coeffs)
+        if not cs:
+            raise ValueError("a truncated series needs at least the constant term")
+        self._store(cs)
+
     @property
     def order(self) -> int:
         return len(self._nums) - 1
@@ -96,14 +127,6 @@ class TruncatedSeries:
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self._den == other._den and self._nums == other._nums
-
-    def __hash__(self):
-        return hash((self._nums, self._den))
 
     def __repr__(self):
         return f"TruncatedSeries({[str(c) for c in self.coeffs]})"
@@ -160,24 +183,24 @@ class TruncatedSeries:
         return _series([-c for c in self._nums], self._den)
 
 
-def _series(nums: Iterable[int], den: int) -> TruncatedSeries:
-    """The series nums / den, already canonical: not reduced or checked."""
-    s = object.__new__(TruncatedSeries)
-    object.__setattr__(s, "_nums", tuple(nums))
-    object.__setattr__(s, "_den", den)
-    object.__setattr__(s, "_coeffs", None)
-    return s
+_series = TruncatedSeries._from_pair
 
 
-def _canonical(nums: Sequence[int], den: int) -> TruncatedSeries:
-    """The series nums / den for any nonzero ``den``, put in canonical form."""
+def _reduced(nums: Sequence[int], den: int) -> tuple[Sequence[int], int]:
+    """nums / den for any nonzero ``den`` as a canonical pair: divided by
+    their gcd, with the sign on the numerators."""
     g = gcd(den, *nums)
     if den < 0:
         g = -g
     if g != 1:
         nums = [c // g for c in nums]
         den //= g
-    return _series(nums, den)
+    return nums, den
+
+
+def _canonical(nums: Sequence[int], den: int) -> TruncatedSeries:
+    """The series nums / den for any nonzero ``den``, put in canonical form."""
+    return _series(*_reduced(nums, den))
 
 
 def _ratio(num: int, den: int) -> tuple[int, int]:
@@ -494,14 +517,6 @@ def lagrange_invert(a: TruncatedSeries) -> TruncatedSeries:
 def evaluate(a: TruncatedSeries, x: RationalLike) -> Fraction:
     """Exact partial-sum evaluation sum_{k<=order} c_k x^k."""
     return _eval_over(a._nums, a._den, as_rational(x))
-
-
-def _horner(coeffs: tuple[Fraction, ...], x: RationalLike) -> Fraction:
-    """sum_k coeffs[k] x**k by Horner's rule on integers."""
-    x = as_rational(x)
-    if not coeffs:
-        return Fraction(0)
-    return _eval_over(*_numerators(coeffs), x)
 
 
 def _eval_over(nums: Sequence[int], d: int, x: Fraction) -> Fraction:

@@ -15,15 +15,17 @@ realized as "apply the operator, evaluate at 0".
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, perm
 from typing import Iterable, Sequence
 
 from .series import (
     _ZERO,
-    _horner,
+    _eval_over,
     _int_horner,
+    _int_mul,
     _int_powers,
-    _numerators,
+    _reduced,
+    _Exact,
     RationalLike,
     TruncatedSeries,
     as_rational,
@@ -35,49 +37,37 @@ from .series import (
 )
 
 
-class Polynomial:
-    """Exact-coefficient polynomial in one variable.
+class Polynomial(_Exact):
+    """Exact-coefficient polynomial in one variable, stored as a series is
+    (see :class:`~umbral_stats.series._Exact`).
 
     ``coeffs[k]`` is the coefficient of ``x**k``; trailing zeros are
     stripped, and the zero polynomial is the empty tuple.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
         cs = [as_rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+        self._store(tuple(cs))
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return self.coeffs[k] if 0 <= k < len(self._nums) else _ZERO
 
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+        return not self._nums
 
     def __repr__(self):
         return f"Polynomial({[str(c) for c in self.coeffs]})"
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         terms = []
         for k in range(self.degree, -1, -1):
             c = self.coeffs[k]
@@ -88,59 +78,69 @@ class Polynomial:
             else:
                 head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
                 terms.append(f"{head}x" + (f"^{k}" if k > 1 else ""))
-        return " + ".join(terms).replace("+ -", "- ")
+        return " + ".join(terms).replace("+ -", "- ") or "0"
 
     def __add__(self, other: Polynomial) -> Polynomial:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            [self.coefficient(k) + other.coefficient(k) for k in range(n)]
-        )
+        a, b = self._nums, other._nums
+        d = lcm(self._den, other._den)
+        fa, fb = d // self._den, d // other._den
+        out = [x * fa for x in a] + [0] * (len(b) - len(a))
+        for k, y in enumerate(b):
+            out[k] += y * fb
+        return _polynomial(out, d)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            [self.coefficient(k) - other.coefficient(k) for k in range(n)]
-        )
+        return self + -other
 
     def __neg__(self) -> Polynomial:
-        return Polynomial([-c for c in self.coeffs])
+        return _poly([-c for c in self._nums], self._den)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if self.is_zero() or other.is_zero():
-                return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
-        return self.scale(as_rational(other))
+            a, b = self._nums, other._nums
+            return _polynomial(_int_mul(a, b, len(a) + len(b) - 2), self._den * other._den)
+        return self.scale(other)
 
     def __rmul__(self, other) -> Polynomial:
-        return self.scale(as_rational(other))
+        return self.scale(other)
 
     def scale(self, c: RationalLike) -> Polynomial:
-        return Polynomial([as_rational(c) * a for a in self.coeffs])
+        c = as_rational(c)
+        p = c.numerator
+        return _polynomial([p * x for x in self._nums], self._den * c.denominator)
 
     def shift_x(self) -> Polynomial:
         """Multiply by x."""
-        if self.is_zero():
+        if not self._nums:
             return self
-        return Polynomial((Fraction(0),) + self.coeffs)
+        return _poly((0,) + self._nums, self._den)
 
     def diff(self) -> Polynomial:
-        return Polynomial([k * self.coeffs[k] for k in range(1, len(self.coeffs))])
+        nums = self._nums
+        return _polynomial([k * nums[k] for k in range(1, len(nums))], self._den)
 
     def integral(self) -> Polynomial:
-        """Antiderivative vanishing at 0."""
-        return Polynomial(
-            [Fraction(0)] + [c / (k + 1) for k, c in enumerate(self.coeffs)]
-        )
+        """Antiderivative vanishing at 0, over d lcm(1..deg+1)."""
+        nums = self._nums
+        L = lcm(*range(1, len(nums) + 1))
+        return _polynomial([0] + [c * (L // k) for k, c in enumerate(nums, 1)], self._den * L)
 
     def __call__(self, x: RationalLike) -> Fraction:
-        return _horner(self.coeffs, x)
+        if not self._nums:
+            return _ZERO
+        return _eval_over(self._nums, self._den, as_rational(x))
+
+
+_poly = Polynomial._from_pair
+
+
+def _polynomial(nums: Sequence[int], den: int) -> Polynomial:
+    """The polynomial nums / den for any nonzero ``den``: trailing zeros
+    stripped, then put in canonical form."""
+    k = len(nums)
+    while k and not nums[k - 1]:
+        k -= 1
+    return _poly(*_reduced(nums[:k], den))
 
 
 def poly_x(k: int = 1) -> Polynomial:
@@ -215,7 +215,7 @@ class InvertibleSeries:
 class PolynomialSequence:
     """Polynomials p_0..p_n with p_0 = 1 and deg p_k = k."""
 
-    __slots__ = ("polys", "_table")
+    __slots__ = ("polys",)
 
     def __init__(self, polys: Sequence[Polynomial]):
         polys = tuple(polys)
@@ -225,7 +225,6 @@ class PolynomialSequence:
             if p.degree != k:
                 raise ValueError(f"p_{k} must have degree {k}, got {p.degree}")
         object.__setattr__(self, "polys", polys)
-        object.__setattr__(self, "_table", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolynomialSequence is immutable")
@@ -247,14 +246,6 @@ class PolynomialSequence:
     def __repr__(self):
         return f"PolynomialSequence({list(self.polys)!r})"
 
-    @property
-    def numerators(self) -> list[tuple[list[int], int]]:
-        """(N_k, d_k) with p_k = sum_j N_k[j] x**j / d_k, computed on first read."""
-        if self._table is None:
-            table = [_numerators(p.coeffs) for p in self.polys]
-            object.__setattr__(self, "_table", table)
-        return self._table
-
     def coefficient_matrix(self) -> list[list[Fraction]]:
         """Row n holds the x^k coefficients of p_n for k = 0..n."""
         return [
@@ -270,17 +261,13 @@ def _egf_sequence(
 ) -> PolynomialSequence:
     """p_m(x) = m! * sum_k (x^k / k!) [X^m] (prefactor * F(X)^k), m = 0..n.
 
-    Reads the integer power table: [X^m] prefactor * F**k = rows[k][m] / (ds d**k).
+    Reads the integer power table: [X^m] prefactor * F**k = rows[k][m] / (ds d**k),
+    so p_m has the x^k numerator (m! / k!) rows[k][m] d**(m-k) over ds d**m.
     """
     rows, ds, d = _int_powers(F, n, prefactor)
-    dens = [ds * d**k for k in range(n + 1)]
     return PolynomialSequence(
-        Polynomial(
-            [
-                Fraction(factorial(m) // factorial(k) * rows[k][m], dens[k])
-                if rows[k][m] else _ZERO
-                for k in range(m + 1)
-            ]
+        _polynomial(
+            [perm(m, m - k) * rows[k][m] * d ** (m - k) for k in range(m + 1)], ds * d**m
         )
         for m in range(n + 1)
     )
@@ -324,16 +311,18 @@ def conjugate_sheffer_sequence(
 
 
 def apply_operator(h: TruncatedSeries, p: Polynomial) -> Polynomial:
-    """h(D) p = sum_k h_k D^k p  (ordinary coefficients of h)."""
-    out = Polynomial()
-    current = p
-    for k in range(min(h.order, max(p.degree, 0)) + 1):
-        if h.coeffs[k] != 0:
-            out = out + current.scale(h.coeffs[k])
-        if current.is_zero():
-            break
-        current = current.diff()
-    return out
+    """h(D) p = sum_k h_k D^k p  (ordinary coefficients of h).
+
+    In integers: with h_k = H_k / e and p = sum_j N_j x^j / d, the x^m
+    coefficient is sum_k H_k N_(m+k) (m+k)! / m! over e d.
+    """
+    H, N = h._nums, p._nums
+    out = [0] * len(N)
+    for k in range(min(h.order, p.degree) + 1):
+        if H[k]:
+            for m in range(len(N) - k):
+                out[m] += H[k] * N[m + k] * perm(m + k, k)
+    return _polynomial(out, h._den * p._den)
 
 
 def functional(h: TruncatedSeries, p: Polynomial) -> Fraction:
@@ -451,13 +440,13 @@ def binomial_identity_holds(
     """
     a = as_rational(a)
     b = as_rational(b)
-    table = seq.numerators
+    polys = seq.polys[: n + 1]
     r, q, u, s = a.numerator, a.denominator, b.numerator, b.denominator
-    dens = [d for _, d in table[: n + 1]]
+    dens = [p._den for p in polys]
     scale = lcm(*(dens[k] * dens[n - k] for k in range(n + 1)))
-    at_a = [_int_horner(N, r, q) for N, _ in table[: n + 1]]
-    at_b = [_int_horner(N, u, s) for N, _ in table[: n + 1]]
-    lhs = _int_horner(table[n][0], r * s + u * q, q * s) * (scale // dens[n])
+    at_a = [_int_horner(p._nums, r, q) for p in polys]
+    at_b = [_int_horner(p._nums, u, s) for p in polys]
+    lhs = _int_horner(polys[n]._nums, r * s + u * q, q * s) * (scale // dens[n])
     rhs = sum(
         comb(n, k) * at_a[k] * at_b[n - k] * (scale // (dens[k] * dens[n - k]))
         * q ** (n - k) * s**k
@@ -526,11 +515,12 @@ def _first_convolution_failure(
 def first_convolution_failure(W: Sequence[Polynomial]) -> int | None:
     """The least failing degree of the convolution identity of W_0..W_N
     (see :func:`_first_convolution_failure`), or None."""
-    return _first_convolution_failure([_numerators(p.coeffs) for p in W], [1] * len(W))
+    return _first_convolution_failure([(p._nums, p._den) for p in W], [1] * len(W))
 
 
 def first_binomial_failure(seq: PolynomialSequence) -> int | None:
     """Least n at which p_n(x+y) = sum_k C(n,k) p_k(x) p_{n-k}(y) fails as a
     polynomial identity, or None: the convolution identity of p_n / n!."""
-    table = seq.numerators
-    return _first_convolution_failure(table, [factorial(n) for n in range(len(table))])
+    return _first_convolution_failure(
+        [(p._nums, p._den) for p in seq], [factorial(n) for n in range(len(seq))]
+    )

@@ -5,8 +5,9 @@ numerators; the references in ``oracles`` do one ``Fraction`` operation per
 step.  Inputs cover orders 1-20 (0-20 for ``mul``, ``reciprocal`` and
 ``divide``), runs of zero coefficients, coprime and very large denominators,
 several linear and constant coefficients and awkward rational points.
-The same inputs check the storage contract: every output is int numerators
-over one positive denominator with no common factor.
+The same inputs check the storage contract: every series and polynomial
+output is int numerators over one positive denominator with no common
+factor.
 """
 
 import random
@@ -32,9 +33,11 @@ from umbral_stats import catalog
 from umbral_stats import deformed_entropy as de
 from umbral_stats import series as fps
 from umbral_stats import statistics as st
+from umbral_stats import umbral
 from umbral_stats.series import TruncatedSeries, _numerators
 from umbral_stats.umbral import (
     DeltaSeries,
+    InvertibleSeries,
     Polynomial,
     PolynomialSequence,
     _first_convolution_failure,
@@ -480,3 +483,70 @@ def test_equal_values_store_equal_pairs():
     assert fps.mul(a, fps.zero(3)) == fps.zero(3)
     assert fps.reciprocal(TruncatedSeries([F(-2, 3)]))._nums == (-3,)
     assert fps.zero(2) != fps.zero(3)
+
+
+def assert_polynomial_canonical(p: Polynomial) -> None:
+    """p is stored as int numerators with no trailing zero over a positive
+    int denominator with no common factor, reads back as the reduced
+    Fractions (the same tuple on a second read), takes the value
+    sum(nums) / den at 1, and equals and hashes as the same value built by
+    the public constructor and from an unreduced pair."""
+    nums, den = p._nums, p._den
+    assert type(den) is int and den > 0
+    assert all(type(c) is int for c in nums)
+    assert not nums or nums[-1]
+    assert gcd(den, *nums) == 1
+    cs = p.coeffs
+    assert cs == tuple(F(c, den) for c in nums) and all(type(c) is F for c in cs)
+    assert p.coeffs is cs
+    assert p(1) == F(sum(nums), den)
+    unreduced = umbral._polynomial([-6 * c for c in nums] + [0, 0], -6 * den)
+    for twin in (Polynomial(cs), Polynomial(cs + (F(0),)), umbral._poly(nums, den), unreduced):
+        assert twin == p and hash(twin) == hash(p)
+    assert p != TruncatedSeries(cs or (F(0),))
+
+
+def polynomial_outputs(a, b, delta, unit, x) -> list[Polynomial]:
+    """Every function that returns a Polynomial, applied to coefficient
+    lists: polynomials a and b, a delta series, a unit series and a scalar."""
+    P, Q = Polynomial(a), Polynomial(b)
+    D, U = TruncatedSeries(delta), TruncatedSeries(unit)
+    f, g = DeltaSeries(D), InvertibleSeries(U.truncate(D.order))
+    n = min(D.order, 8)
+    seqs = [
+        umbral.conjugate_sequence(f, n), umbral.associated_sequence(f, n),
+        umbral.sheffer_sequence(g, f, n), umbral.conjugate_sheffer_sequence(g, f, n),
+    ]
+    seqs.append(umbral.umbral_composition(seqs[0], seqs[1]))
+    stat = st.Statistics(TruncatedSeries([0, 1] + delta[2:]))
+    out = [
+        P, P + Q, P - Q, -P, P * Q, P.scale(x), x * P, P * x, P.shift_x(), P.diff(),
+        P.integral(), umbral.poly_x(len(a)), umbral.apply_operator(U, P),
+        umbral.apply_operator(D, seqs[0][n]), umbral.umbral_shift_next(f, P),
+        umbral.sheffer_shift_next(g, f, P), st.occupation_polynomial(stat, n),
+    ]
+    out += st.occupation_polynomials(stat, n) + list(st.conjugate_polynomials(stat, n))
+    return out + [p for seq in seqs for p in seq]
+
+
+@kernel_settings
+@given(hs.data(), hs.integers(0, 12), hs.integers(0, 12), orders, point)
+def test_every_polynomial_output_is_canonical(data, na, nb, nd, x):
+    lists = [coefficient_lists, low_degree_lists, integral_lists]
+    a = data.draw(hs.one_of(*(f(na) for f in lists)))
+    b = data.draw(hs.one_of(*(f(nb) for f in lists)))
+    delta = data.draw(coefficient_lists(nd, zero_constant=True) | integral_lists(nd))
+    delta[1] = data.draw(hs.sampled_from(SLOPES))
+    unit = data.draw(coefficient_lists(nd))
+    unit[0] = F(1)
+    for p in polynomial_outputs(a, b, delta, unit, x):
+        assert_polynomial_canonical(p)
+
+
+def test_equal_polynomials_store_equal_pairs():
+    p = Polynomial([F(2, 4), 3, "4/6", 0, F(0, 5)])
+    assert (p._nums, p._den) == ((3, 18, 4), 6)
+    assert p == Polynomial(["1/2", F(6, 2), F(2, 3)])
+    assert (Polynomial()._nums, Polynomial()._den) == ((), 1)
+    assert Polynomial([0, 0]) == Polynomial() == p - p == p * Polynomial()
+    assert Polynomial([1]) != TruncatedSeries([1])

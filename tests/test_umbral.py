@@ -424,13 +424,6 @@ class TestUmbralInvariants:
         W[k] = W[k] + poly_x(k + 1)
         assert first_convolution_failure(W) == k
 
-    def test_integer_table_is_built_once(self):
-        seq = conjugate_sequence(delta(F_GEOM_SUM), 6)
-        table = seq.numerators
-        assert binomial_identity_holds(seq, F(1, 2), F(-2, 3), 6)
-        assert seq.numerators is table
-        assert [F(sum(N), d) for N, d in table] == [p(1) for p in seq]
-
     def test_annihilation(self):
         for name, fn in self.CATALOG_F.items():
             Fs = fps.from_function(fn, ORDER)
