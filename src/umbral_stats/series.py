@@ -10,10 +10,11 @@ an operation loses information, e.g. differentiation).
 A series is stored as FLINT's ``fmpq_poly`` stores a polynomial: ``int``
 numerators over one positive ``int`` denominator, in canonical form (the
 denominator and the numerators have no common factor, so the denominator
-is the least common denominator of the coefficients).  Two series are
-equal exactly when their canonical pairs are.  The public ``coeffs`` is a
-tuple of :class:`fractions.Fraction`, built on first read and kept;
-nothing here ever rounds.  Every kernel (:func:`mul`, :func:`powers`,
+is the least common denominator of the coefficients): the class
+:class:`_Exact`, which :class:`umbral_stats.umbral.Polynomial` shares.  Two
+values are equal exactly when their canonical pairs are.  The public
+``coeffs`` is a tuple of :class:`fractions.Fraction`, built on first read
+and kept; nothing here ever rounds.  Every kernel (:func:`mul`, :func:`powers`,
 :func:`compose`, :func:`lagrange_invert`, :func:`exp_series`,
 :func:`log_series`, :func:`reciprocal`, :func:`divide`, evaluation at a
 rational point and the linear helpers) reads the numerators directly, runs

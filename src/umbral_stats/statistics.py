@@ -161,12 +161,12 @@ def from_weight(
     """Build from the weight function w(X) = X + ....
 
     Pass ``inverse`` when the compositional inverse of w is already known,
-    so that reading X(w) inverts nothing.  The constant term of ``w`` is
-    ignored; F = sum w_n X^n / n is the integral of w / X."""
+    so that reading X(w) inverts nothing.  A nonzero constant term of ``w``
+    is rejected; F = sum w_n X^n / n is the integral of w / X."""
+    if w._nums[0]:
+        raise ValueError("weight function must vanish at 0")
     if w.order < 1 or w._nums[1] != w._den:
         raise ValueError("first cluster coefficient must be 1")
-    if w._nums[0]:
-        w = _canonical((0,) + w._nums[1:], w._den)
     return Statistics(integrate_extend(shift_down(w)), name, inverse=inverse, _w=w)
 
 

@@ -10,6 +10,10 @@ an invertible prefactor: EGF exp(x F(t)) / g(F(t)).
 Series of operators h(D) act on polynomials through their ordinary
 coefficients: h(D) p = sum_k h_k D^k p.  Linear functionals <h(D)|p> are
 realized as "apply the operator, evaluate at 0".
+
+A :class:`Polynomial` is stored as a series is: int numerators over one
+denominator in canonical form.  The sequences are read off the integer
+power table of F, and every operation runs on ints with one gcd per result.
 """
 
 from __future__ import annotations
@@ -38,12 +42,9 @@ from .series import (
 
 
 class Polynomial(_Exact):
-    """Exact-coefficient polynomial in one variable, stored as a series is
-    (see :class:`~umbral_stats.series._Exact`).
-
-    ``coeffs[k]`` is the coefficient of ``x**k``; trailing zeros are
-    stripped, and the zero polynomial is the empty tuple.
-    """
+    """Exact-coefficient polynomial in one variable, stored as an
+    :class:`~umbral_stats.series._Exact` pair.  ``coeffs[k]`` is the coefficient
+    of ``x**k``; trailing zeros are stripped, so the zero polynomial has none."""
 
     __slots__ = ()
 
@@ -311,11 +312,9 @@ def conjugate_sheffer_sequence(
 
 
 def apply_operator(h: TruncatedSeries, p: Polynomial) -> Polynomial:
-    """h(D) p = sum_k h_k D^k p  (ordinary coefficients of h).
-
-    In integers: with h_k = H_k / e and p = sum_j N_j x^j / d, the x^m
-    coefficient is sum_k H_k N_(m+k) (m+k)! / m! over e d.
-    """
+    """h(D) p = sum_k h_k D^k p  (ordinary coefficients of h).  In integers,
+    with h_k = H_k / e and p = sum_j N_j x^j / d, the x^m coefficient is
+    sum_k H_k N_(m+k) (m+k)! / m! over e d."""
     H, N = h._nums, p._nums
     out = [0] * len(N)
     for k in range(min(h.order, p.degree) + 1):

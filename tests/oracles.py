@@ -13,7 +13,6 @@ from math import comb, factorial, lcm
 from umbral_stats import deformed_entropy as de
 from umbral_stats import series as fps
 from umbral_stats.series import TruncatedSeries
-from umbral_stats.umbral import Polynomial, poly_x
 
 
 def stirling2(n: int, k: int) -> int:
@@ -42,6 +41,16 @@ def catalan_numbers(m: int) -> list[int]:
     for n in range(m):
         C.append(sum(C[i] * C[n - i] for i in range(n + 1)))
     return C
+
+
+# [u^n] X(u), n >= 1, of the compositional inverse X of the weight function,
+# in closed form: Lagrange inversion read as counting trees
+X_OF_W_CLOSED_FORMS = {
+    "exponential": lambda n: Fraction((-n) ** (n - 1), factorial(n)),  # Lambert's series
+    "lah": lambda n: Fraction((-1) ** (n - 1) * (comb(2 * n, n) // (n + 1))),  # Catalan
+    "bose-einstein": lambda n: Fraction((-1) ** (n - 1)),  # u / (1 + u)
+    "fermi-dirac": lambda n: Fraction(1),  # u / (1 - u)
+}
 
 
 def partitions(n: int):
@@ -117,41 +126,41 @@ def bell_partial(n: int, k: int, t: list[Fraction]) -> Fraction:
     return total
 
 
-def hermite_he(n: int) -> Polynomial:
-    """Probabilists' Hermite polynomials by He_{n+1} = x He_n - n He_{n-1}."""
+def stirling1(n: int, k: int) -> int:
+    """Unsigned first-kind Stirling numbers via c(n,k) = (n-1) c(n-1,k) + c(n-1,k-1)."""
     if n == 0:
-        return Polynomial([1])
-    prev, cur = Polynomial([1]), poly_x()
-    for k in range(1, n):
-        prev, cur = cur, cur.shift_x() - prev.scale(k)
-    return cur
+        return 1 if k == 0 else 0
+    if k == 0 or k > n:
+        return 0
+    return (n - 1) * stirling1(n - 1, k) + stirling1(n - 1, k - 1)
 
 
-def falling_factorial(n: int) -> Polynomial:
-    """x(x-1)...(x-n+1)."""
-    p = Polynomial([1])
-    for k in range(n):
-        p = p * Polynomial([-k, 1])
-    return p
+def hermite_he(n: int) -> list[Fraction]:
+    """Coefficients of the probabilists' Hermite polynomial
+    He_n = n! sum_m (-1)^m x^(n-2m) / (m! (n-2m)! 2^m)."""
+    cs = [Fraction(0)] * (n + 1)
+    for m in range(n // 2 + 1):
+        cs[n - 2 * m] = Fraction(
+            (-1) ** m * factorial(n), factorial(m) * factorial(n - 2 * m) * 2**m
+        )
+    return cs
 
 
-def rising_factorial(n: int) -> Polynomial:
-    """x(x+1)...(x+n-1)."""
-    p = Polynomial([1])
-    for k in range(n):
-        p = p * Polynomial([k, 1])
-    return p
+def falling_factorial(n: int) -> list[Fraction]:
+    """Coefficients of x(x-1)...(x-n+1): the signed Stirling numbers (-1)^(n-k) c(n,k)."""
+    return [Fraction((-1) ** (n - k) * stirling1(n, k)) for k in range(n + 1)]
 
 
-def abel_polynomial(n: int, a: Fraction) -> Polynomial:
-    """x(x - na)^{n-1}."""
+def rising_factorial(n: int) -> list[Fraction]:
+    """Coefficients of x(x+1)...(x+n-1): the Stirling numbers c(n,k)."""
+    return [Fraction(stirling1(n, k)) for k in range(n + 1)]
+
+
+def abel_polynomial(n: int, a: Fraction) -> list[Fraction]:
+    """Coefficients of x(x - na)^(n-1): C(n-1, k-1) (-na)^(n-k) at x^k."""
     if n == 0:
-        return Polynomial([1])
-    p = poly_x()
-    shift = Polynomial([-n * a, 1])
-    for _ in range(n - 1):
-        p = p * shift
-    return p
+        return [Fraction(1)]
+    return [Fraction(0)] + [comb(n - 1, k - 1) * (-n * a) ** (n - k) for k in range(1, n + 1)]
 
 
 def divide_series(num: list[Fraction], den: list[Fraction], order: int) -> list[Fraction]:

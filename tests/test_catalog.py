@@ -8,7 +8,13 @@ from math import comb, factorial
 
 import pytest
 
-from oracles import bell_partial, bernoulli_numbers, catalan_numbers, stirling2
+from oracles import (
+    X_OF_W_CLOSED_FORMS,
+    bell_partial,
+    bernoulli_numbers,
+    catalan_numbers,
+    stirling2,
+)
 from umbral_stats import catalog as cat
 from umbral_stats import oeis
 from umbral_stats import series as fps
@@ -296,6 +302,12 @@ class TestDerivedRegeneration:
         B = bernoulli_numbers(len(fixture.coeffs))
         for k, c in enumerate(fixture.coeffs):
             assert c == (0 if k == 0 else B[k - 1] / factorial(k))
+
+    @pytest.mark.parametrize("name", sorted(X_OF_W_CLOSED_FORMS))
+    def test_x_of_w_matches_closed_form_at_order_64(self, name):
+        coefficient = X_OF_W_CLOSED_FORMS[name]
+        expected = [F(0)] + [coefficient(n) for n in range(1, 65)]
+        assert list(cat.build(name, 64).X_of_w.coeffs) == expected
 
     def test_catalan_fixtures(self):
         C = catalan_numbers(10)

@@ -71,6 +71,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             st.Statistics(TruncatedSeries([0, 2, 1]))
 
+    @pytest.mark.parametrize("constant", [1, F(-1, 3), F(1, 2**64)])
+    def test_weight_with_a_constant_term_is_rejected(self, constant):
+        # a series with w(0) != 0 is not the weight function of any statistics
+        with pytest.raises(ValueError, match="weight function must vanish at 0"):
+            st.from_weight(TruncatedSeries([constant, 1, 2]))
+        assert st.from_weight(TruncatedSeries([0, 1, 2])).F == TruncatedSeries([0, 1, 1])
+
     def test_weight_is_scaled_derivative(self):
         s = bose()
         assert s.w == fps.shift_up(fps.derivative(s.F))

@@ -89,7 +89,7 @@ class TestConjugateSequence:
     def test_log1p_gives_falling_factorials(self):
         seq = conjugate_sequence(delta(F_LOG1P), 6)
         for n in range(7):
-            assert seq[n] == falling_factorial(n)
+            assert list(seq[n].coeffs) == falling_factorial(n)
         assert seq[3] == Polynomial([0, 2, -3, 1])  # x(x-1)(x-2)
 
     def test_geometric_sum_gives_lah_polynomials(self):
@@ -109,7 +109,7 @@ class TestAssociatedSequence:
     def test_exponential_delta_gives_falling_factorials(self):
         seq = associated_sequence(delta(F_EXPM1), 6)
         for n in range(7):
-            assert seq[n] == falling_factorial(n)
+            assert list(seq[n].coeffs) == falling_factorial(n)
 
     def test_abel_polynomials(self):
         # f = Y e^{aY} at a = 1
@@ -121,7 +121,7 @@ class TestAssociatedSequence:
         )
         seq = associated_sequence(f, 6)
         for n in range(7):
-            assert seq[n] == abel_polynomial(n, F(1))
+            assert list(seq[n].coeffs) == abel_polynomial(n, F(1))
 
 
 class TestApplyOperator:
@@ -130,8 +130,8 @@ class TestApplyOperator:
 
     def test_annihilates_falling_factorial(self):
         expm1 = fps.from_function(F_EXPM1, ORDER)
-        got = apply_operator(expm1, falling_factorial(3))
-        assert got == falling_factorial(2).scale(3)
+        got = apply_operator(expm1, Polynomial(falling_factorial(3)))
+        assert list(got.coeffs) == [3 * c for c in falling_factorial(2)]
 
     def test_counit(self):
         p = Polynomial([1, -2, 5])
@@ -191,10 +191,11 @@ class TestConnectionCoefficients:
             solved = [F(0)] * (n + 1)
             for k in range(n, -1, -1):
                 falling = falling_factorial(k)
-                coeff = target.coefficient(k) / falling.coefficient(k)
+                coeff = target[k] / falling[k]
                 solved[k] = coeff
-                target = target - falling.scale(coeff)
-            assert target.is_zero()
+                for j in range(k + 1):
+                    target[j] -= coeff * falling[j]
+            assert not any(target)
             assert c[n][: n + 1] == solved
 
 
@@ -215,7 +216,7 @@ class TestShefferSequences:
         f = delta(lambda k: 1 if k == 1 else 0)
         seq = sheffer_sequence(g, f, 8)
         for n in range(9):
-            assert seq[n] == hermite_he(n)
+            assert list(seq[n].coeffs) == hermite_he(n)
         assert seq[3] == Polynomial([0, -3, 0, 1])  # x^3 - 3x
 
     def test_conjugate_form_matches_inverse_form(self):
@@ -268,7 +269,7 @@ class TestShifts:
         cur = Polynomial([1])
         for n in range(8):
             cur = sheffer_shift_next(g, f, cur)
-            assert cur == hermite_he(n + 1)
+            assert list(cur.coeffs) == hermite_he(n + 1)
 
     def test_sheffer_shift_against_generating_route(self):
         g = InvertibleSeries(TruncatedSeries([1, 1] + [0] * (ORDER - 1)))
