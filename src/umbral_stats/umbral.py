@@ -127,9 +127,8 @@ class Polynomial(_Exact):
         return _polynomial([0] + [c * (L // k) for k, c in enumerate(nums, 1)], self._den * L)
 
     def __call__(self, x: RationalLike) -> Fraction:
-        if not self._nums:
-            return _ZERO
-        return _eval_over(self._nums, self._den, as_rational(x))
+        x = as_rational(x)
+        return _eval_over(self._nums, self._den, x) if self._nums else _ZERO
 
 
 _poly = Polynomial._from_pair
@@ -266,10 +265,9 @@ def _egf_sequence(
     so p_m has the x^k numerator (m! / k!) rows[k][m] d**(m-k) over ds d**m.
     """
     rows, ds, d = _int_powers(F, n, prefactor)
+    dk = [d**j for j in range(n + 1)]
     return PolynomialSequence(
-        _polynomial(
-            [perm(m, m - k) * rows[k][m] * d ** (m - k) for k in range(m + 1)], ds * d**m
-        )
+        _polynomial([perm(m, m - k) * rows[k][m] * dk[m - k] for k in range(m + 1)], ds * dk[m])
         for m in range(n + 1)
     )
 
