@@ -14,6 +14,12 @@ globally with the UMBRAL_ORDER environment variable.  Output is JSON by
 default; --format csv/pretty are available for series-like payloads.
 Exit status is 0 only if the requested computation (and any checks)
 succeeded.
+
+Each subcommand's handler ``cmd_*(args)`` computes and prints nothing to
+stdout: it returns ``(parameters, payload)``, or ``(parameters, payload,
+exit_code)`` when the code can be nonzero (maxent, verify, oeis-check).
+:func:`main` times the handler and emits the one record
+``{"command", "parameters", "payload", "elapsed_seconds"}``.
 """
 
 from __future__ import annotations
@@ -218,20 +224,17 @@ def _emit_pretty(payload, stream) -> None:
         stream.write("\n")
 
 
-def _record(command: str, parameters: dict, payload, t0: float) -> dict:
-    return {
-        "command": command,
-        "parameters": parameters,
-        "payload": payload,
-        "elapsed_seconds": round(time.perf_counter() - t0, 6),
-    }
-
-
 # -- command handlers ----------------------------------------------------------
 
 
-def cmd_expand(args, stream) -> int:
-    t0 = time.perf_counter()
+def _statistics(args, stat="stat", param="param", order=None):
+    """The catalog statistics named by option ``stat``, built with the
+    parameters of option ``param`` at ``order`` (default: --order)."""
+    params = parse_params(getattr(args, param))
+    return cat.get(getattr(args, stat)).build(order or args.order, **params)
+
+
+def cmd_expand(args):
     params = parse_params(args.param)
     entry = cat.get(args.stat)
     value = entry.quantity(args.quantity, args.order, **params)
@@ -244,85 +247,54 @@ def cmd_expand(args, stream) -> int:
             "constant-normalized: the linear constant F(X(1)) - log X(1) is "
             + (f"registered as {constant}" if constant is not None else "not evaluated")
         )
-    emit(_record("expand", {"stat": args.stat, "quantity": args.quantity,
-                            "order": args.order,
-                            "params": {k: str(v) for k, v in params.items()}},
-                 payload, t0), args.format, stream)
-    return 0
+    return {"stat": args.stat, "quantity": args.quantity, "order": args.order,
+            "params": {k: str(v) for k, v in params.items()}}, payload
 
 
-def cmd_dual(args, stream) -> int:
-    t0 = time.perf_counter()
-    params = parse_params(args.param)
-    stat = cat.get(args.stat).build(args.order, **params)
-    image = st.dual(stat)
-    payload = st.statistics_to_json(image)
-    emit(_record("dual", {"stat": args.stat, "order": args.order}, payload, t0),
-         args.format, stream)
-    return 0
+def cmd_dual(args):
+    image = st.dual(_statistics(args))
+    return {"stat": args.stat, "order": args.order}, st.statistics_to_json(image)
 
 
-def cmd_compose(args, stream) -> int:
-    t0 = time.perf_counter()
-    a = cat.get(args.stat).build(args.order, **parse_params(args.param))
-    b = cat.get(args.stat2).build(args.order, **parse_params(args.param2))
+def cmd_compose(args):
+    a = _statistics(args)
+    b = _statistics(args, "stat2", "param2")
     result = st.group_compose_m(a, b, args.m)
-    payload = st.statistics_to_json(result)
-    emit(_record("compose", {"stat": args.stat, "stat2": args.stat2, "m": args.m,
-                             "order": args.order}, payload, t0), args.format, stream)
-    return 0
+    return ({"stat": args.stat, "stat2": args.stat2, "m": args.m, "order": args.order},
+            st.statistics_to_json(result))
 
 
-def cmd_polyseq(args, stream) -> int:
-    t0 = time.perf_counter()
-    params = parse_params(args.param)
-    stat = cat.get(args.stat).build(max(args.order, args.n), **params)
+def cmd_polyseq(args):
+    stat = _statistics(args, order=max(args.order, args.n))
     if args.kind in ("conjugate", "associated"):
         # the associated sequence of F's inverse is the conjugate sequence of F
         seq = conjugate_sequence(DeltaSeries(stat.F), args.n)
     else:
-        g = InvertibleSeries(TruncatedSeries(parse_rationals(args.g_coeffs))) if (
-            args.g_coeffs
-        ) else InvertibleSeries(fps.one(stat.order))
+        g = InvertibleSeries(TruncatedSeries(parse_rationals(args.g_coeffs))
+                             if args.g_coeffs else fps.one(stat.order))
         seq = conjugate_sheffer_sequence(g, DeltaSeries(stat.F), args.n)
     payload = {
         "polynomials": [poly_to_json(p) for p in seq],
         "pretty": "\n".join(f"p_{n} = {p}" for n, p in enumerate(seq)),
     }
-    emit(_record("polyseq", {"stat": args.stat, "kind": args.kind, "n": args.n},
-                 payload, t0), args.format, stream)
-    return 0
+    return {"stat": args.stat, "kind": args.kind, "n": args.n}, payload
 
 
-def cmd_spectral(args, stream) -> int:
-    t0 = time.perf_counter()
-    params = parse_params(args.param)
-    stat = cat.get(args.stat).build(args.order, **params)
-    samples = st.spectral_samples(stat, parse_rationals(args.points))
-    payload = {
-        "samples": [
-            {"X": str(s.X), "z": str(s.z), "Y": str(s.Y)} for s in samples
-        ]
-    }
-    emit(_record("spectral", {"stat": args.stat, "points": args.points,
-                              "order": args.order}, payload, t0), args.format, stream)
-    return 0
+def cmd_spectral(args):
+    samples = st.spectral_samples(_statistics(args), parse_rationals(args.points))
+    payload = {"samples": [{"X": str(s.X), "z": str(s.z), "Y": str(s.Y)}
+                           for s in samples]}
+    return {"stat": args.stat, "points": args.points, "order": args.order}, payload
 
 
-def cmd_maxent(args, stream) -> int:
-    t0 = time.perf_counter()
-    params = parse_params(args.param)
-    stat = cat.get(args.stat).build(args.order, **params)
+def cmd_maxent(args):
+    stat = _statistics(args)
     energies = [parse_float(e) for e in args.energies.split(",") if e]
     try:
-        sol = maxent_solve(
-            stat,
-            energies,
-            energy_target=parse_float(args.energy_target),
-            number_target=parse_float(args.number_target),
-            a0=parse_float(args.a0),
-            b0=parse_float(args.b0),
-        )
+        sol = maxent_solve(stat, energies,
+                           energy_target=parse_float(args.energy_target),
+                           number_target=parse_float(args.number_target),
+                           a0=parse_float(args.a0), b0=parse_float(args.b0))
         code = 0
     except MaxentConvergenceError as exc:
         sol = exc.last
@@ -330,38 +302,24 @@ def cmd_maxent(args, stream) -> int:
     if not all(map(math.isfinite, (sol.a, sol.b, *sol.p, *sol.residuals))):
         raise ValueError(f"maxent did not converge: the last iterate is not finite "
                          f"(a={sol.a}, b={sol.b}, residuals={list(sol.residuals)})")
-    payload = {
-        "a": sol.a,
-        "b": sol.b,
-        "p": sol.p,
-        "residuals": list(sol.residuals),
-        "iterations": sol.iterations,
-        "converged": sol.converged,
-    }
-    emit(_record("maxent", {"stat": args.stat, "energies": args.energies,
-                            "energy_target": args.energy_target,
-                            "number_target": args.number_target},
-                 payload, t0), args.format, stream)
-    return code
+    payload = {"a": sol.a, "b": sol.b, "p": sol.p, "residuals": list(sol.residuals),
+               "iterations": sol.iterations, "converged": sol.converged}
+    return {"stat": args.stat, "energies": args.energies,
+            "energy_target": args.energy_target,
+            "number_target": args.number_target}, payload, code
 
 
-def cmd_verify(args, stream) -> int:
-    t0 = time.perf_counter()
+def cmd_verify(args):
     report = verify_mod.run(args.suite, order=args.order, seed=args.seed)
-    payload = report.to_json()
-    emit(_record("verify", {"suite": args.suite, "order": args.order,
-                            "seed": args.seed}, payload, t0), args.format, stream)
-    if not report.passed:
-        rerun = f"(--order {args.order} --seed {args.seed})"
-        for failure in report.failures():
-            line = f"FAIL {failure.suite}:{failure.name} {failure.detail}"
-            print(f"{line.rstrip()} {rerun}", file=sys.stderr)
-        return 1
-    return 0
+    rerun = f"(--order {args.order} --seed {args.seed})"
+    for failure in report.failures():
+        line = f"FAIL {failure.suite}:{failure.name} {failure.detail}"
+        print(f"{line.rstrip()} {rerun}", file=sys.stderr)
+    return ({"suite": args.suite, "order": args.order, "seed": args.seed},
+            report.to_json(), 0 if report.passed else 1)
 
 
-def cmd_oeis_check(args, stream) -> int:
-    t0 = time.perf_counter()
+def cmd_oeis_check(args):
     check = oeis.check_entry_quantity(
         args.entry, args.quantity, args.sequence, fetch=args.fetch
     )
@@ -376,10 +334,9 @@ def cmd_oeis_check(args, stream) -> int:
         "computed": check.computed,
         "reference": check.reference,
     }
-    emit(_record("oeis-check", {"entry": args.entry, "quantity": args.quantity,
-                                "mode": "fetch" if args.fetch else "offline"},
-                 payload, t0), args.format, stream)
-    return 0 if check.passed else 1
+    return ({"entry": args.entry, "quantity": args.quantity,
+             "mode": "fetch" if args.fetch else "offline"},
+            payload, 0 if check.passed else 1)
 
 
 # -- parser --------------------------------------------------------------------
@@ -442,7 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("polyseq", help="polynomial sequence of an entry")
     common(p)
     p.add_argument("--kind", required=True,
-                   choices=("conjugate", "associated", "sheffer"))
+                   choices=("conjugate", "associated", "sheffer"),
+                   help="conjugate: the conjugate sequence of F; associated: "
+                   "the associated sequence of F's compositional inverse, "
+                   "which is the same conjugate sequence of F; sheffer: the "
+                   "Sheffer sequence of g and F's compositional inverse")
     p.add_argument("--n", type=order_arg, required=True,
                    help=f"highest degree, 1..{MAX_ORDER}")
     p.add_argument("--g-coeffs", default="",
@@ -492,9 +453,17 @@ def main(argv: list[str] | None = None, stream=None) -> int:
         # for the request only and restored for callers in this process.
         if limit is not None:
             sys.set_int_max_str_digits(0)
-        code = args.handler(args, out)
+        t0 = time.perf_counter()
+        parameters, payload, *code = args.handler(args)
+        record = {
+            "command": args.command,
+            "parameters": parameters,
+            "payload": payload,
+            "elapsed_seconds": round(time.perf_counter() - t0, 6),
+        }
+        emit(record, args.format, out)
         out.flush()
-        return code
+        return code[0] if code else 0
     except (ValueError, cat.CatalogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -40,6 +40,7 @@ from .series import (
     TruncatedSeries,
     _append_over,
     _canonical,
+    _CheckedSeries,
     _ratio,
     _series,
     as_rational,
@@ -58,24 +59,17 @@ from .series import (
 from .statistics import Statistics
 
 
-class PhiSeries:
+class PhiSeries(_CheckedSeries):
     """A deformation kernel phi(p) = p - sum_{n>=2} T_{n-1} p^n."""
 
-    __slots__ = ("series",)
+    __slots__ = ()
 
-    def __init__(self, series: TruncatedSeries):
+    @staticmethod
+    def _check(series: TruncatedSeries) -> None:
         if series._nums[0]:
             raise ValueError("deformation kernel must vanish at 0")
         if series.order < 1 or series._nums[1] != series._den:
             raise ValueError("deformation kernel must have unit linear coefficient")
-        object.__setattr__(self, "series", series)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PhiSeries is immutable")
-
-    @property
-    def order(self) -> int:
-        return self.series.order
 
     def t_coefficients(self) -> list[Fraction]:
         """T_1..T_{order-1} with phi = p - sum T_{n-1} p^n."""
@@ -91,14 +85,6 @@ class PhiSeries:
         coeffs = [Fraction(0), Fraction(1)] + [-c for c in T]
         coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
         return PhiSeries(TruncatedSeries(coeffs))
-
-    def __eq__(self, other):
-        if not isinstance(other, PhiSeries):
-            return NotImplemented
-        return self.series == other.series
-
-    def __repr__(self):
-        return f"PhiSeries({self.series!r})"
 
     def agrees_with(self, other: PhiSeries, through: int | None = None) -> bool:
         return self.series.agrees_with(other.series, through)
@@ -316,40 +302,16 @@ def entropy_gradient_holds(arg: PhiOrStatistics) -> bool:
 def main_theorem_holds(
     stat: Statistics, constant: Fraction | None = None
 ) -> bool:
-    """The entropy H(X) = F - w log X equals the entropy density evaluated
-    at p = w(X), exactly as truncated log-augmented series.
+    """The entropy H(X) = F - w log X equals the normalized entropy density
+    H0 evaluated at p = w(X), exactly as truncated log-augmented series.
 
-    With the normalized density the identity is exact with no linear
-    correction; when an exact constant c0 is registered, the identity is
-    additionally checked in the un-normalized form
-    H(X) = [H0 - c0 p](w(X)) + c0 w(X).  Without a registered constant the
-    comparison is made modulo the span of w(X) (the residual must be an
-    exact scalar multiple of w, and in normalized form that scalar is 0).
+    ``constant`` is accepted for callers that hold a registered value c0 of
+    the linear constant, but it cannot change the answer: substitution is
+    linear, so the un-normalized form [H0 - c0 p](w(X)) + c0 w(X) is
+    H0(w(X)) for every c0.
     """
-    lhs = st.entropy(stat)
-    h0 = phi_entropy(stat, constant).series
-    rhs = logseries_compose(h0, stat.w)
-    n = rhs.order
-    if not lhs.logpart.agrees_with(rhs.logpart, n):
-        return False
-    diff = lhs.plain.truncate(n) - rhs.plain.truncate(n)
-    if diff._nums[0]:
-        return False
-    lam = Fraction(diff._nums[1], diff._den)
-    if not diff.agrees_with(lam * stat.w.truncate(n), n):
-        return False
-    if constant is not None:
-        # un-normalized form: subtracting c0*p before substitution and
-        # adding back c0*w must reproduce the same entropy
-        full = LogSeries(h0.plain - constant * identity(h0.plain.order), h0.logpart)
-        rhs_full = logseries_compose(full, stat.w)
-        corrected = LogSeries(
-            rhs_full.plain + constant * stat.w.truncate(rhs_full.order),
-            rhs_full.logpart,
-        )
-        if not lhs.agrees_with(corrected, corrected.order):
-            return False
-    return lam == 0 if constant is None else True
+    rhs = logseries_compose(phi_entropy(stat).series, stat.w)
+    return st.entropy(stat).agrees_with(rhs, rhs.order)
 
 
 # -- the bijection with entropy densities -------------------------------------

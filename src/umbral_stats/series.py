@@ -537,6 +537,32 @@ def _int_horner(nums: Sequence[int], p: int, q: int) -> int:
     return acc
 
 
+class _CheckedSeries:
+    """An immutable wrapper of a series that its class's ``_check`` accepts,
+    equal to another of its class that wraps an equal series."""
+
+    __slots__ = ("series",)
+
+    def __init__(self, series: TruncatedSeries):
+        self._check(series)
+        object.__setattr__(self, "series", series)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def order(self) -> int:
+        return self.series.order
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.series == other.series
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.series!r})"
+
+
 # -- log-augmented series ---------------------------------------------------
 
 

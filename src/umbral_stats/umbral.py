@@ -29,6 +29,7 @@ from .series import (
     _int_mul,
     _int_powers,
     _reduced,
+    _CheckedSeries,
     _Exact,
     RationalLike,
     TruncatedSeries,
@@ -155,61 +156,31 @@ def poly_to_json(p: Polynomial) -> dict:
 # -- series wrappers ---------------------------------------------------------
 
 
-class DeltaSeries:
+class DeltaSeries(_CheckedSeries):
     """A series with zero constant term and nonzero linear term."""
 
-    __slots__ = ("series",)
+    __slots__ = ()
 
-    def __init__(self, series: TruncatedSeries):
+    @staticmethod
+    def _check(series: TruncatedSeries) -> None:
         if series._nums[0]:
             raise ValueError("delta series must have zero constant term")
         if series.order < 1 or not series._nums[1]:
             raise ValueError("delta series must have nonzero linear coefficient")
-        object.__setattr__(self, "series", series)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DeltaSeries is immutable")
-
-    @property
-    def order(self) -> int:
-        return self.series.order
 
     def inverse(self) -> DeltaSeries:
         return DeltaSeries(lagrange_invert(self.series))
 
-    def __eq__(self, other):
-        if not isinstance(other, DeltaSeries):
-            return NotImplemented
-        return self.series == other.series
 
-    def __repr__(self):
-        return f"DeltaSeries({self.series!r})"
-
-
-class InvertibleSeries:
+class InvertibleSeries(_CheckedSeries):
     """A series with nonzero constant term."""
 
-    __slots__ = ("series",)
+    __slots__ = ()
 
-    def __init__(self, series: TruncatedSeries):
+    @staticmethod
+    def _check(series: TruncatedSeries) -> None:
         if not series._nums[0]:
             raise ValueError("invertible series must have nonzero constant term")
-        object.__setattr__(self, "series", series)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InvertibleSeries is immutable")
-
-    @property
-    def order(self) -> int:
-        return self.series.order
-
-    def __eq__(self, other):
-        if not isinstance(other, InvertibleSeries):
-            return NotImplemented
-        return self.series == other.series
-
-    def __repr__(self):
-        return f"InvertibleSeries({self.series!r})"
 
 
 class PolynomialSequence:

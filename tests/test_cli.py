@@ -133,6 +133,14 @@ class TestStatisticsCommands:
         )
         assert conj["payload"]["polynomials"] == asso["payload"]["polynomials"]
 
+    def test_polyseq_help_names_the_series_of_each_kind(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["polyseq", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("associated: the associated sequence of F's compositional inverse, "
+                "which is the same conjugate sequence of F") in text
+
     def test_polyseq_sheffer_with_prefactor(self):
         code, data = run_json(
             ["polyseq", "--stat", "boltzmann-gibbs", "--kind", "sheffer",
@@ -584,6 +592,24 @@ class TestVerify:
             "FAIL duality:broke instance 7 (--order 9 --seed 4)",
             "FAIL duality:bare (--order 9 --seed 4)",
         ]
+
+    def test_failure_lines_precede_the_record(self, monkeypatch):
+        writes = []
+
+        class Recorder(io.StringIO):
+            def __init__(self, name):
+                super().__init__()
+                self.label = name
+
+            def write(self, text):
+                writes.append(self.label)
+                return super().write(text)
+
+        monkeypatch.setitem(verify._SUITE_FUNCTIONS, "duality", lambda order, seed: [
+            verify.PropertyResult("duality", "broke", False, "instance 7")])
+        monkeypatch.setattr(sys, "stderr", Recorder("stderr"))
+        code = cli.main(["verify", "--suite", "duality"], stream=Recorder("stdout"))
+        assert code == 1 and writes[0] == "stderr" and writes[-1] == "stdout"
 
 
 class TestOeisCheck:

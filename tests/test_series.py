@@ -8,7 +8,16 @@ from hypothesis import strategies as hs
 
 from oracles import binomial_fraction, divide_series, geometric_coefficients
 from umbral_stats import series as fps
+from umbral_stats.deformed_entropy import EntropyDensity, PhiSeries
 from umbral_stats.series import LogSeries, TruncatedSeries
+from umbral_stats.statistics import Statistics
+from umbral_stats.umbral import (
+    DeltaSeries,
+    InvertibleSeries,
+    Polynomial,
+    PolynomialSequence,
+    ShefferPair,
+)
 
 
 def S(*coeffs):
@@ -342,3 +351,32 @@ def test_rational_power_consistency(s, p, q):
 def test_reciprocal_by_long_division(s):
     expected = divide_series([F(1)], list(s.coeffs), 10)
     assert list(fps.reciprocal(s).coeffs) == expected
+
+
+
+VALUE_OBJECTS = [
+    (S(0, 1, 2), "_nums"),
+    (Polynomial([1, 2]), "_nums"),
+    (LogSeries(S(0, 1), S(0, -1)), "plain"),
+    (DeltaSeries(S(0, 1, 2)), "series"),
+    (InvertibleSeries(S(1, 1)), "series"),
+    (PolynomialSequence([Polynomial([1]), Polynomial([0, 1])]), "polys"),
+    (ShefferPair(InvertibleSeries(S(1, 1)), DeltaSeries(S(0, 1))), "g"),
+    (Statistics(S(0, 1, 1)), "F"),
+    (PhiSeries.from_t([1, 2]), "series"),
+    (EntropyDensity([1, 2]), "s_coeffs"),
+]
+
+
+@pytest.mark.parametrize(
+    "value, slot", [pytest.param(v, s, id=type(v).__name__) for v, s in VALUE_OBJECTS]
+)
+def test_value_types_are_immutable(value, slot):
+    """The catalog caches hand out shared objects, so none may change."""
+    before = repr(value), getattr(value, slot)
+    with pytest.raises(AttributeError):
+        setattr(value, slot, getattr(value, slot))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert (repr(value), getattr(value, slot)) == before
+    assert not hasattr(value, "extra")

@@ -126,3 +126,17 @@ def test_result_stops_at_first_failure():
     assert verify._result("s", "n", details()) == PropertyResult("s", "n", False, "first")
     assert seen == ["", "first"]
     assert verify._result("s", "n", iter(["", ""])) == PropertyResult("s", "n", True, "")
+
+
+def test_a_wrong_inversion_fails_the_duality_check(monkeypatch):
+    # X(w) returned as w itself: dual(dual(s)) rebuilds F from s.w and would
+    # still equal s, so the check must invert the dual's weight function anew.
+    # Cold catalog caches of its own, so that no cached statistics keeps the
+    # wrong X(w) in its memo after the test.
+    monkeypatch.setattr(
+        verify.cat, "_cached_build", lru_cache(256)(verify.cat._cached_build.__wrapped__)
+    )
+    monkeypatch.setattr(verify.st, "lagrange_invert", lambda w: w)
+    results = {r.name: r for r in verify.suite_duality(16, 0)}
+    assert not results["involution-100-random"].passed
+    assert results["involution-100-random"].detail.startswith("instance 0:")
