@@ -594,22 +594,17 @@ class TestVerify:
         ]
 
     def test_failure_lines_precede_the_record(self, monkeypatch):
-        writes = []
-
-        class Recorder(io.StringIO):
-            def __init__(self, name):
-                super().__init__()
-                self.label = name
-
+        class Stdout(io.StringIO):
             def write(self, text):
-                writes.append(self.label)
+                assert sys.stderr.getvalue().startswith("FAIL duality:broke")
                 return super().write(text)
 
         monkeypatch.setitem(verify._SUITE_FUNCTIONS, "duality", lambda order, seed: [
             verify.PropertyResult("duality", "broke", False, "instance 7")])
-        monkeypatch.setattr(sys, "stderr", Recorder("stderr"))
-        code = cli.main(["verify", "--suite", "duality"], stream=Recorder("stdout"))
-        assert code == 1 and writes[0] == "stderr" and writes[-1] == "stdout"
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        stdout = Stdout()
+        assert cli.main(["verify", "--suite", "duality"], stream=stdout) == 1
+        assert json.loads(stdout.getvalue())["payload"]["passed"] is False
 
 
 class TestOeisCheck:
