@@ -55,6 +55,7 @@ from .series import (
     one,
     reciprocal,
     shift_down,
+    shift_up,
 )
 from .statistics import Statistics
 
@@ -86,45 +87,38 @@ class PhiSeries(_CheckedSeries):
         coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
         return PhiSeries(TruncatedSeries(coeffs))
 
-    def agrees_with(self, other: PhiSeries, through: int | None = None) -> bool:
-        return self.series.agrees_with(other.series, through)
 
+class EntropyDensity(_CheckedSeries):
+    """H_s(p) = -p (log p + sum_n s_n p^n / (n(n+1))), stored by its unit
+    series G = 1 + sum_n s_n p^n: the G = p/phi of the kernel it belongs to."""
 
-class EntropyDensity:
-    """H_s(p) = -p (log p + sum_n s_n p^n / (n(n+1))), stored by the s_n."""
+    __slots__ = ()
 
-    __slots__ = ("s_coeffs",)
+    @staticmethod
+    def _check(series: TruncatedSeries) -> None:
+        if series._nums[0] != series._den:
+            raise ValueError("entropy density series must have constant term 1")
 
-    def __init__(self, s_coeffs: Sequence[RationalLike]):
-        object.__setattr__(
-            self, "s_coeffs", tuple(as_rational(c) for c in s_coeffs)
-        )
+    @staticmethod
+    def from_s(s: Sequence[RationalLike]) -> EntropyDensity:
+        return EntropyDensity(TruncatedSeries([1, *s]))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EntropyDensity is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, EntropyDensity):
-            return NotImplemented
-        return self.s_coeffs == other.s_coeffs
-
-    def __repr__(self):
-        return f"EntropyDensity({[str(c) for c in self.s_coeffs]})"
+    @property
+    def s_coeffs(self) -> tuple[Fraction, ...]:
+        """s_1..s_order."""
+        return self.series.coeffs[1:]
 
     def to_logseries(self) -> LogSeries:
-        """The canonical form -p log p - sum s_n p^{n+1} / (n(n+1))."""
-        n = len(self.s_coeffs)
-        plain = [Fraction(0)] * (n + 2)
-        logpart = [Fraction(0)] * (n + 2)
-        logpart[1] = Fraction(-1)
-        for k, s in enumerate(self.s_coeffs, start=1):
-            plain[k + 1] = -s / (k * (k + 1))
-        return LogSeries(TruncatedSeries(plain), TruncatedSeries(logpart))
+        """The canonical form -p log p - sum s_n p^{n+1} / (n(n+1)): minus the
+        integral of sum s_n p^n / n, read off G."""
+        plain = -integrate_extend(_a_over_n(self.series))
+        return LogSeries(plain, -identity(plain.order))
 
     def agrees_with(self, other: EntropyDensity, through: int) -> bool:
-        a = self.s_coeffs[:through]
-        b = other.s_coeffs[:through]
-        return len(a) >= through and len(b) >= through and a == b
+        """s_1..s_through agree; False when either density is shorter."""
+        return through <= min(self.order, other.order) and super().agrees_with(
+            other, through
+        )
 
 
 PhiOrStatistics = Union[PhiSeries, Statistics]
@@ -148,14 +142,14 @@ def a_coefficients(phi: PhiSeries, n_max: int | None = None) -> list[Fraction]:
     """a_1..a_{n_max} in ln_phi(p) = log p + sum a_n p^n / n.
 
     Since 1/phi = (1/p) * (p/phi), the a_n are the coefficients of the
-    unit series G = p/phi(p).
+    unit series G = p/phi(p): the s_n of :func:`map_f`.
     """
-    G = _g(phi)
+    s = map_f(phi).s_coeffs
     if n_max is None:
-        n_max = G.order
-    if n_max > G.order:
-        raise ValueError("requested more coefficients than the kernel determines")
-    return list(G.coeffs[1 : n_max + 1])
+        n_max = len(s)
+    if not 0 <= n_max <= len(s):
+        raise ValueError(f"the kernel determines a_1..a_{len(s)}, not {n_max} of them")
+    return list(s[:n_max])
 
 
 def x_from_phi(phi: PhiSeries) -> TruncatedSeries:
@@ -319,33 +313,27 @@ def main_theorem_holds(
 
 def s_from_t(T: Sequence[RationalLike]) -> list[Fraction]:
     """1 + sum s_n p^n = 1 / (1 - sum T_n p^n)."""
-    T = [as_rational(c) for c in T]
-    base = TruncatedSeries([Fraction(1)] + [-c for c in T])
-    return list(reciprocal(base).coeffs[1:])
+    return list(map_f(PhiSeries.from_t(T)).s_coeffs)
 
 
 def t_from_s(s: Sequence[RationalLike]) -> list[Fraction]:
     """Inverse of :func:`s_from_t`: 1 - sum T_n p^n = 1 / (1 + sum s_n p^n)."""
-    s = [as_rational(c) for c in s]
-    base = TruncatedSeries([Fraction(1)] + list(s))
-    return [-c for c in reciprocal(base).coeffs[1:]]
+    return map_f_inverse(EntropyDensity.from_s(s)).t_coefficients()
 
 
-def map_f(phi: PhiSeries) -> EntropyDensity:
-    """Kernel -> entropy density; the s_n solve the reciprocal relation
-    1 + sum s_n p^n = p/phi(p) = G and coincide with the a_n of the
-    deformed logarithm."""
-    return EntropyDensity(_g(phi).coeffs[1:])
+def map_f(arg: PhiOrStatistics) -> EntropyDensity:
+    """Kernel or statistics -> entropy density: the density's series
+    1 + sum s_n p^n is G = p/phi(p), so the s_n coincide with the a_n of the
+    deformed logarithm.  A statistics of order n gives s_1..s_{n-1}."""
+    return EntropyDensity(_g(arg))
+
+
+map_h = map_f
 
 
 def map_f_inverse(h: EntropyDensity) -> PhiSeries:
-    return PhiSeries.from_t(t_from_s(h.s_coeffs))
-
-
-def map_h(stat: Statistics) -> EntropyDensity:
-    """Statistics -> entropy density, read off G = X'/(X/u): s_1..s_{n-1}
-    for a statistics of order n."""
-    return EntropyDensity(_g(stat).coeffs[1:])
+    """phi = p/G."""
+    return PhiSeries(shift_up(reciprocal(h.series)))
 
 
 # -- induced involutions -------------------------------------------------------

@@ -57,15 +57,40 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-class _Exact:
+class _Value:
+    """The base of every immutable value type.  The catalog caches hand
+    out shared objects, so no attribute may be set or deleted once
+    ``__init__`` has stored it with ``object.__setattr__``.  Two values of
+    one class are equal, and hash equal, when their ``_key()``s are."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class _Exact(_Value):
     """The one exact storage of series and polynomials: ``int`` numerators
     ``_nums[k]`` over one ``int`` denominator ``_den > 0``, with
     ``gcd(_den, *_nums) == 1``, so that equal values store equal pairs.
     ``coeffs`` is the tuple of reduced Fractions ``_nums[k] / _den``.
-    Instances are immutable.
     """
 
     __slots__ = ("_nums", "_den", "_coeffs")
+
+    def _key(self):
+        return self._den, self._nums
 
     def _store(self, cs: tuple[Fraction, ...]) -> None:
         """Keep the Fractions ``cs`` as ``coeffs``, with their canonical pair."""
@@ -83,9 +108,6 @@ class _Exact:
         object.__setattr__(s, "_coeffs", None)
         return s
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as reduced Fractions, built on first read."""
@@ -95,14 +117,6 @@ class _Exact:
             cs = tuple(Fraction(c, d) if c else _ZERO for c in self._nums)
             object.__setattr__(self, "_coeffs", cs)
         return cs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._den == other._den and self._nums == other._nums
-
-    def __hash__(self):
-        return hash((self._nums, self._den))
 
 
 class TruncatedSeries(_Exact):
@@ -151,6 +165,8 @@ class TruncatedSeries(_Exact):
             raise ValueError(f"cannot extend order {self.order} to {order}")
         if order == self.order:
             return self
+        if order < 0:
+            raise ValueError(f"negative truncation order {order}")
         return _canonical(self._nums[: order + 1], self._den)
 
     def agrees_with(self, other: TruncatedSeries, through: int | None = None) -> bool:
@@ -158,6 +174,8 @@ class TruncatedSeries(_Exact):
         n = min(self.order, other.order) if through is None else through
         if n > min(self.order, other.order):
             raise ValueError("comparison order exceeds a truncation order")
+        if n < 0:
+            raise ValueError(f"negative comparison order {n}")
         da, db = self._den, other._den
         return all(x * db == y * da for x, y in zip(self._nums[: n + 1], other._nums[: n + 1]))
 
@@ -537,7 +555,7 @@ def _int_horner(nums: Sequence[int], p: int, q: int) -> int:
     return acc
 
 
-class _CheckedSeries:
+class _CheckedSeries(_Value):
     """An immutable wrapper of a series that its class's ``_check`` accepts,
     equal to another of its class that wraps an equal series."""
 
@@ -547,17 +565,15 @@ class _CheckedSeries:
         self._check(series)
         object.__setattr__(self, "series", series)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    def _key(self):
+        return self.series
 
     @property
     def order(self) -> int:
         return self.series.order
 
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.series == other.series
+    def agrees_with(self, other, through: int | None = None) -> bool:
+        return self.series.agrees_with(other.series, through)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.series!r})"
@@ -566,7 +582,7 @@ class _CheckedSeries:
 # -- log-augmented series ---------------------------------------------------
 
 
-class LogSeries:
+class LogSeries(_Value):
     """A(p) + B(p) * log(p) with both parts truncated at the same order."""
 
     __slots__ = ("plain", "logpart")
@@ -576,20 +592,12 @@ class LogSeries:
         object.__setattr__(self, "plain", plain.truncate(n))
         object.__setattr__(self, "logpart", logpart.truncate(n))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LogSeries is immutable")
+    def _key(self):
+        return self.plain, self.logpart
 
     @property
     def order(self) -> int:
         return self.plain.order
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LogSeries):
-            return NotImplemented
-        return self.plain == other.plain and self.logpart == other.logpart
-
-    def __hash__(self):
-        return hash((self.plain, self.logpart))
 
     def __repr__(self):
         return f"LogSeries(plain={self.plain!r}, logpart={self.logpart!r})"

@@ -37,6 +37,7 @@ from .series import (
     RationalLike,
     TruncatedSeries,
     _canonical,
+    _Value,
     as_rational,
     compose,
     derivative,
@@ -53,8 +54,9 @@ from .umbral import DeltaSeries, Polynomial, PolynomialSequence, conjugate_seque
 T = TypeVar("T")
 
 
-class Statistics:
-    """An interpolating statistics, stored by its free energy."""
+class Statistics(_Value):
+    """An interpolating statistics, stored by its free energy, which alone
+    decides equality."""
 
     __slots__ = ("name", "F", "w", "_memo")
 
@@ -84,8 +86,8 @@ class Statistics:
         memo = {} if inverse is None else {"X_of_w": inverse.truncate(F.order)}
         object.__setattr__(self, "_memo", memo)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Statistics is immutable")
+    def _key(self):
+        return self.F
 
     def derived(self, key: str, compute: Callable[[], T]) -> T:
         """The derived value stored under ``key``, computed by ``compute()``
@@ -115,11 +117,6 @@ class Statistics:
     def order(self) -> int:
         return self.F.order
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Statistics):
-            return NotImplemented
-        return self.F == other.F
-
     def __repr__(self):
         return f"Statistics({self.name!r}, order={self.order})"
 
@@ -140,16 +137,9 @@ class SpectralSample(NamedTuple):
     Y: Fraction
 
 
-def from_cluster(
-    w_list: Sequence[RationalLike],
-    name: str = "statistics",
-    *,
-    inverse: TruncatedSeries | None = None,
-) -> Statistics:
-    """Build from cluster coefficients w_1, w_2, ...; requires w_1 = 1.
-
-    ``inverse`` is passed on to :class:`Statistics`."""
-    return from_weight(TruncatedSeries([0, *w_list]), name, inverse=inverse)
+def from_cluster(w_list: Sequence[RationalLike], name: str = "statistics") -> Statistics:
+    """Build from cluster coefficients w_1, w_2, ...; requires w_1 = 1."""
+    return from_weight(TruncatedSeries([0, *w_list]), name)
 
 
 def from_weight(

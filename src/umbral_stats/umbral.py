@@ -31,6 +31,7 @@ from .series import (
     _reduced,
     _CheckedSeries,
     _Exact,
+    _Value,
     RationalLike,
     TruncatedSeries,
     as_rational,
@@ -183,7 +184,7 @@ class InvertibleSeries(_CheckedSeries):
             raise ValueError("invertible series must have nonzero constant term")
 
 
-class PolynomialSequence:
+class PolynomialSequence(_Value):
     """Polynomials p_0..p_n with p_0 = 1 and deg p_k = k."""
 
     __slots__ = ("polys",)
@@ -197,8 +198,8 @@ class PolynomialSequence:
                 raise ValueError(f"p_{k} must have degree {k}, got {p.degree}")
         object.__setattr__(self, "polys", polys)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PolynomialSequence is immutable")
+    def _key(self):
+        return self.polys
 
     def __len__(self) -> int:
         return len(self.polys)
@@ -208,11 +209,6 @@ class PolynomialSequence:
 
     def __iter__(self):
         return iter(self.polys)
-
-    def __eq__(self, other):
-        if not isinstance(other, PolynomialSequence):
-            return NotImplemented
-        return self.polys == other.polys
 
     def __repr__(self):
         return f"PolynomialSequence({list(self.polys)!r})"
@@ -353,7 +349,7 @@ def connection_coefficients(
     return conjugate_sequence(H, n).coefficient_matrix()
 
 
-class ShefferPair:
+class ShefferPair(_Value):
     """An (invertible, delta) pair; these compose as a group."""
 
     __slots__ = ("g", "f")
@@ -362,13 +358,8 @@ class ShefferPair:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "f", f)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ShefferPair is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, ShefferPair):
-            return NotImplemented
-        return self.g == other.g and self.f == other.f
+    def _key(self):
+        return self.g, self.f
 
     def __repr__(self):
         return f"ShefferPair(g={self.g!r}, f={self.f!r})"

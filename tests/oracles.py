@@ -50,6 +50,15 @@ X_OF_W_CLOSED_FORMS = {
     "lah": lambda n: Fraction((-1) ** (n - 1) * (comb(2 * n, n) // (n + 1))),  # Catalan
     "bose-einstein": lambda n: Fraction((-1) ** (n - 1)),  # u / (1 + u)
     "fermi-dirac": lambda n: Fraction(1),  # u / (1 - u)
+    "boltzmann-gibbs": lambda n: Fraction(int(n == 1)),  # u
+    # at the default eps = 1/2: u / (1 - u/2)
+    "acharya-swamy": lambda n: Fraction(1, 2 ** (n - 1)),
+    "gould-acharya-swamy": lambda n: Fraction(1, 2 ** (n - 1)),
+    # (-1)^k Catalan(k) / 4^k at n = 2k + 1: u C(-u^2/4), C the Catalan series
+    "mittag-leffler": lambda n: (
+        Fraction((-1) ** (n // 2) * comb(n - 1, n // 2) // (n // 2 + 1), 4 ** (n // 2))
+        if n % 2 else Fraction(0)
+    ),
 }
 
 

@@ -220,6 +220,18 @@ class TestDerivedOrders:
         cat.get("lah").quantity("phi", 16)  # loses an order: built at 17
         assert cached.cache_info().misses == 2
 
+    def test_a_cached_statistics_cannot_be_broken(self, monkeypatch):
+        """build hands out the cached object itself, so deleting its free
+        energy must fail rather than break every later build."""
+        cached = lru_cache(256)(cat._cached_build.__wrapped__)
+        monkeypatch.setattr(cat, "_cached_build", cached)
+        stat = cat.build("bose-einstein", 8)
+        with pytest.raises(AttributeError):
+            del cat.build("bose-einstein", 8).F
+        again = cat.build("bose-einstein", 8)
+        assert again is stat and cached.cache_info().hits == 2
+        assert again.F == st.from_cluster([1] * 8).F
+
 
 def fraction_sequence(fixture: cat.Fixture) -> list[int] | str:
     """Fixture.integer_sequence on Fractions, or the text of its error."""

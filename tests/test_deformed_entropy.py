@@ -84,6 +84,14 @@ class TestKernelCoefficients:
         T = [F(1, 2), F(-2), F(3, 4)]
         assert PhiSeries.from_t(T).t_coefficients() == T
 
+    @pytest.mark.parametrize("n_max", [-3, -1, 6])
+    def test_a_count_outside_the_kernel_is_refused(self, n_max):
+        """A negative count is not read as a slice from the end."""
+        phi = PhiSeries.from_t([1, 2, 3, 4, 5])
+        assert len(de.a_coefficients(phi, 5)) == 5
+        with pytest.raises(ValueError):
+            de.a_coefficients(phi, n_max)
+
     def test_kernel_validation(self):
         with pytest.raises(ValueError):
             PhiSeries(TruncatedSeries([1, 1]))
@@ -475,7 +483,7 @@ class TestDensityBijection:
             assert de.t_from_s(de.s_from_t(T)) == T
 
     def test_density_series_form(self):
-        h = EntropyDensity([F(1), F(-2)])
+        h = EntropyDensity.from_s([F(1), F(-2)])
         ls = h.to_logseries()
         assert ls.logpart == TruncatedSeries([0, -1, 0, 0])
         assert ls.plain == TruncatedSeries([0, 0, F(-1, 2), F(1, 3)])
@@ -484,6 +492,21 @@ class TestDensityBijection:
         rng = random.Random(59)
         phi = PhiSeries.from_t(random_t(rng), order=10)
         assert list(de.map_f(phi).s_coeffs) == de.a_coefficients(phi)
+
+    def test_density_is_stored_as_its_unit_series(self):
+        h = EntropyDensity.from_s([F(1, 2), 3])
+        assert h.series == TruncatedSeries([1, F(1, 2), 3]) and h.order == 2
+        assert h.s_coeffs == (F(1, 2), F(3))
+        assert de.map_f_inverse(h) == PhiSeries.from_t(de.t_from_s(h.s_coeffs))
+        with pytest.raises(ValueError, match="constant term 1"):
+            EntropyDensity(TruncatedSeries([2, 1]))
+
+    def test_density_agreement_is_false_when_shorter(self):
+        h = EntropyDensity.from_s([1, 2, 3])
+        assert h.agrees_with(EntropyDensity.from_s([1, 2, 4]), 2)
+        assert not h.agrees_with(EntropyDensity.from_s([1, 2, 4]), 3)
+        assert not h.agrees_with(EntropyDensity.from_s([1, 2]), 3)
+        assert not h.agrees_with(h, 4)
 
 
 def kernels(order):

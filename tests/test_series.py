@@ -65,6 +65,19 @@ class TestArithmetic:
         assert 3 * s == S(3, 6)
         assert -s == S(-1, -2)
 
+    @pytest.mark.parametrize("order", [-1, -5])
+    def test_negative_truncation_order_is_refused(self, order):
+        """A negative order is not read as a slice from the end."""
+        with pytest.raises(ValueError, match="negative"):
+            TruncatedSeries(range(17)).truncate(order)
+
+    def test_negative_comparison_order_is_refused(self):
+        a, b = S(1, 2, 3), S(0, 2, 4)
+        for x, y in [(a, b), (LogSeries(a, a), LogSeries(b, b)),
+                     (DeltaSeries(S(0, 2, 3)), DeltaSeries(b))]:
+            with pytest.raises(ValueError, match="negative"):
+                x.agrees_with(y, -1)
+
 
 class TestCompose:
     def test_identity_inner(self):
@@ -364,7 +377,7 @@ VALUE_OBJECTS = [
     (ShefferPair(InvertibleSeries(S(1, 1)), DeltaSeries(S(0, 1))), "g"),
     (Statistics(S(0, 1, 1)), "F"),
     (PhiSeries.from_t([1, 2]), "series"),
-    (EntropyDensity([1, 2]), "s_coeffs"),
+    (EntropyDensity.from_s([1, 2]), "series"),
 ]
 
 
@@ -378,5 +391,27 @@ def test_value_types_are_immutable(value, slot):
         setattr(value, slot, getattr(value, slot))
     with pytest.raises(AttributeError):
         value.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(value, slot)
     assert (repr(value), getattr(value, slot)) == before
     assert not hasattr(value, "extra")
+
+
+EQUAL_VALUE_BUILDERS = [
+    lambda: DeltaSeries(S(0, 1, 2)),
+    lambda: InvertibleSeries(S(1, 1)),
+    lambda: PhiSeries.from_t([1, 2]),
+    lambda: EntropyDensity.from_s([1, 2]),
+    lambda: PolynomialSequence([Polynomial([1]), Polynomial([0, 1])]),
+    lambda: ShefferPair(InvertibleSeries(S(1, 1)), DeltaSeries(S(0, 1))),
+    lambda: Statistics(S(0, 1, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "build", [pytest.param(b, id=type(b()).__name__) for b in EQUAL_VALUE_BUILDERS]
+)
+def test_equal_values_hash_equal(build):
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
