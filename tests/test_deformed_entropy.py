@@ -497,7 +497,8 @@ class TestDensityBijection:
         h = EntropyDensity.from_s([F(1, 2), 3])
         assert h.series == TruncatedSeries([1, F(1, 2), 3]) and h.order == 2
         assert h.s_coeffs == (F(1, 2), F(3))
-        assert de.map_f_inverse(h) == PhiSeries.from_t(de.t_from_s(h.s_coeffs))
+        # 1/G = 1 - p/2 + (1/4 - 3) p^2, and phi = p/G
+        assert de.map_f_inverse(h) == PhiSeries.from_t([F(1, 2), F(11, 4)])
         with pytest.raises(ValueError, match="constant term 1"):
             EntropyDensity(TruncatedSeries([2, 1]))
 
