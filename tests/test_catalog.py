@@ -1,5 +1,6 @@
 """Catalog entries: closed forms, fixtures, derived-value regeneration."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -145,6 +146,90 @@ class TestSpecializations:
 
     def test_bell_default_is_exponential(self):
         assert cat.build("bell-universal", 10) == cat.build("exponential", 10)
+
+
+
+# Every in-space entry's free energy at these orders, at its defaults and at
+# four seeded parameter sets, pinned as one SHA-256 digest per entry of F's
+# canonical pair (denominator, numerators), or of the error's type name.
+DIGEST_ORDERS = (-1, 0, 1, 2, 3, 16, 64, 128)
+F_DIGESTS = {
+    "abel": "7f0867fe1c3385109a553def2a1e53894dc6e9802bb8c5e68a683b62965631b0",
+    "acharya-swamy": "2c16bca7228fc34500504aed53ca9d47e23abe2393498339f23dbbc478713de7",
+    "averaged-as-1": "6f8cede7b74868b8f440d86a22ff6abfa65c2a2a994a64b1b297576664ce7248",
+    "averaged-as-2": "85f6c8ba9031311c73826d0d23dd46c07eb65d9dd0293d1bf702f45aa322f243",
+    "bell-universal": "b80fe3726c1e77a4233f58a1492cae827702083a2d591fa3dcc7374e4e93df38",
+    "bessel": "711586d3971412d7f6a77dd454cb8f3cd3e6bac67224b6c0f02f9b79bd7a1dcc",
+    "boltzmann-gibbs": "138bd9acaceb8572a1dd44a5cc66385c74c14316b4aaaa0306bdfa1e2e9041f0",
+    "bose-einstein": "e7b9bcf4e3543de38df14468603785e4ace6c595010a9c43871727507d3aac32",
+    "dilogarithm": "71902da582bea65840d8f441f9a3402ee2fbf9d7f554050010dba5096cddd758",
+    "exponential": "d33be1c1a4a7e82987f7573452d023f49fbe42fc5c8845c82bc40e9f5c09249d",
+    "fermi-dirac": "4788bcc8960021ecd1bf3f138c67c3e2a62cb5f2cfb9fa94d4212dd0f1e76d00",
+    "gentile": "9891da9ea4f400c7023858a86f89d0c86faaadb2d3512c4d77a8b83d5dbd461a",
+    "gould": "f76f433b93f7cc87c99fa4c3ba4d17fae3c13cd57aa799de7cd13251093b429b",
+    "gould-acharya-swamy": "92d9f5a03b6522fbf6285a2344706eb653a4630991468542551ca95263e5dd97",
+    "gould-catalan-curve": "7dfb9fd3206796431b749f31b92565b5005fed928ea38da570e27b0b3be72f69",
+    "gould-framed-vertex": "f9ff2142f3f9809007aa5b8738808e9e8769dc4d017224a44e3d1aed6be3864e",
+    "gould-lambert": "7f1a3a7dd5afbfd0b65309abb170b4861f576d4dfa7b8b3e7117e1a0769e4465",
+    "lah": "bf604263db2be35311b22db469b11e36c31b324e28b5927c756726faa2709529",
+    "mittag-leffler": "c8ad960301119d06c244e3e867fbe49e73f820a16aba1e284a4135a74ca49bfb",
+    "mott": "b042282de711f2b6c399a7b91a929811f7d13286eb74e701df83e397b1bbea8c",
+}
+
+
+def seeded_params(name: str) -> list[dict]:
+    """The defaults ({}), then four seeded parameter sets if the entry has
+    parameters: integer p, t lists of 1-7 terms, signed rationals elsewhere."""
+    keys = cat.get(name).defaults
+    if not keys:
+        return [{}]
+    rng = random.Random(f"catalog-digest/{name}")
+
+    def signed():
+        return F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    def value(key):
+        if key == "p":
+            return rng.randint(1, 9)
+        if key == "t":
+            return [F(1)] + [signed() for _ in range(rng.randint(0, 6))]
+        return signed()
+
+    return [{}] + [{key: value(key) for key in keys} for _ in range(4)]
+
+
+def free_energy_digest(name: str) -> str:
+    outcomes = []
+    for params in seeded_params(name):
+        for n in DIGEST_ORDERS:
+            try:
+                free_energy = cat.build(name, n, **params).F
+            except Exception as error:
+                outcomes.append(type(error).__name__)
+            else:
+                outcomes.append([free_energy._den, list(free_energy._nums)])
+    return hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+
+
+class TestFreeEnergies:
+    def test_digests_cover_every_in_space_entry(self):
+        assert sorted(F_DIGESTS) == cat.entries_in_space()
+
+    @pytest.mark.parametrize("name", sorted(F_DIGESTS))
+    def test_free_energy_matches_digest(self, name, monkeypatch):
+        # a cold build cache of the test's own, so that nothing here is
+        # read from (or left in) the shared one
+        monkeypatch.setattr(cat, "_cached_build", lru_cache(256)(cat._cached_build.__wrapped__))
+        assert free_energy_digest(name) == F_DIGESTS[name]
+
+    def test_bessel_is_one_minus_a_square_root(self):
+        n = 128
+        root = fps.pow_rational(fps.one(n) - 2 * fps.identity(n), F(1, 2))
+        assert cat.build("bessel", n).F == fps.one(n) - root
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 7])
+    def test_gentile_is_the_log_of_its_occupation_series(self, p):
+        assert cat.build("gentile", 128, p=p).F == st.gentile_statistics(p, 128).F
 
 
 # The order each derived quantity comes back at from a statistics of order n,
