@@ -1,10 +1,11 @@
-"""Named, parameterized statistics with their closed-form series builders.
+"""Named, parameterized statistics with their closed-form free energies.
 
-Each entry bundles a free-energy recipe, optional extra quantity builders
-(for data that lives off the normalized statistics space), an optional
-exactly-known linear constant for the entropy density, and fixture
-records (expected coefficients frozen in ``data/fixtures.json``) consumed
-by the verification suite.
+Each entry bundles a coefficient formula (the coefficient of X^k in its
+free energy F, for k >= 1, from which the one construction path builds F),
+optional extra quantity builders (for data that lives off the normalized
+statistics space), an optional exactly-known linear constant for the
+entropy density, and fixture records (expected coefficients frozen in
+``data/fixtures.json``) consumed by the verification suite.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class CatalogEntry:
         self,
         name: str,
         summary: str,
-        free_energy: Callable[[int, Params], TruncatedSeries] | None,
+        coefficient: Callable[[int, Params], Fraction | int] | None,
         defaults: dict[str, Fraction] | None = None,
         validate: Callable[[Params], None] | None = None,
         registered_constant: Fraction | None = None,
@@ -50,7 +51,7 @@ class CatalogEntry:
     ):
         self.name = name
         self.summary = summary
-        self._free_energy = free_energy
+        self._coefficient = coefficient
         self.defaults = dict(defaults or {})
         self._validate = validate
         self.registered_constant = registered_constant
@@ -60,7 +61,7 @@ class CatalogEntry:
     @property
     def in_space(self) -> bool:
         """Whether build() produces a statistics in the normalized space."""
-        return self._free_energy is not None
+        return self._coefficient is not None
 
     def resolve_params(self, params: Mapping[str, object] | None = None) -> dict:
         merged = dict(self.defaults)
@@ -85,7 +86,7 @@ class CatalogEntry:
 
     def build(self, order: int, **params) -> Statistics:
         p = self.resolve_params(params)
-        if self._free_energy is None:
+        if self._coefficient is None:
             raise CatalogError(
                 f"entry {self.name!r} is not in the normalized statistics space "
                 f"({self.notes or 'weight function not normalized'}); "
@@ -123,8 +124,8 @@ def _cached_quantity(entry: CatalogEntry, name: str, order: int, frozen: tuple):
 
 @lru_cache(maxsize=256)
 def _cached_build(name: str, order: int, frozen: tuple) -> Statistics:
-    entry = get(name)
-    F = entry._free_energy(order, dict(frozen))
+    coefficient, p = get(name)._coefficient, dict(frozen)
+    F = TruncatedSeries([0, *(coefficient(k, p) for k in range(1, order + 1))])
     return Statistics(F, name=name)
 
 
@@ -175,80 +176,32 @@ def _derived_quantity(entry: CatalogEntry, stat: Statistics, name: str):
     return value.plain if part == "plain" else value.logpart
 
 
-# -- free-energy recipes -------------------------------------------------------
+# -- coefficient formulas ------------------------------------------------------
+# An in-space entry states c_k(params), the coefficient of X^k in its free
+# energy F = sum_{k>=1} c_k X^k, and _cached_build reads it for k = 1..order.
 
 
-def _F_boltzmann(order: int, p: Params) -> TruncatedSeries:
-    return fps.identity(order)
+def _gentile(k: int, p: Params) -> Fraction:
+    # F = log(1 + X + ... + X^p) = log(1 - X^(p+1)) - log(1 - X)
+    q = p["p"] + 1
+    return Fraction(1 - q if k % q == 0 else 1, k)
 
 
-def _F_fermi(order: int, p: Params) -> TruncatedSeries:
-    return fps.from_function(
-        lambda k: 0 if k == 0 else Fraction((-1) ** (k - 1), k), order
-    )
+def _abel(k: int, p: Params) -> Fraction:
+    # also gould-lambert, the b -> 0 limit of the gould family: the product
+    # degenerates to (ak)^{k-1}, the Lambert-curve free energy
+    return (-p["a"] * k) ** (k - 1) / factorial(k)
 
 
-def _F_bose(order: int, p: Params) -> TruncatedSeries:
-    return fps.from_function(lambda k: 0 if k == 0 else Fraction(1, k), order)
+def _gould(a: Fraction, b: Fraction, k: int) -> Fraction:
+    prod = Fraction(1)
+    for j in range(1, k):
+        prod *= a * k + j * b
+    return (-1) ** (k - 1) * prod / factorial(k)
 
 
-def _F_acharya_swamy(order: int, p: Params) -> TruncatedSeries:
-    eps = p["eps"]
-    return fps.from_function(
-        lambda k: 0 if k == 0 else Fraction((-1) ** (k - 1)) * eps ** (k - 1) / k,
-        order,
-    )
-
-
-def _F_gentile(order: int, p: Params) -> TruncatedSeries:
-    return st.gentile_statistics(p["p"], order).F
-
-
-def _F_lah(order: int, p: Params) -> TruncatedSeries:
-    return fps.from_function(lambda k: 0 if k == 0 else 1, order)
-
-
-def _F_exponential(order: int, p: Params) -> TruncatedSeries:
-    return fps.from_function(lambda k: 0 if k == 0 else Fraction(1, factorial(k)), order)
-
-
-def _F_abel(order: int, p: Params) -> TruncatedSeries:
-    a = p["a"]
-    return fps.from_function(
-        lambda k: 0 if k == 0 else (-a * k) ** (k - 1) / Fraction(factorial(k)), order
-    )
-
-
-def _gould_free_energy(a: Fraction, b: Fraction, order: int) -> TruncatedSeries:
-    coeffs = [Fraction(0)]
-    for k in range(1, order + 1):
-        prod = Fraction(1)
-        for j in range(1, k):
-            prod *= a * k + j * b
-        coeffs.append(Fraction((-1) ** (k - 1)) * prod / factorial(k))
-    return TruncatedSeries(coeffs)
-
-
-def _F_gould(order: int, p: Params) -> TruncatedSeries:
-    return _gould_free_energy(p["a"], p["b"], order)
-
-
-def _F_gould_as(order: int, p: Params) -> TruncatedSeries:
-    return _gould_free_energy(Fraction(0), p["eps"], order)
-
-
-def _F_gould_lambert(order: int, p: Params) -> TruncatedSeries:
-    # b -> 0 limit of the two-parameter family: the product degenerates
-    # to (ak)^{k-1}, the Lambert-curve free energy
-    return _F_abel(order, p)
-
-
-def _F_gould_framed_vertex(order: int, p: Params) -> TruncatedSeries:
-    return _gould_free_energy(p["g"] - 1, Fraction(1), order)
-
-
-def _F_gould_catalan_curve(order: int, p: Params) -> TruncatedSeries:
-    return _gould_free_energy(p["a"], -2 * p["a"], order)
+def _mittag_leffler(k: int, p: Params) -> Fraction:
+    return Fraction(1, k * 2 ** (k - 1)) if k % 2 else 0
 
 
 def mittag_leffler_free_energy(order: int, scaled: bool = True) -> TruncatedSeries:
@@ -258,61 +211,17 @@ def mittag_leffler_free_energy(order: int, scaled: bool = True) -> TruncatedSeri
     only it can back a Statistics; the unscaled series is provided for
     reference.
     """
-    if scaled:
-        return fps.from_function(
-            lambda k: Fraction(1, k * 2 ** (k - 1)) if k % 2 == 1 else 0, order
-        )
-    return fps.from_function(lambda k: Fraction(2, k) if k % 2 == 1 else 0, order)
+    # the unscaled series is the scaled one at 2X
+    step = 1 if scaled else 2
+    return fps.from_function(lambda k: _mittag_leffler(k, {}) * step**k, order)
 
 
-def _F_mittag_leffler(order: int, p: Params) -> TruncatedSeries:
-    return mittag_leffler_free_energy(order, scaled=True)
-
-
-def _F_bessel(order: int, p: Params) -> TruncatedSeries:
-    root = fps.pow_rational(fps.one(order) - 2 * fps.identity(order), Fraction(1, 2))
-    return fps.one(order) - root
-
-
-def _F_mott(order: int, p: Params) -> TruncatedSeries:
-    return fps.from_function(
-        lambda k: catalan((k - 1) // 2) if k % 2 == 1 else 0, order
-    )
-
-
-def _F_dilogarithm(order: int, p: Params) -> TruncatedSeries:
-    return fps.from_function(lambda k: 0 if k == 0 else Fraction(1, k * k), order)
-
-
-def _F_averaged_1(order: int, p: Params) -> TruncatedSeries:
-    eps = p["eps"]
-    return fps.from_function(
-        lambda k: eps ** (k - 1) / Fraction(k) if k % 2 == 1 else 0, order
-    )
-
-
-def _F_averaged_2(order: int, p: Params) -> TruncatedSeries:
-    eps = p["eps"]
-    return fps.from_function(
-        lambda k: (
-            0
-            if k == 0
-            else Fraction((-1) ** (k - 1), 2 * k) * (eps ** (k - 1) + eps ** (1 - k))
-        ),
-        order,
-    )
-
-
-def _F_bell(order: int, p: Params) -> TruncatedSeries:
+def _bell(k: int, p: Params) -> Fraction:
     t = p["t"]
-    coeffs = [Fraction(0)]
-    for k in range(1, order + 1):
-        if t:
-            tk = t[k - 1] if k - 1 < len(t) else Fraction(0)
-        else:
-            tk = Fraction(1)  # empty parameter list: all-ones coefficients
-        coeffs.append(tk / factorial(k))
-    return TruncatedSeries(coeffs)
+    if not t:  # empty parameter list: all-ones coefficients
+        return Fraction(1, factorial(k))
+    return Fraction(t[k - 1] if k <= len(t) else 0, factorial(k))
+
 
 
 # averaged variant 3 lives off the normalized space: its weight function
@@ -378,165 +287,122 @@ def _validate_bell(p: Params) -> None:
         raise CatalogError("first coefficient t_1 must be 1")
 
 
-_REGISTRY: dict[str, CatalogEntry] = {}
-
-
-def _register(entry: CatalogEntry) -> CatalogEntry:
-    _REGISTRY[entry.name] = entry
-    return entry
-
-
-_register(
+_REGISTRY: dict[str, CatalogEntry] = {entry.name: entry for entry in (
     CatalogEntry(
         "boltzmann-gibbs",
         "classical statistics: z = e^X, weight w = X",
-        _F_boltzmann,
+        lambda k, p: int(k == 1),
         registered_constant=Fraction(1),
-    )
-)
-_register(
+    ),
     CatalogEntry(
         "fermi-dirac",
         "exclusion statistics: z = 1 + X",
-        _F_fermi,
+        lambda k, p: Fraction((-1) ** (k - 1), k),
         registered_constant=Fraction(0),
-    )
-)
-_register(CatalogEntry("bose-einstein", "z = 1/(1 - X)", _F_bose))
-_register(
+    ),
+    CatalogEntry("bose-einstein", "z = 1/(1 - X)", lambda k, p: Fraction(1, k)),
     CatalogEntry(
         "acharya-swamy",
         "z = (1 + eps X)^(1/eps), interpolating FD (eps=1) and BE (eps=-1)",
-        _F_acharya_swamy,
+        lambda k, p: (-p["eps"]) ** (k - 1) / k,
         defaults={"eps": Fraction(1, 2)},
-    )
-)
-_register(
+    ),
     CatalogEntry(
         "gentile",
         "maximum occupancy p per state: z = 1 + X + ... + X^p",
-        _F_gentile,
+        _gentile,
         defaults={"p": 2},
         validate=_validate_gentile,
-    )
-)
-_register(
+    ),
     CatalogEntry(
         "lah",
         "free energy X/(1-X); Lah-triangle polynomials, Catalan inverse",
-        _F_lah,
-    )
-)
-_register(
+        lambda k, p: 1,
+    ),
     CatalogEntry(
         "exponential",
         "free energy e^X - 1; Bell/Stirling polynomials, Cayley tree inverse",
-        _F_exponential,
-    )
-)
-_register(
+        lambda k, p: Fraction(1, factorial(k)),
+    ),
     CatalogEntry(
         "abel",
         "Abel polynomials x(x-na)^(n-1); Lambert spectral curve X = Y e^{aY}",
-        _F_abel,
+        _abel,
         defaults={"a": Fraction(1)},
-    )
-)
-_register(
+    ),
     CatalogEntry(
         "gould",
         "two-parameter family generalizing exclusion-statistics counting",
-        _F_gould,
+        lambda k, p: _gould(p["a"], p["b"], k),
         defaults={"a": Fraction(1), "b": Fraction(1)},
         validate=_validate_gould,
-    )
-)
-_register(
+    ),
     CatalogEntry(
         "gould-acharya-swamy",
         "gould specialization a=0, b=eps",
-        _F_gould_as,
+        lambda k, p: _gould(0, p["eps"], k),
         defaults={"eps": Fraction(1, 2)},
-    )
-)
-_register(
+    ),
     CatalogEntry(
         "gould-lambert",
         "gould specialization b -> 0 (Lambert curve, equals the abel entry)",
-        _F_gould_lambert,
+        _abel,
         defaults={"a": Fraction(1)},
-    )
-)
-_register(
+    ),
     CatalogEntry(
         "gould-framed-vertex",
         "gould specialization a=g-1, b=1 (framed-vertex curve X = e^{gY} - e^{(g-1)Y})",
-        _F_gould_framed_vertex,
+        lambda k, p: _gould(p["g"] - 1, 1, k),
         defaults={"g": Fraction(2)},
-    )
-)
-_register(
+    ),
     CatalogEntry(
         "gould-catalan-curve",
         "gould specialization b=-2a (Catalan curve after rescaling)",
-        _F_gould_catalan_curve,
+        lambda k, p: _gould(p["a"], -2 * p["a"], k),
         defaults={"a": Fraction(1, 2)},
         validate=_validate_catalan_curve,
-    )
-)
-_register(
+    ),
     CatalogEntry(
         "mittag-leffler",
         "free energy log((1+X/2)/(1-X/2)); Catalan generating inverse",
-        _F_mittag_leffler,
+        _mittag_leffler,
         notes="the unscaled log((1+X)/(1-X)) variant has w_1 = 2 and is exposed "
         "only through mittag_leffler_free_energy(order, scaled=False)",
-    )
-)
-_register(
+    ),
     CatalogEntry(
         "bessel",
         "free energy 1 - sqrt(1-2X); Bessel polynomials",
-        _F_bessel,
-    )
-)
-_register(
+        lambda k, p: Fraction(comb(2 * k, k), (2 * k - 1) * 2**k),
+    ),
     CatalogEntry(
         "mott",
         "free energy (1 - sqrt(1-4X^2))/(2X); Mott polynomials",
-        _F_mott,
+        lambda k, p: catalan((k - 1) // 2) if k % 2 else 0,
         extra_quantities={"Y": (0, _q_mott_Y)},
         registered_constant=Fraction(0),
         notes="the even-power companion expansion 1 + 9X^2 + 50X^4 + ... is the "
         "ratio phi/X; the fixture stores the odd-power series",
-    )
-)
-_register(
+    ),
     CatalogEntry(
         "dilogarithm",
         "free energy sum X^n/n^2; kernel e^u - 1, Bernoulli xi expansion",
-        _F_dilogarithm,
-    )
-)
-_register(
+        lambda k, p: Fraction(1, k * k),
+    ),
     CatalogEntry(
         "averaged-as-1",
         "odd average of the one-parameter family: F = (log(1+eX) - log(1-eX))/(2e)",
-        _F_averaged_1,
+        lambda k, p: p["eps"] ** (k - 1) / k if k % 2 else 0,
         defaults={"eps": Fraction(1, 3)},
         notes="eps = 1/2 reproduces the mittag-leffler entry",
-    )
-)
-_register(
+    ),
     CatalogEntry(
         "averaged-as-2",
         "parameter-inverted average: F = ((1/e)log(1+eX) + e log(1+X/e))/2",
-        _F_averaged_2,
+        lambda k, p: Fraction((-1) ** (k - 1), 2 * k)
+        * (p["eps"] ** (k - 1) + p["eps"] ** (1 - k)),
         defaults={"eps": Fraction(2)},
         validate=_validate_eps_nonzero,
-    )
-)
-_register(
+    ),
     CatalogEntry(
         "averaged-as-3",
         "shifted-logarithm average: F = (log(X+e) + log(X+1/e))/2",
@@ -551,20 +417,18 @@ _register(
         },
         notes="weight function has linear coefficient (eps+1/eps)/2 > 1 for "
         "eps != 1, outside the normalized space; series quantities only",
-    )
-)
-_register(
+    ),
     CatalogEntry(
         "bell-universal",
         "universal family F = sum t_j X^j/j!; conjugate polynomials are the "
         "partial Bell polynomials in the t_j",
-        _F_bell,
+        _bell,
         defaults={"t": tuple()},
         validate=_validate_bell,
         notes="an empty coefficient list means t_j = 1 for every j "
         "(the exponential entry)",
-    )
-)
+    ),
+)}
 
 
 def get(name: str) -> CatalogEntry:

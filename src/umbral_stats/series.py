@@ -61,9 +61,22 @@ class _Value:
     """The base of every immutable value type.  The catalog caches hand
     out shared objects, so no attribute may be set or deleted once
     ``__init__`` has stored it with ``object.__setattr__``.  Two values of
-    one class are equal, and hash equal, when their ``_key()``s are."""
+    one class are equal, and hash equal, when their ``_key()``s are.  A
+    copy is the value itself, and unpickling stores the slots as
+    ``__init__`` does."""
 
     __slots__ = ()
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __setstate__(self, state):
+        _, slots = state  # (None, {slot: value}): no instance has a __dict__
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -231,6 +244,8 @@ def _ratio(num: int, den: int) -> tuple[int, int]:
 
 
 def constant(value: RationalLike, order: int = 0) -> TruncatedSeries:
+    if order < 0:
+        raise ValueError(f"negative truncation order {order}")
     c = as_rational(value)
     return _series((c.numerator,) + (0,) * order, c.denominator)
 

@@ -1,5 +1,7 @@
 """Series kernel: arithmetic, composition, inversion, log-augmented series."""
 
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -7,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from oracles import binomial_fraction, divide_series, geometric_coefficients
+from umbral_stats import catalog
 from umbral_stats import series as fps
-from umbral_stats.deformed_entropy import EntropyDensity, PhiSeries
+from umbral_stats import statistics as st
+from umbral_stats.deformed_entropy import EntropyDensity, PhiSeries, map_g_inverse, xi
 from umbral_stats.series import LogSeries, TruncatedSeries
 from umbral_stats.statistics import Statistics
 from umbral_stats.umbral import (
@@ -70,6 +74,12 @@ class TestArithmetic:
         """A negative order is not read as a slice from the end."""
         with pytest.raises(ValueError, match="negative"):
             TruncatedSeries(range(17)).truncate(order)
+
+    @pytest.mark.parametrize("make", [lambda n: fps.constant(F(2, 3), n), fps.zero, fps.one])
+    def test_negative_constant_order_is_refused(self, make):
+        with pytest.raises(ValueError, match="negative"):
+            make(-3)
+        assert make(0).order == 0
 
     def test_negative_comparison_order_is_refused(self):
         a, b = S(1, 2, 3), S(0, 2, 4)
@@ -395,6 +405,37 @@ def test_value_types_are_immutable(value, slot):
         delattr(value, slot)
     assert (repr(value), getattr(value, slot)) == before
     assert not hasattr(value, "extra")
+
+
+def cached_statistics_with_a_filled_memo() -> Statistics:
+    stat = catalog.build("lah", 6)
+    stat.z, stat.X_of_w, map_g_inverse(stat), xi(stat)
+    st.occupation_polynomials(stat, 4)
+    assert set(stat._memo) == {"z", "X_of_w", "phi", "G", "conjugate"}
+    return stat
+
+
+@pytest.mark.parametrize(
+    "value, slot",
+    [pytest.param(v, s, id=type(v).__name__) for v, s in VALUE_OBJECTS]
+    + [pytest.param(cached_statistics_with_a_filled_memo(), "F", id="cached-Statistics")],
+)
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+def test_value_types_copy_and_pickle(value, slot, how):
+    """A copy is equal and hash equal, and as immutable as the original."""
+    twin = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+    }[how](value)
+    assert type(twin) is type(value)
+    assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+    with pytest.raises(AttributeError):
+        setattr(twin, slot, getattr(twin, slot))
+    with pytest.raises(AttributeError):
+        delattr(twin, slot)
+    if isinstance(value, Statistics):
+        assert twin._memo == value._memo
 
 
 EQUAL_VALUE_BUILDERS = [
