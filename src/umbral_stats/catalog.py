@@ -223,7 +223,6 @@ def _bell(k: int, p: Params) -> Fraction:
     return Fraction(t[k - 1] if k <= len(t) else 0, factorial(k))
 
 
-
 # averaged variant 3 lives off the normalized space: its weight function
 # has linear coefficient (eps + 1/eps)/2 > 1 for eps != 1
 
