@@ -206,6 +206,25 @@ class TestOccupationPolynomials:
         assert st.occupation_polynomial(s, 2)(5) == F(25, 2)
         assert st.occupation_recursion_holds(s, 2, 3, 2)
 
+    def test_a_bumped_polynomial_fails_both_verdicts(self, monkeypatch):
+        # one more N^2 in W_4 leaves 2 N1 N2 over on the left-hand side
+        real = st.occupation_polynomials
+
+        def bumped(stat, k):
+            W = real(stat, k)
+            coeffs = list(W[4].coeffs)
+            coeffs[2] += 1
+            W[4] = Polynomial(coeffs)
+            return W
+
+        s = bose(8)
+        W = bumped(s, 6)
+        assert st.convolution_holds(real(s, 6), 1, 2, 4)
+        assert not st.convolution_holds(W, 1, 2, 4)
+        assert not st.convolution_holds(W, F(1, 3), F(-2, 5), 4)
+        monkeypatch.setattr(st, "occupation_polynomials", bumped)
+        assert not st.occupation_recursion_holds(s, 1, 2, 4)
+
     def test_recursion_random(self):
         rng = random.Random(9)
         s = st.from_cluster(

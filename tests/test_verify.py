@@ -4,8 +4,11 @@ from functools import lru_cache
 
 import pytest
 
+from umbral_stats import catalog as cat
 from umbral_stats import verify
 from umbral_stats.catalog import Fixture
+from umbral_stats.series import TruncatedSeries
+from umbral_stats.statistics import group_compose
 from umbral_stats.umbral import Polynomial, PolynomialSequence
 from umbral_stats.verify import PropertyResult, VerifyReport
 
@@ -140,3 +143,88 @@ def test_a_wrong_inversion_fails_the_duality_check(monkeypatch):
     results = {r.name: r for r in verify.suite_duality(16, 0)}
     assert not results["involution-100-random"].passed
     assert results["involution-100-random"].detail.startswith("instance 0:")
+
+
+def test_suites_are_named_in_report_order():
+    # The CLI's --suite choices and the benchmark's per-suite timings follow this order.
+    assert verify.SUITES == (
+        "inversion", "binomial", "occupation", "duality",
+        "main-theorem", "gradient", "xi", "fixtures",
+    )
+
+
+def test_doctored_gamma_fixture_fails_check():
+    (real,) = [f for f in cat.fixtures("lah") if f.quantity == "gamma"]
+    rows = [list(row) for row in real.coeffs]
+    rows[3][2] += 1
+    record = {"entry": "lah", "quantity": "gamma", "coeffs": rows,
+              "provenance": real.provenance}
+    assert real.check() is True
+    assert Fixture(record).check() is False
+
+
+# -- failure branches: each swaps one function that verify calls -----------------
+
+
+@pytest.fixture
+def cold_catalog(monkeypatch):
+    """Catalog caches of the test's own, so that no statistics built or
+    memoized under a swapped function outlives the test."""
+    monkeypatch.setattr(
+        verify.cat, "_cached_build", lru_cache(256)(verify.cat._cached_build.__wrapped__)
+    )
+    monkeypatch.setattr(
+        verify.cat, "_cached_quantity",
+        lru_cache(256)(verify.cat._cached_quantity.__wrapped__),
+    )
+
+
+def failed_check(suite: str, name: str, order: int) -> PropertyResult:
+    (result,) = [r for r in verify.run(suite, order, 0).results if r.name == name]
+    assert not result.passed
+    return result
+
+
+def bumped(value, k: int):
+    """The kernel or density ``value`` with 1 added to its u^k coefficient."""
+    coeffs = list(value.series.coeffs)
+    coeffs[k] += 1
+    return type(value)(TruncatedSeries(coeffs))
+
+
+def test_a_wrong_inversion_fails_the_roundtrip_check(monkeypatch, cold_catalog):
+    monkeypatch.setattr(verify.fps, "lagrange_invert", lambda s: s)
+    result = failed_check("inversion", "compose-roundtrip-50-random", 3)
+    assert result.detail == (
+        "roundtrip failed for instance 0: "
+        "TruncatedSeries(['0', '1/2', '3/2', '-3/2'])"
+    )
+
+
+@pytest.mark.parametrize("swap, detail", [
+    # a left projection is associative, and BG o a = BG
+    (("group_compose", lambda v, w: v), "identity instance 0"),
+    (("group_compose", lambda v, w: group_compose(v, group_compose(w, w))),
+     "associativity instance 0"),
+    (("group_compose_m", lambda v, w, m: w), "m=0 reduction instance 0"),
+])
+def test_a_wrong_group_law_fails_the_group_law_check(monkeypatch, cold_catalog, swap, detail):
+    monkeypatch.setattr(verify.st, *swap)
+    assert failed_check("duality", "group-law-random-triples", 8).detail == detail
+
+
+REAL = {name: getattr(verify, name) for name in ("map_g_inverse", "map_f_inverse")}
+
+
+@pytest.mark.parametrize("swap, detail", [
+    (("map_g_inverse", lambda stat: bumped(REAL["map_g_inverse"](stat), 2)),
+     "kernel-statistics roundtrip, instance 0"),
+    (("map_f_inverse", lambda h: bumped(REAL["map_f_inverse"](h), 2)),
+     "kernel-density roundtrip, instance 0"),
+    # applied twice, each adds 2 to one coefficient at or below u^4
+    (("tau", lambda phi: bumped(phi, 2)), "tau involution, instance 0"),
+    (("rho", lambda h: bumped(h, 1)), "rho involution, instance 0"),
+])
+def test_a_wrong_bijection_fails_the_roundtrip_check(monkeypatch, cold_catalog, swap, detail):
+    monkeypatch.setattr(verify, *swap)
+    assert failed_check("xi", "bijection-roundtrips-20-random", 8).detail == detail
