@@ -168,6 +168,32 @@ class TestStatisticsCommands:
         assert out.splitlines()[0] == "X,z,Y"
 
 
+
+class TestRenderings:
+    """The exact text of the csv and pretty renderings."""
+
+    def test_logseries_csv(self):
+        code, out = run(["expand", "--stat", "bose-einstein", "--quantity", "entropy",
+                         "--order", "3", "--format", "csv"])
+        assert code == 0
+        assert out == "index,plain,log\n0,0,0\n1,1,-1\n2,1/2,-1\n3,1/3,-1\n"
+
+    def test_polynomial_csv(self):
+        code, out = run(["polyseq", "--stat", "bose-einstein", "--kind", "conjugate",
+                         "--n", "3", "--format", "csv"])
+        assert code == 0
+        assert out == (
+            "n,k,coefficient\n0,0,1\n1,0,0\n1,1,1\n2,0,0\n2,1,1\n2,2,1\n"
+            "3,0,0\n3,1,2\n3,2,3\n3,3,1\n"
+        )
+
+    def test_pretty_field(self):
+        code, out = run(["polyseq", "--stat", "bose-einstein", "--kind", "conjugate",
+                         "--n", "3", "--format", "pretty"])
+        assert code == 0
+        assert out == "p_0 = 1\np_1 = x\np_2 = x^2 + x\np_3 = x^3 + 3*x^2 + 2*x\n"
+
+
 class TestMaxent:
     def test_two_level_solution(self):
         code, data = run_json(
@@ -578,11 +604,9 @@ class TestVerify:
 
     def test_failure_lines_carry_the_flags_that_rerun_them(self, monkeypatch, capsys):
         def failing(order, seed):
-            return [
-                verify.PropertyResult("duality", "held", True),
-                verify.PropertyResult("duality", "broke", False, "instance 7"),
-                verify.PropertyResult("duality", "bare", False),
-            ]
+            yield "held", True, ""
+            yield "broke", False, "instance 7"
+            yield "bare", False, ""
 
         monkeypatch.setitem(verify._SUITE_FUNCTIONS, "duality", failing)
         code, data = run_json(["verify", "--suite", "duality", "--order", "9",
@@ -600,7 +624,7 @@ class TestVerify:
                 return super().write(text)
 
         monkeypatch.setitem(verify._SUITE_FUNCTIONS, "duality", lambda order, seed: [
-            verify.PropertyResult("duality", "broke", False, "instance 7")])
+            ("broke", False, "instance 7")])
         monkeypatch.setattr(sys, "stderr", io.StringIO())
         stdout = Stdout()
         assert cli.main(["verify", "--suite", "duality"], stream=stdout) == 1

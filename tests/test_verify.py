@@ -7,10 +7,24 @@ import pytest
 from umbral_stats import catalog as cat
 from umbral_stats import verify
 from umbral_stats.catalog import Fixture
+from umbral_stats.deformed_entropy import EntropyDensity
 from umbral_stats.series import TruncatedSeries
-from umbral_stats.statistics import group_compose
+from umbral_stats.statistics import Statistics, group_compose
 from umbral_stats.umbral import Polynomial, PolynomialSequence
 from umbral_stats.verify import PropertyResult, VerifyReport
+
+
+@pytest.fixture
+def cold_catalog(monkeypatch):
+    """Catalog caches of the test's own, so that no statistics built or
+    memoized under a swapped function outlives the test."""
+    monkeypatch.setattr(
+        verify.cat, "_cached_build", lru_cache(256)(verify.cat._cached_build.__wrapped__)
+    )
+    monkeypatch.setattr(
+        verify.cat, "_cached_quantity",
+        lru_cache(256)(verify.cat._cached_quantity.__wrapped__),
+    )
 
 
 def test_unknown_suite_rejected():
@@ -75,29 +89,21 @@ def test_random_statistics_is_seed_deterministic():
 @pytest.mark.parametrize("suite", ["binomial", "occupation"])
 def test_exact_suites_draw_no_random_numbers(monkeypatch, suite):
     monkeypatch.setattr(verify.random, "Random", lambda *a: pytest.fail("drew"))
-    results = verify._SUITE_FUNCTIONS[suite](8, 0)
-    checks = {"binomial": 20, "occupation": 40}[suite]  # 20 catalog entries
-    assert len(results) == checks and all(r.passed for r in results)
+    checks = list(verify._SUITE_FUNCTIONS[suite](8, 0))
+    count = {"binomial": 20, "occupation": 40}[suite]  # 20 catalog entries
+    assert len(checks) == count and all(passed for _, passed, _ in checks)
 
 
-def test_binomial_suite_reports_first_failing_degree(monkeypatch):
+def test_binomial_suite_reports_first_failing_degree(monkeypatch, cold_catalog):
     shifted = [Polynomial([1])]  # (x+1)^n fails at n = 1
     for _ in range(8):
         shifted.append(shifted[-1] * Polynomial([1, 1]))
-    # Cold catalog caches of its own, so that no statistics memoized its
-    # conjugate sequence before the plant; the shared caches are left as they are.
-    monkeypatch.setattr(
-        verify.cat, "_cached_build", lru_cache(256)(verify.cat._cached_build.__wrapped__)
-    )
-    monkeypatch.setattr(
-        verify.cat, "_cached_quantity",
-        lru_cache(256)(verify.cat._cached_quantity.__wrapped__),
-    )
+    # cold caches: no statistics memoized its conjugate sequence before the plant
     monkeypatch.setattr(
         verify.st, "conjugate_sequence", lambda F, n: PolynomialSequence(shifted[: n + 1])
     )
-    results = verify.suite_binomial(8, 0)
-    assert results and all(not r.passed and r.detail == "n=1" for r in results)
+    checks = list(verify.suite_binomial(8, 0))
+    assert checks and all(check[1:] == (False, "n=1") for check in checks)
 
 
 def test_occupation_recursion_reports_first_failing_triple(monkeypatch):
@@ -113,9 +119,9 @@ def test_occupation_recursion_reports_first_failing_triple(monkeypatch):
             return W
 
         monkeypatch.setattr(verify.st, "occupation_polynomials", planted)
-        results = verify.suite_occupation(8, 0)
-        assert len(results) == 40
-        assert all(not r.passed and r.detail == f"k={k}" for r in results), k
+        checks = list(verify.suite_occupation(8, 0))
+        assert len(checks) == 40
+        assert all(check[1:] == (False, f"k={k}") for check in checks), k
 
 
 def test_result_stops_at_first_failure():
@@ -126,23 +132,18 @@ def test_result_stops_at_first_failure():
             seen.append(d)
             yield d
 
-    assert verify._result("s", "n", details()) == PropertyResult("s", "n", False, "first")
+    assert verify._first("n", details()) == ("n", False, "first")
     assert seen == ["", "first"]
-    assert verify._result("s", "n", iter(["", ""])) == PropertyResult("s", "n", True, "")
+    assert verify._first("n", iter(["", ""])) == ("n", True, "")
 
 
-def test_a_wrong_inversion_fails_the_duality_check(monkeypatch):
+def test_a_wrong_inversion_fails_the_duality_check(monkeypatch, cold_catalog):
     # X(w) returned as w itself: dual(dual(s)) rebuilds F from s.w and would
     # still equal s, so the check must invert the dual's weight function anew.
-    # Cold catalog caches of its own, so that no cached statistics keeps the
-    # wrong X(w) in its memo after the test.
-    monkeypatch.setattr(
-        verify.cat, "_cached_build", lru_cache(256)(verify.cat._cached_build.__wrapped__)
-    )
     monkeypatch.setattr(verify.st, "lagrange_invert", lambda w: w)
-    results = {r.name: r for r in verify.suite_duality(16, 0)}
-    assert not results["involution-100-random"].passed
-    assert results["involution-100-random"].detail.startswith("instance 0:")
+    checks = {name: (passed, detail) for name, passed, detail in verify.suite_duality(16, 0)}
+    passed, detail = checks["involution-100-random"]
+    assert not passed and detail.startswith("instance 0:")
 
 
 def test_suites_are_named_in_report_order():
@@ -164,19 +165,6 @@ def test_doctored_gamma_fixture_fails_check():
 
 
 # -- failure branches: each swaps one function that verify calls -----------------
-
-
-@pytest.fixture
-def cold_catalog(monkeypatch):
-    """Catalog caches of the test's own, so that no statistics built or
-    memoized under a swapped function outlives the test."""
-    monkeypatch.setattr(
-        verify.cat, "_cached_build", lru_cache(256)(verify.cat._cached_build.__wrapped__)
-    )
-    monkeypatch.setattr(
-        verify.cat, "_cached_quantity",
-        lru_cache(256)(verify.cat._cached_quantity.__wrapped__),
-    )
 
 
 def failed_check(suite: str, name: str, order: int) -> PropertyResult:
@@ -221,10 +209,33 @@ REAL = {name: getattr(verify, name) for name in ("map_g_inverse", "map_f_inverse
      "kernel-statistics roundtrip, instance 0"),
     (("map_f_inverse", lambda h: bumped(REAL["map_f_inverse"](h), 2)),
      "kernel-density roundtrip, instance 0"),
-    # applied twice, each adds 2 to one coefficient at or below u^4
+    # applied twice, the shift adds 2 to a coefficient at or below u^4
     (("tau", lambda phi: bumped(phi, 2)), "tau involution, instance 0"),
     (("rho", lambda h: bumped(h, 1)), "rho involution, instance 0"),
 ])
 def test_a_wrong_bijection_fails_the_roundtrip_check(monkeypatch, cold_catalog, swap, detail):
     monkeypatch.setattr(verify, *swap)
     assert failed_check("xi", "bijection-roundtrips-20-random", 8).detail == detail
+
+
+def test_the_triangle_reads_the_density_off_the_statistics(monkeypatch, cold_catalog):
+    # map_f wrong only for a statistics: the density of phi itself is right
+    real = verify.map_f
+    monkeypatch.setattr(verify, "map_f", lambda arg: (
+        bumped(real(arg), 1) if isinstance(arg, Statistics) else real(arg)
+    ))
+    result = failed_check("xi", "bijection-roundtrips-20-random", 8)
+    assert result.detail == "commuting triangle, instance 0"
+
+
+def test_rho_is_compared_through_all_but_two_coefficients(monkeypatch, cold_catalog):
+    # rho(rho(h)) keeps s_1..s_(h.order - 2); this rho drops s_5 and above
+    real = verify.rho
+
+    def rho_through_u4(h):
+        coeffs = real(h).series.coeffs
+        return EntropyDensity(TruncatedSeries([*coeffs[:5], *[0] * (len(coeffs) - 5)]))
+
+    monkeypatch.setattr(verify, "rho", rho_through_u4)
+    result = failed_check("xi", "bijection-roundtrips-20-random", 8)
+    assert result.detail == "rho involution, instance 0"
