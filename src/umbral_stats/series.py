@@ -57,13 +57,21 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def _restore(cls, slots: dict):
+    """Unpickle a value of ``cls``: store its slots as ``__init__`` does."""
+    value = object.__new__(cls)
+    for name, item in slots.items():
+        object.__setattr__(value, name, item)
+    return value
+
+
 class _Value:
     """The base of every immutable value type.  The catalog caches hand
     out shared objects, so no attribute may be set or deleted once
     ``__init__`` has stored it with ``object.__setattr__``.  Two values of
     one class are equal, and hash equal, when their ``_key()``s are.  A
-    copy is the value itself, and unpickling stores the slots as
-    ``__init__`` does."""
+    copy is the value itself, and a value pickles, at every protocol, as
+    its class and its slots."""
 
     __slots__ = ()
 
@@ -73,10 +81,14 @@ class _Value:
     def __deepcopy__(self, memo):
         return self
 
-    def __setstate__(self, state):
-        _, slots = state  # (None, {slot: value}): no instance has a __dict__
-        for name, value in slots.items():
-            object.__setattr__(self, name, value)
+    def __reduce__(self):
+        cls = type(self)
+        slots = {
+            name: getattr(self, name)
+            for base in cls.__mro__
+            for name in getattr(base, "__slots__", ())
+        }
+        return _restore, (cls, slots)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -619,12 +631,6 @@ class LogSeries(_Value):
 
     def __str__(self):
         return f"[{self.plain}] + [{self.logpart}] * log(p)"
-
-    def __add__(self, other: LogSeries) -> LogSeries:
-        return LogSeries(add(self.plain, other.plain), add(self.logpart, other.logpart))
-
-    def __sub__(self, other: LogSeries) -> LogSeries:
-        return LogSeries(sub(self.plain, other.plain), sub(self.logpart, other.logpart))
 
     def __neg__(self) -> LogSeries:
         return LogSeries(-self.plain, -self.logpart)

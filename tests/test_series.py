@@ -422,20 +422,25 @@ def cached_statistics_with_a_filled_memo() -> Statistics:
 )
 @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
 def test_value_types_copy_and_pickle(value, slot, how):
-    """A copy is equal and hash equal, and as immutable as the original."""
-    twin = {
-        "copy": copy.copy,
-        "deepcopy": copy.deepcopy,
-        "pickle": lambda v: pickle.loads(pickle.dumps(v)),
-    }[how](value)
-    assert type(twin) is type(value)
-    assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
-    with pytest.raises(AttributeError):
-        setattr(twin, slot, getattr(twin, slot))
-    with pytest.raises(AttributeError):
-        delattr(twin, slot)
-    if isinstance(value, Statistics):
-        assert twin._memo == value._memo
+    """A copy is equal and hash equal, and as immutable as the original;
+    a pickle round trip is, at every protocol."""
+    twins = {
+        "copy": lambda: [copy.copy(value)],
+        "deepcopy": lambda: [copy.deepcopy(value)],
+        "pickle": lambda: [
+            pickle.loads(pickle.dumps(value, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ],
+    }[how]()
+    for twin in twins:
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+        with pytest.raises(AttributeError):
+            setattr(twin, slot, getattr(twin, slot))
+        with pytest.raises(AttributeError):
+            delattr(twin, slot)
+        if isinstance(value, Statistics):
+            assert twin._memo == value._memo
 
 
 EQUAL_VALUE_BUILDERS = [
