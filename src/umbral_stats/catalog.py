@@ -15,7 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from math import comb, factorial
-from typing import Callable, Mapping
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from . import series as fps
 from . import statistics as st
@@ -35,33 +36,27 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-class CatalogEntry:
-    def __init__(
-        self,
-        name: str,
-        summary: str,
-        coefficient: Callable[[int, Params], Fraction | int] | None,
-        defaults: dict[str, Fraction] | None = None,
-        validate: Callable[[Params], None] | None = None,
-        registered_constant: Fraction | None = None,
-        extra_quantities: (
-            dict[str, tuple[int, Callable[[int, Params], TruncatedSeries]]] | None
-        ) = None,
-        notes: str = "",
-    ):
-        self.name = name
-        self.summary = summary
-        self._coefficient = coefficient
-        self.defaults = dict(defaults or {})
-        self._validate = validate
-        self.registered_constant = registered_constant
-        self.extra_quantities = dict(extra_quantities or {})
-        self.notes = notes
+# The default of an entry's optional mappings: one empty mapping, read-only,
+# since every entry shares it.
+_EMPTY: Mapping = MappingProxyType({})
+
+
+class CatalogEntry(NamedTuple):
+    name: str
+    summary: str
+    coefficient: Callable[[int, Params], Fraction | int] | None
+    defaults: Params = _EMPTY
+    validate: Callable[[Params], None] | None = None
+    registered_constant: Fraction | None = None
+    extra_quantities: Mapping[
+        str, tuple[int, Callable[[int, Params], TruncatedSeries]]
+    ] = _EMPTY
+    notes: str = ""
 
     @property
     def in_space(self) -> bool:
         """Whether build() produces a statistics in the normalized space."""
-        return self._coefficient is not None
+        return self.coefficient is not None
 
     def resolve_params(self, params: Mapping[str, object] | None = None) -> dict:
         merged = dict(self.defaults)
@@ -80,13 +75,13 @@ class CatalogEntry:
             except TypeError:
                 want = "a list of rationals" if key == "t" else "an exact rational"
                 raise CatalogError(f"parameter {key} expects {want}, got {value!r}")
-        if self._validate is not None:
-            self._validate(merged)
+        if self.validate is not None:
+            self.validate(merged)
         return merged
 
     def build(self, order: int, **params) -> Statistics:
         p = self.resolve_params(params)
-        if self._coefficient is None:
+        if self.coefficient is None:
             raise CatalogError(
                 f"entry {self.name!r} is not in the normalized statistics space "
                 f"({self.notes or 'weight function not normalized'}); "
@@ -105,11 +100,12 @@ class CatalogEntry:
         object.
         """
         p = self.resolve_params(params)
-        return _cached_quantity(self, name, order, tuple(sorted(p.items())))
+        return _cached_quantity(self.name, name, order, tuple(sorted(p.items())))
 
 
 @lru_cache(maxsize=256)
-def _cached_quantity(entry: CatalogEntry, name: str, order: int, frozen: tuple):
+def _cached_quantity(entry_name: str, name: str, order: int, frozen: tuple):
+    entry = get(entry_name)
     if name in entry.extra_quantities:
         loss, compute = entry.extra_quantities[name]
         return compute(order + loss, dict(frozen))
@@ -118,37 +114,35 @@ def _cached_quantity(entry: CatalogEntry, name: str, order: int, frozen: tuple):
             f"entry {entry.name!r} supports only "
             f"{sorted(entry.extra_quantities)}, not {name!r}"
         )
-    stat = _cached_build(entry.name, order + _lookup(name)[0], frozen)
-    return _derived_quantity(entry, stat, name)
+    stat = _cached_build(entry_name, order + _lookup(name)[0], frozen)
+    return _derived_quantity(stat, name)
 
 
 @lru_cache(maxsize=256)
 def _cached_build(name: str, order: int, frozen: tuple) -> Statistics:
-    coefficient, p = get(name)._coefficient, dict(frozen)
+    coefficient, p = get(name).coefficient, dict(frozen)
     F = TruncatedSeries([0, *(coefficient(k, p) for k in range(1, order + 1))])
     return Statistics(F, name=name)
 
 
 # The quantities of an in-space entry: each maps to the number of orders it
-# loses against its statistics, and how it is computed from (stat, entry).
+# loses against its statistics, and how it is computed from the statistics.
 # phi = X/X' and ln_phi = log p + log(X/p) lose one, as X' and X/p do, and
 # phi_in_X, built from phi, loses the same one; xi = integral X'/(X/p) gains
 # back the one its integrand loses; gamma holds p_0..p_min(8, n), the degrees
 # a statistics of order n determines.
-_QUANTITIES: dict[str, tuple[int, Callable[[Statistics, CatalogEntry], object]]] = {
-    "F": (0, lambda stat, entry: stat.F),
-    "z": (0, lambda stat, entry: stat.z),
-    "w": (0, lambda stat, entry: stat.w),
-    "X_of_w": (0, lambda stat, entry: stat.X_of_w),
-    "phi": (1, lambda stat, entry: map_g_inverse(stat).series),
-    "phi_in_X": (1, lambda stat, entry: fps.compose(map_g_inverse(stat).series, stat.w)),
-    "xi": (0, lambda stat, entry: xi(stat)),
-    "ln_phi": (1, lambda stat, entry: ln_phi(stat)),
-    "entropy": (0, lambda stat, entry: st.entropy(stat)),
-    "phi_entropy": (
-        0, lambda stat, entry: phi_entropy(stat, entry.registered_constant).series
-    ),
-    "gamma": (0, lambda stat, entry: st.conjugate_polynomials(stat, min(8, stat.order))),
+_QUANTITIES: dict[str, tuple[int, Callable[[Statistics], object]]] = {
+    "F": (0, lambda stat: stat.F),
+    "z": (0, lambda stat: stat.z),
+    "w": (0, lambda stat: stat.w),
+    "X_of_w": (0, lambda stat: stat.X_of_w),
+    "phi": (1, lambda stat: map_g_inverse(stat).series),
+    "phi_in_X": (1, lambda stat: fps.compose(map_g_inverse(stat).series, stat.w)),
+    "xi": (0, xi),
+    "ln_phi": (1, ln_phi),
+    "entropy": (0, st.entropy),
+    "phi_entropy": (0, lambda stat: phi_entropy(stat).series),
+    "gamma": (0, lambda stat: st.conjugate_polynomials(stat, min(8, stat.order))),
 }
 DERIVED_QUANTITIES = tuple(_QUANTITIES)
 
@@ -165,9 +159,9 @@ def _lookup(name: str) -> tuple[int, Callable, str]:
     return (*_QUANTITIES[base], part)
 
 
-def _derived_quantity(entry: CatalogEntry, stat: Statistics, name: str):
+def _derived_quantity(stat: Statistics, name: str):
     _, compute, part = _lookup(name)
-    value = compute(stat, entry)
+    value = compute(stat)
     if not part:
         return value
     if not isinstance(value, LogSeries):
@@ -454,50 +448,46 @@ def build(name: str, order: int, **params) -> Statistics:
 # -- fixtures ------------------------------------------------------------------
 
 
-class Fixture:
+class Fixture(NamedTuple):
     """One frozen expected-coefficient record from data/fixtures.json."""
 
-    __slots__ = (
-        "entry",
-        "quantity",
-        "coeffs",
-        "provenance",
-        "params",
-        "oeis",
-        "transform",
-        "min_prefix",
-        "note",
-        "_series",
-    )
+    entry: str
+    quantity: str
+    coeffs: list  # of Fractions, or of rows of Fractions for gamma
+    provenance: str
+    params: dict[str, Fraction]
+    oeis: str | None
+    transform: Mapping[str, object]
+    min_prefix: int
+    note: str
+    series: TruncatedSeries | None  # the coeffs as one series; None for gamma
 
-    def __init__(self, record: dict):
-        self.entry = record["entry"]
-        self.quantity = record["quantity"]
+    @classmethod
+    def from_record(cls, record: dict) -> Fixture:
         raw = record["coeffs"]
         if raw and isinstance(raw[0], list):
-            self.coeffs = [[as_rational(c) for c in row] for row in raw]
+            coeffs, series = [[as_rational(c) for c in row] for row in raw], None
         else:
-            self.coeffs = [as_rational(c) for c in raw]
-        self.provenance = record["provenance"]
-        self.params = {k: as_rational(v) for k, v in record.get("params", {}).items()}
-        self.oeis = record.get("oeis")
-        self.transform = record.get("transform", {})
-        self.min_prefix = record.get("min_prefix", 0)
-        self.note = record.get("note", "")
-        self._series = None
+            coeffs = [as_rational(c) for c in raw]
+            series = TruncatedSeries(coeffs)
+        return cls(
+            record["entry"],
+            record["quantity"],
+            coeffs,
+            record["provenance"],
+            {k: as_rational(v) for k, v in record.get("params", {}).items()},
+            record.get("oeis"),
+            record.get("transform", {}),
+            record.get("min_prefix", 0),
+            record.get("note", ""),
+            series,
+        )
 
     def __repr__(self):
         return f"Fixture({self.entry}/{self.quantity})"
 
     def required_order(self) -> int:
         return len(self.coeffs) - 1
-
-    def series(self) -> TruncatedSeries:
-        """The coefficients as one series, built on first call (a record of
-        series coefficients only)."""
-        if self._series is None:
-            self._series = TruncatedSeries(self.coeffs)
-        return self._series
 
     def check(self) -> bool:
         n = self.required_order()
@@ -515,7 +505,7 @@ class Fixture:
                 f"fixture {self.entry}/{self.quantity}: computed series order "
                 f"{value.order} is shorter than the fixture"
             )
-        return value.truncate(n) == self.series()
+        return value.truncate(n) == self.series
 
     def integer_sequence(self) -> list[int]:
         """Apply the fixture's documented transform to produce the integer
@@ -526,8 +516,7 @@ class Fixture:
         sign = tf.get("sign", "none")
         scale = tf.get("scale", "none")
         geometric = as_rational(tf.get("geometric", 1))
-        series = self.series()
-        nums, den = series._nums, series._den
+        nums, den = self.series._nums, self.series._den
         out = []
         gp, gq = 1, 1  # geometric ** j, for the j-th term taken
         for k in range(start, len(nums), stride):
@@ -557,11 +546,13 @@ def _fixture_data() -> dict:
 
 @lru_cache(maxsize=1)
 def _fixture_records() -> tuple[Fixture, ...]:
-    return tuple(Fixture(r) for r in _fixture_data()["fixtures"])
+    return tuple(map(Fixture.from_record, _fixture_data()["fixtures"]))
 
 
 def fixtures(entry: str | None = None) -> list[Fixture]:
-    """The frozen records, parsed once per process; callers must not mutate them."""
+    """The frozen records, parsed once per process.  A record's fields cannot
+    be rebound, but its lists and dicts are shared: callers must not mutate
+    them."""
     records = list(_fixture_records())
     if entry is not None:
         get(entry)

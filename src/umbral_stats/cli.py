@@ -302,11 +302,9 @@ def cmd_maxent(args):
     if not all(map(math.isfinite, (sol.a, sol.b, *sol.p, *sol.residuals))):
         raise ValueError(f"maxent did not converge: the last iterate is not finite "
                          f"(a={sol.a}, b={sol.b}, residuals={list(sol.residuals)})")
-    payload = {"a": sol.a, "b": sol.b, "p": sol.p, "residuals": list(sol.residuals),
-               "iterations": sol.iterations, "converged": sol.converged}
     return {"stat": args.stat, "energies": args.energies,
             "energy_target": args.energy_target,
-            "number_target": args.number_target}, payload, code
+            "number_target": args.number_target}, sol._asdict(), code
 
 
 def cmd_verify(args):
@@ -323,20 +321,9 @@ def cmd_oeis_check(args):
     check = oeis.check_entry_quantity(
         args.entry, args.quantity, args.sequence, fetch=args.fetch
     )
-    payload = {
-        "entry": check.entry,
-        "quantity": check.quantity,
-        "sequence": check.oeis_id,
-        "matching_prefix": check.prefix,
-        "min_prefix": check.min_prefix,
-        "passed": check.passed,
-        "source": check.source,
-        "computed": check.computed,
-        "reference": check.reference,
-    }
     return ({"entry": args.entry, "quantity": args.quantity,
              "mode": "fetch" if args.fetch else "offline"},
-            payload, 0 if check.passed else 1)
+            check._asdict(), 0 if check.passed else 1)
 
 
 # -- parser --------------------------------------------------------------------

@@ -426,7 +426,9 @@ def maxent_solve(
 
     Raises :class:`MaxentConvergenceError` (carrying the last iterate)
     rather than returning an unconverged answer silently, and ValueError if
-    exp overflows at the start point.
+    exp overflows at the start point.  ``iterations`` counts the Newton steps
+    taken; the iteration stops before ``max_iter`` steps at a singular
+    Jacobian, or when no damped step lowers the residual.
     """
     dw_coeffs = [k * float(c) for k, c in enumerate(stat.w.coeffs)][1:]
     a, b = a0, b0
@@ -438,22 +440,20 @@ def maxent_solve(
         p, (r1, r2) = evaluate_at(a, b)
     except OverflowError:  # math.exp out of range at the start point
         raise ValueError(f"start point (a0, b0) = ({a0}, {b0}) overflows exp") from None
-    for iteration in range(1, max_iter + 1):
-        if abs(r1) < tol and abs(r2) < tol:
-            return MaxentSolution(a, b, p, (r1, r2), iteration - 1, True)
-        j11 = j12 = j21 = j22 = 0.0
+    steps = 0
+    while not (abs(r1) < tol and abs(r2) < tol) and steps < max_iter:
+        j11 = j12 = j22 = 0.0
         for e in energies:
             q = math.exp(-(a + b * e))
             slope = _evaluate_float(dw_coeffs, q) * q
             j11 -= slope
             j12 -= slope * e
-            j21 -= slope * e
             j22 -= slope * e * e
-        det = j11 * j22 - j12 * j21
+        det = j11 * j22 - j12 * j12
         if det == 0.0 or not math.isfinite(det):
             break
         da = (-r1 * j22 + r2 * j12) / det
-        db = (-r2 * j11 + r1 * j21) / det
+        db = (-r2 * j11 + r1 * j12) / det
         step = 1.0
         norm0 = r1 * r1 + r2 * r2
         for _ in range(40):
@@ -470,7 +470,8 @@ def maxent_solve(
             break
         a, b = a + step * da, b + step * db
         p, r1, r2 = p_new, r1_new, r2_new
-    last = MaxentSolution(a, b, p, (r1, r2), max_iter, abs(r1) < tol and abs(r2) < tol)
+        steps += 1
+    last = MaxentSolution(a, b, p, (r1, r2), steps, abs(r1) < tol and abs(r2) < tol)
     if last.converged:
         return last
     raise MaxentConvergenceError(last)

@@ -23,8 +23,8 @@ _ID_RE = re.compile(r"^A(\d{6,7})$")
 class SequenceCheck(NamedTuple):
     entry: str
     quantity: str
-    oeis_id: str
-    prefix: int
+    sequence: str
+    matching_prefix: int
     min_prefix: int
     passed: bool
     source: str  # "offline" or "fetch"
@@ -102,8 +102,8 @@ def check_fixture(fixture: cat.Fixture, fetch: bool = False) -> SequenceCheck:
     return SequenceCheck(
         entry=fixture.entry,
         quantity=fixture.quantity,
-        oeis_id=fixture.oeis,
-        prefix=prefix,
+        sequence=fixture.oeis,
+        matching_prefix=prefix,
         min_prefix=fixture.min_prefix,
         passed=prefix >= max(fixture.min_prefix, 1),
         source=source,

@@ -59,6 +59,12 @@ X_OF_W_CLOSED_FORMS = {
         Fraction((-1) ** (n // 2) * comb(n - 1, n // 2) // (n // 2 + 1), 4 ** (n // 2))
         if n % 2 else Fraction(0)
     ),
+    # at the default a = b = 1
+    "gould": lambda n: Fraction((n + 1) * 2**n, 4),
+    # C(2k, k) / 16^k at n = 2k + 1, at the default a = 1/2 (b = -1)
+    "gould-catalan-curve": lambda n: (
+        Fraction(comb(n - 1, n // 2), 16 ** (n // 2)) if n % 2 else Fraction(0)
+    ),
 }
 
 

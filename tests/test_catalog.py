@@ -115,6 +115,20 @@ class TestRegistry:
         assert cat.get("fermi-dirac").registered_constant == 0
         assert cat.get("bose-einstein").registered_constant is None
 
+    def test_an_entry_cannot_be_rebound(self):
+        entry = cat.get("lah")
+        for field in ("name", "summary", "coefficient", "defaults", "validate",
+                      "registered_constant", "extra_quantities", "notes"):
+            with pytest.raises(AttributeError):
+                setattr(entry, field, None)
+        assert cat.get("lah") is entry and entry.coefficient(3, {}) == 1
+
+    def test_an_entry_without_optional_mappings_shares_no_writable_one(self):
+        entry = cat.get("lah")
+        assert entry.defaults == entry.extra_quantities == {}
+        with pytest.raises(TypeError):
+            entry.defaults["x"] = F(1)
+
 
 class TestSpecializations:
     def test_gould_zero_a_is_one_parameter_family(self):
@@ -265,16 +279,16 @@ class TestDerivedOrders:
     @pytest.mark.parametrize("n", [3, 11])
     def test_order_of_each_derived_quantity(self, name, n):
         # a fresh statistics, read twice: the second read comes from its memo
-        entry, stat = cat.get(name), st.Statistics(cat.build(name, n).F, name)
+        stat = st.Statistics(cat.build(name, n).F, name)
         for _ in range(2):
             for quantity, offset in DERIVED_ORDER_OFFSET.items():
-                value = cat._derived_quantity(entry, stat, quantity)
+                value = cat._derived_quantity(stat, quantity)
                 assert value.order == n + offset, quantity
                 if isinstance(value, LogSeries):
                     for part in ("plain", "log"):
-                        series = cat._derived_quantity(entry, stat, f"{quantity}_{part}")
+                        series = cat._derived_quantity(stat, f"{quantity}_{part}")
                         assert series.order == n + offset, f"{quantity}_{part}"
-            assert len(cat._derived_quantity(entry, stat, "gamma")) == min(8, n) + 1
+            assert len(cat._derived_quantity(stat, "gamma")) == min(8, n) + 1
 
     @pytest.mark.parametrize("n", [3, 11])
     def test_quantity_comes_back_at_the_order_asked(self, n):
@@ -360,7 +374,7 @@ class TestFixtures:
         outcomes = {"integers": 0, "errors": 0}
         for record in records:
             for transform in transforms:
-                fixture = cat.Fixture({**record, "transform": transform})
+                fixture = cat.Fixture.from_record({**record, "transform": transform})
                 expected = fraction_sequence(fixture)
                 if isinstance(expected, str):
                     outcomes["errors"] += 1
@@ -371,6 +385,20 @@ class TestFixtures:
                     outcomes["integers"] += 1
                     assert fixture.integer_sequence() == expected
         assert min(outcomes.values()) > 50
+
+    def test_a_fixture_cannot_be_rebound(self):
+        fixture = cat.fixtures()[0]
+        for field in ("entry", "quantity", "coeffs", "provenance", "params", "oeis",
+                      "transform", "min_prefix", "note", "series"):
+            with pytest.raises(AttributeError):
+                setattr(fixture, field, None)
+        assert cat.fixtures()[0] is fixture
+
+    def test_each_series_fixture_holds_its_series_when_handed_out(self):
+        records = cat.fixtures()
+        series = [f for f in records if f.quantity != "gamma"]
+        assert series and all(f.series == TruncatedSeries(f.coeffs) for f in series)
+        assert all(f.series is None for f in records if f.quantity == "gamma")
 
     def test_fixture_filter_validates_entry(self):
         with pytest.raises(CatalogError):

@@ -18,6 +18,7 @@ import umbral_stats
 from umbral_stats import catalog as cat
 from umbral_stats import cli
 from umbral_stats import deformed_entropy as de
+from umbral_stats import oeis
 from umbral_stats import series as fps
 from umbral_stats import statistics as st
 from umbral_stats import umbral as um
@@ -213,6 +214,23 @@ class TestMaxent:
         assert code == 1
         assert data["payload"]["converged"] is False
 
+    def test_an_early_stop_reports_the_steps_taken(self):
+        # equal energies make the Jacobian singular at the start point
+        code, data = run_json(
+            ["maxent", "--stat", "boltzmann-gibbs", "--energies", "0,0",
+             "--energy-target", "0", "--number-target", "3"]
+        )
+        assert code == 1
+        assert data["payload"]["iterations"] == 0
+        assert data["payload"]["converged"] is False
+
+    def test_payload_is_the_solution_record(self):
+        code, data = run_json(
+            ["maxent", "--stat", "boltzmann-gibbs", "--energies", "0,1",
+             "--energy-target", "1/4"]
+        )
+        assert code == 0
+        assert tuple(data["payload"]) == de.MaxentSolution._fields
 
     def test_exp_overflow_in_line_search_is_nonconvergence(self):
         code, data = run_json(
@@ -640,6 +658,13 @@ class TestOeisCheck:
         assert code == 0
         assert data["payload"]["matching_prefix"] >= 8
         assert data["payload"]["source"] == "offline"
+
+    def test_payload_is_the_check_record(self):
+        code, data = run_json(
+            ["oeis-check", "--entry", "mott", "--quantity", "phi_in_X"]
+        )
+        assert code == 0
+        assert tuple(data["payload"]) == oeis.SequenceCheck._fields
 
     def test_mott_y_sequence(self):
         code, data = run_json(

@@ -656,3 +656,11 @@ class TestMaxent:
             )
         assert exc.value.last.iterations == 2
         assert not exc.value.last.converged
+
+    def test_an_early_stop_reports_the_steps_taken(self):
+        # two levels of equal energy: the Jacobian is singular at the start,
+        # so no Newton step is taken
+        with pytest.raises(MaxentConvergenceError, match="after 0 iterations") as exc:
+            de.maxent_solve(boltzmann(8), [0.0, 0.0], energy_target=0.0, number_target=3.0)
+        assert exc.value.last.iterations == 0
+        assert exc.value.last.p == [1.0, 1.0]

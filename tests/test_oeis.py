@@ -45,7 +45,7 @@ class TestFixtureChecks:
     def test_offline_check_passes(self):
         check = oeis.check_entry_quantity("mitt" + "ag-leffler", "X_of_w")
         assert check.passed and check.source == "offline"
-        assert check.oeis_id == "A000108"
+        assert check.sequence == "A000108"
 
     def test_network_failure_falls_back_to_embedded_terms(self, monkeypatch, capsys):
         def unreachable(oeis_id):

@@ -75,7 +75,7 @@ def test_doctored_fixture_fails_check():
         "coeffs": ["0", "1", "1", "2"],  # wrong tail
         "provenance": "DERIVED",
     }
-    assert Fixture(record).check() is False
+    assert Fixture.from_record(record).check() is False
 
 
 def test_random_statistics_is_seed_deterministic():
@@ -161,7 +161,7 @@ def test_doctored_gamma_fixture_fails_check():
     record = {"entry": "lah", "quantity": "gamma", "coeffs": rows,
               "provenance": real.provenance}
     assert real.check() is True
-    assert Fixture(record).check() is False
+    assert Fixture.from_record(record).check() is False
 
 
 # -- failure branches: each swaps one function that verify calls -----------------
