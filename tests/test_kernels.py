@@ -228,6 +228,35 @@ def test_divide_rejects_zero_constant_divisor():
         fps.divide(fps.one(3), fps.identity(3))
 
 
+# Order-128 closed forms of the quotient and logarithm maps: each expected
+# value is built from integers alone, with no call into the series module.
+CLOSED_FORM_EPSILONS = (F(2, 3), F(-5, 2), F(7))
+
+
+@pytest.mark.parametrize("eps", CLOSED_FORM_EPSILONS)
+def test_log_of_linear_series_at_order_128(eps):
+    # log(1 + eps X) = sum_{n>=1} (-1)^(n-1) eps^n X^n / n
+    expected = [F(0)] + [(-1) ** (n - 1) * eps**n / n for n in range(1, 129)]
+    got = fps.log_series(TruncatedSeries([1, eps] + [0] * 127))
+    assert list(got.coeffs) == expected
+
+
+@pytest.mark.parametrize("eps", CLOSED_FORM_EPSILONS)
+def test_reciprocal_of_linear_series_at_order_128(eps):
+    # 1 / (1 - eps X) = sum_{n>=0} eps^n X^n
+    expected = [eps**n for n in range(129)]
+    got = fps.reciprocal(TruncatedSeries([1, -eps] + [0] * 127))
+    assert list(got.coeffs) == expected
+
+
+@pytest.mark.parametrize("eps", CLOSED_FORM_EPSILONS)
+def test_ln_phi_of_quadratic_kernel_at_order_128(eps):
+    # phi = u - eps u^2 has G = u/phi = 1/(1 - eps u), so a_n = eps^n and
+    # the plain part of ln_phi is sum_{n>=1} eps^n u^n / n, through u^127
+    plain = de.ln_phi(de.PhiSeries.from_t([eps], order=128)).plain
+    assert list(plain.coeffs) == [F(0)] + [eps**n / n for n in range(1, 128)]
+
+
 @kernel_settings
 @given(hs.data(), hs.integers(1, 8), point, point, hs.booleans())
 def test_binomial_check_matches_termwise_evaluation(data, n, a, b, perturb):
