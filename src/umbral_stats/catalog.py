@@ -453,9 +453,9 @@ class Fixture(NamedTuple):
 
     entry: str
     quantity: str
-    coeffs: list  # of Fractions, or of rows of Fractions for gamma
+    coeffs: tuple  # of Fractions, or of rows of Fractions for gamma
     provenance: str
-    params: dict[str, Fraction]
+    params: Mapping[str, Fraction]
     oeis: str | None
     transform: Mapping[str, object]
     min_prefix: int
@@ -466,18 +466,20 @@ class Fixture(NamedTuple):
     def from_record(cls, record: dict) -> Fixture:
         raw = record["coeffs"]
         if raw and isinstance(raw[0], list):
-            coeffs, series = [[as_rational(c) for c in row] for row in raw], None
+            coeffs, series = tuple(tuple(map(as_rational, row)) for row in raw), None
         else:
-            coeffs = [as_rational(c) for c in raw]
+            coeffs = tuple(map(as_rational, raw))
             series = TruncatedSeries(coeffs)
         return cls(
             record["entry"],
             record["quantity"],
             coeffs,
             record["provenance"],
-            {k: as_rational(v) for k, v in record.get("params", {}).items()},
+            MappingProxyType(
+                {k: as_rational(v) for k, v in record.get("params", {}).items()}
+            ),
             record.get("oeis"),
-            record.get("transform", {}),
+            MappingProxyType(record.get("transform", {})),
             record.get("min_prefix", 0),
             record.get("note", ""),
             series,
@@ -494,10 +496,10 @@ class Fixture(NamedTuple):
         value = get(self.entry).quantity(self.quantity, n, **self.params)
         if self.quantity == "gamma":
             assert isinstance(value, PolynomialSequence)
-            got = [
-                [value[n].coefficient(k) for k in range(len(row))]
+            got = tuple(
+                tuple(value[n].coefficient(k) for k in range(len(row)))
                 for n, row in enumerate(self.coeffs)
-            ]
+            )
             return got == self.coeffs
         assert isinstance(value, TruncatedSeries)
         if value.order < n:
@@ -551,8 +553,8 @@ def _fixture_records() -> tuple[Fixture, ...]:
 
 def fixtures(entry: str | None = None) -> list[Fixture]:
     """The frozen records, parsed once per process.  A record's fields cannot
-    be rebound, but its lists and dicts are shared: callers must not mutate
-    them."""
+    be rebound, and its coefficients, parameters and transform are read-only
+    (tuples and mapping proxies)."""
     records = list(_fixture_records())
     if entry is not None:
         get(entry)

@@ -10,7 +10,8 @@
     umbral-stats oeis-check --entry lah --quantity X_of_w --sequence A000108
 
 Default truncation order is 16, overridable per command with --order or
-globally with the UMBRAL_ORDER environment variable.  Output is JSON by
+globally with the UMBRAL_ORDER environment variable; oeis-check takes no
+--order, since its fixture's length fixes it.  Output is JSON by
 default; --format csv/pretty are available for series-like payloads.
 Exit status is 0 only if the requested computation (and any checks)
 succeeded.
@@ -354,6 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     order = default_order()
 
+    def output_format(p):
+        p.add_argument("--format", choices=("json", "csv", "pretty"),
+                       default="json")
+
     def common(p, stat=True):
         if stat:
             p.add_argument("--stat", required=True,
@@ -363,8 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", type=order_arg, default=order,
                        help=f"truncation order, 1..{MAX_ORDER} "
                        "(env UMBRAL_ORDER, default 16)")
-        p.add_argument("--format", choices=("json", "csv", "pretty"),
-                       default="json")
+        output_format(p)
 
     p = sub.add_parser("expand", help="emit a truncated expansion")
     common(p)
@@ -419,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("oeis-check", help="compare a fixture against its sequence")
-    common(p, stat=False)
+    output_format(p)
     p.add_argument("--entry", required=True)
     p.add_argument("--quantity", required=True)
     p.add_argument("--sequence", default=None, help="expected OEIS id (optional)")

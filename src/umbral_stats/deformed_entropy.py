@@ -209,11 +209,8 @@ def _ln_phi(G: TruncatedSeries) -> LogSeries:
 
 def _a_over_n(G: TruncatedSeries) -> TruncatedSeries:
     """sum_{n>=1} a_n u^n / n for G = 1 + sum a_n u^n, through order
-    G.order: with a_n = A_n / d and L = lcm(1..order), the numerators are
-    A_n (L / n) over d L."""
-    nums = G._nums
-    L = math.lcm(*range(1, len(nums)))
-    return _canonical([0] + [c * (L // n) for n, c in enumerate(nums[1:], 1)], G._den * L)
+    G.order: the integral of (G - 1) / u."""
+    return integrate_extend(_canonical(G._nums[1:], G._den))
 
 
 def exp_phi(arg: PhiOrStatistics) -> TruncatedSeries:

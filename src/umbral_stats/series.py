@@ -16,14 +16,16 @@ values are equal exactly when their canonical pairs are.  The public
 ``coeffs`` is a tuple of :class:`fractions.Fraction`, built on first read
 and kept; nothing here ever rounds.  Every kernel (:func:`mul`, :func:`powers`,
 :func:`compose`, :func:`lagrange_invert`, :func:`exp_series`,
-:func:`log_series`, :func:`reciprocal`, :func:`divide`, evaluation at a
-rational point and the linear helpers) reads the numerators directly, runs
-its inner loops on ``int``s alone and returns a canonical pair, reduced by
-one ``gcd`` at the end.  One power table, ``_int_powers``, serves
-:func:`powers`, :func:`compose` and :func:`lagrange_invert`, which solves a
-triangular system on the powers of its argument.  Inversion and the four
-recurrences (exp, log, reciprocal, divide) keep the outputs found so far
-as numerators over the lcm of their denominators, which is already the
+:func:`divide`, evaluation at a rational point and the linear helpers)
+reads the numerators directly, runs its inner loops on ``int``s alone and
+returns a canonical pair, reduced by one ``gcd`` at the end.  One power
+table, ``_int_powers``, serves :func:`powers`, :func:`compose` and
+:func:`lagrange_invert`, which solves a triangular system on the powers of
+its argument.  One quotient recurrence, :func:`divide`, serves
+:func:`reciprocal` (1 / a) and :func:`log_series` (the integral of a'/a),
+and one map, :func:`integrate_extend`, divides the n-th coefficient by n.
+Inversion and the two recurrences (exp, divide) keep the outputs found so
+far as numerators over the lcm of their denominators, which is already the
 canonical pair of the result, so their integers stay the size of the
 reduced coefficients.  The kernels compute and do not check themselves:
 identities such as compose(a, lagrange_invert(a)) = X are checked by
@@ -461,23 +463,12 @@ def exp_series(a: TruncatedSeries) -> TruncatedSeries:
 def log_series(a: TruncatedSeries) -> TruncatedSeries:
     """log(a) for a series with constant term 1; result has zero constant term.
 
-    Uses m y_m = m a_m - sum_{k<m} k y_k a_{m-k} from y' a = a'.  With
-    a_k = A_k / d and k y_k = Z_k / Q for the outputs so far,
-    y_m = (m A_m Q - sum_{0<k<m} Z_k A_{m-k}) / (m d Q).
+    log a is the integral of a'/a (Brent & Kung, J. ACM 25, 1978), one
+    :func:`divide` and one :func:`integrate_extend`.
     """
-    A, d = a._nums, a._den
-    if A[0] != d:
+    if a._nums[0] != a._den:
         raise ValueError("log requires constant term 1")
-    n = a.order
-    Z, Q = [0], 1
-    for m in range(1, n + 1):
-        acc = m * A[m] * Q
-        for k in range(1, m):
-            if A[m - k]:
-                acc -= Z[k] * A[m - k]
-        num, den = _ratio(acc, m * d * Q)
-        Q = _append_over(Z, Q, m * num, den)
-    return _series([0] + [Z[k] // k for k in range(1, n + 1)], Q)
+    return integrate_extend(divide(derivative(a), a)) if a.order else zero(0)
 
 
 def pow_rational(a: TruncatedSeries, r: RationalLike) -> TruncatedSeries:
@@ -488,24 +479,10 @@ def pow_rational(a: TruncatedSeries, r: RationalLike) -> TruncatedSeries:
 
 
 def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
-    """1/a for a series with nonzero constant term.
-
-    Uses a_0 y_m = -sum_{k>=1} a_k y_{m-k}.  With a_k = A_k / d and the
-    outputs so far y_j = Y_j / Q, y_m = -sum_k A_k Y_{m-k} / (A_0 Q).
-    """
-    A, d = a._nums, a._den
-    if not A[0]:
+    """1/a for a series with nonzero constant term: :func:`divide` of 1 by a."""
+    if not a._nums[0]:
         raise ValueError("reciprocal requires nonzero constant term")
-    n = a.order
-    y, Q = _ratio(d, A[0])
-    Y = [y]
-    for m in range(1, n + 1):
-        acc = 0
-        for k in range(1, m + 1):
-            if A[k]:
-                acc -= A[k] * Y[m - k]
-        Q = _append_over(Y, Q, *_ratio(acc, A[0] * Q))
-    return _series(Y, Q)
+    return divide(one(a.order), a)
 
 
 def divide(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

@@ -67,6 +67,19 @@ X_OF_W_CLOSED_FORMS = {
     ),
 }
 
+# the same at any nonzero eps = p / q, as (n, p, q) -> [u^n] X(u)
+X_OF_W_PARAMETRIC_CLOSED_FORMS = {
+    # w = X / (1 + eps X), so X = u / (1 - eps u)
+    "acharya-swamy": lambda n, p, q: Fraction(p ** (n - 1), q ** (n - 1)),
+    "gould-acharya-swamy": lambda n, p, q: Fraction(p ** (n - 1), q ** (n - 1)),
+    # w = X / (1 - eps^2 X^2): (-1)^k Catalan(k) eps^(2k) at n = 2k + 1
+    "averaged-as-1": lambda n, p, q: (
+        Fraction((-1) ** (n // 2) * comb(n - 1, n // 2) // (n // 2 + 1) * p ** (n - 1),
+                 q ** (n - 1))
+        if n % 2 else Fraction(0)
+    ),
+}
+
 
 def partitions(n: int):
     """All multisets of positive integers summing to n."""

@@ -11,6 +11,7 @@ import pytest
 
 from oracles import (
     X_OF_W_CLOSED_FORMS,
+    X_OF_W_PARAMETRIC_CLOSED_FORMS,
     bell_partial,
     bernoulli_numbers,
     catalan_numbers,
@@ -20,6 +21,7 @@ from umbral_stats import catalog as cat
 from umbral_stats import oeis
 from umbral_stats import series as fps
 from umbral_stats import statistics as st
+from umbral_stats import verify
 from umbral_stats.catalog import CatalogError
 from umbral_stats.deformed_entropy import phi_from_x
 from umbral_stats.series import LogSeries, TruncatedSeries
@@ -394,6 +396,26 @@ class TestFixtures:
                 setattr(fixture, field, None)
         assert cat.fixtures()[0] is fixture
 
+    def test_fixture_coefficients_are_tuples(self):
+        for fixture in cat.fixtures():
+            assert type(fixture.coeffs) is tuple
+            if fixture.quantity == "gamma":
+                assert all(type(row) is tuple for row in fixture.coeffs)
+
+    @pytest.mark.parametrize("field", ["params", "transform"])
+    def test_fixture_mappings_refuse_item_assignment(self, field):
+        for fixture in cat.fixtures():
+            with pytest.raises(TypeError):
+                getattr(fixture, field)["z"] = 1
+            assert "z" not in getattr(fixture, field)
+
+    def test_a_refused_assignment_leaves_the_fixtures_suite_passing(self):
+        (fixture,) = [f for f in cat.fixtures("lah") if f.quantity == "X_of_w"]
+        with pytest.raises(TypeError):
+            fixture.params["z"] = 1
+        assert verify.run("fixtures", 16, 0).passed
+        assert dict(cat.fixtures("lah")[0].params) == {}
+
     def test_each_series_fixture_holds_its_series_when_handed_out(self):
         records = cat.fixtures()
         series = [f for f in records if f.quantity != "gamma"]
@@ -420,7 +442,7 @@ class TestDerivedRegeneration:
             f for f in cat.fixtures("exponential") if f.quantity == "gamma"
         ]
         for n, row in enumerate(fixture.coeffs):
-            assert row == [F(stirling2(n, k)) for k in range(n + 1)]
+            assert row == tuple(F(stirling2(n, k)) for k in range(n + 1))
 
     def test_bernoulli_expansion(self):
         (fixture,) = [f for f in cat.fixtures("dilogarithm") if f.quantity == "xi"]
@@ -433,6 +455,20 @@ class TestDerivedRegeneration:
         coefficient = X_OF_W_CLOSED_FORMS[name]
         expected = [F(0)] + [coefficient(n) for n in range(1, 65)]
         assert list(cat.build(name, 64).X_of_w.coeffs) == expected
+
+    @pytest.mark.parametrize("name", sorted(X_OF_W_PARAMETRIC_CLOSED_FORMS))
+    def test_x_of_w_matches_closed_form_at_four_parameters_at_order_64(self, name):
+        coefficient = X_OF_W_PARAMETRIC_CLOSED_FORMS[name]
+        rng = random.Random(f"closed form of {name}")
+        epsilons = set()
+        while len(epsilons) < 4:
+            eps = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+            if eps != cat.get(name).defaults["eps"]:
+                epsilons.add(eps)
+        for eps in sorted(epsilons):
+            p, q = eps.numerator, eps.denominator
+            expected = [F(0)] + [coefficient(n, p, q) for n in range(1, 65)]
+            assert list(cat.build(name, 64, eps=eps).X_of_w.coeffs) == expected, eps
 
     def test_catalan_fixtures(self):
         C = catalan_numbers(10)
@@ -459,7 +495,7 @@ class TestDerivedRegeneration:
         (phi_fix,) = [f for f in cat.fixtures("mott") if f.quantity == "phi"]
         phi = phi_from_x(TruncatedSeries(x_fix.coeffs))
         n = phi.series.order
-        assert list(phi.series.coeffs) == phi_fix.coeffs[: n + 1]
+        assert phi.series.coeffs == phi_fix.coeffs[: n + 1]
 
     def test_lah_inverse_closed_form(self):
         (fixture,) = [f for f in cat.fixtures("lah") if f.quantity == "X_of_w"]
@@ -468,7 +504,7 @@ class TestDerivedRegeneration:
         closed = fps.shift_down(
             fps.one(n) + 2 * w - fps.pow_rational(fps.one(n) + 4 * w, F(1, 2))
         ) * F(1, 2)
-        assert list(closed.coeffs[: len(fixture.coeffs)]) == fixture.coeffs
+        assert closed.coeffs[: len(fixture.coeffs)] == fixture.coeffs
 
     def test_mittag_leffler_inverse_closed_form(self):
         (fixture,) = [
@@ -479,7 +515,7 @@ class TestDerivedRegeneration:
         closed = 2 * fps.shift_down(
             fps.pow_rational(fps.one(n) + fps.mul(w, w), F(1, 2)) - fps.one(n)
         )
-        assert list(closed.coeffs[: len(fixture.coeffs)]) == fixture.coeffs
+        assert closed.coeffs[: len(fixture.coeffs)] == fixture.coeffs
 
     def test_abel_entropy_series(self):
         # -p log p + p log(1-ap) + p at a = 1: plain p - sum p^{k+1}/k

@@ -684,6 +684,15 @@ class TestOeisCheck:
         code, _ = run(["oeis-check", "--entry", "lah", "--quantity", "entropy"])
         assert code == 1
 
+    @pytest.mark.parametrize("order", ["3", "16", "128"])
+    def test_order_is_a_usage_error(self, order, capsys):
+        # a fixture's length fixes the order of its check
+        with pytest.raises(SystemExit) as exc:
+            run(["oeis-check", "--entry", "lah", "--quantity", "X_of_w",
+                 "--order", order])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --order" in capsys.readouterr().err
+
 
 class TestEnvironment:
     def test_default_order_env(self, monkeypatch):

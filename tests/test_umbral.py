@@ -318,6 +318,23 @@ class TestShefferPairGroup:
             right = a.compose(b.compose(c))
             assert left.agrees_with(right, ORDER)
 
+    def test_pairs_differing_in_one_series_disagree_from_that_degree(self):
+        g = [F(1), F(1, 2)] + [F(0)] * (ORDER - 1)
+        f = [F(0), F(1)] + [F(1, k) for k in range(2, ORDER + 1)]
+
+        def bumped(cs):  # one more at u^3
+            return TruncatedSeries([c + (k == 3) for k, c in enumerate(cs)])
+
+        pair = ShefferPair(InvertibleSeries(TruncatedSeries(g)), DeltaSeries(TruncatedSeries(f)))
+        others = (
+            ShefferPair(InvertibleSeries(bumped(g)), pair.f),
+            ShefferPair(pair.g, DeltaSeries(bumped(f))),
+        )
+        for other in others:
+            assert pair.agrees_with(other, 2)
+            assert not pair.agrees_with(other, 3)
+            assert not other.agrees_with(pair, ORDER)
+
 
 class TestUmbralInvariants:
     CATALOG_F = {
