@@ -216,6 +216,35 @@ def binomial_fraction(r: Fraction, n: int) -> Fraction:
     return acc
 
 
+def binomial_root_series(c: Fraction, k: int, order: int) -> list[Fraction]:
+    """[u^0..u^order] of u (1 + c u^(k-1))^(-1/(k-1)), k >= 2, by the
+    binomial series: C(-1/(k-1), j) c^j at u^(1 + (k-1) j).
+
+    For the kernel phi = u - eps u^k, ln_phi = log u - log(1 - eps u^(k-1)) / (k-1),
+    so X = exp(ln_phi) is this series at c = -eps, and its inverse w, which
+    solves w^(k-1) (1 + eps v^(k-1)) = v^(k-1), is this series at c = eps."""
+    r = Fraction(-1, k - 1)
+    out = [Fraction(0)] * (order + 1)
+    for j in range((order - 1) // (k - 1) + 1):
+        out[1 + (k - 1) * j] = binomial_fraction(r, j) * c**j
+    return out
+
+
+def x_from_phi_recurrence(phi: list[Fraction], order: int) -> list[Fraction]:
+    """[p^0..p^order] of X with phi X' = X and X = p + O(p^2), phi = p + ...
+
+    The p^m coefficient of phi X' - X is sum_{j+i-1=m} phi_j i x_i - x_m,
+    and its j = 1 term is m x_m, so (m - 1) x_m = -sum_{j>=2} phi_j (m-j+1) x_{m-j+1};
+    one Fraction operation per term."""
+    x = [Fraction(0), Fraction(1)][: order + 1]
+    for m in range(2, order + 1):
+        acc = Fraction(0)
+        for j in range(2, m + 1):
+            acc += phi[j] * (m - j + 1) * x[m - j + 1]
+        x.append(-acc / (m - 1))
+    return x
+
+
 # -- schoolbook references for the integer series kernels -------------------
 # Plain Fraction arithmetic on coefficient lists, one gcd per operation and
 # no common denominators, so that the kernels' integer inner loops are

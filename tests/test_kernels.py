@@ -19,6 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from oracles import (
+    binomial_root_series,
     divide_series,
     full_convolution_failure,
     schoolbook_binomial_defect,
@@ -28,6 +29,7 @@ from oracles import (
     schoolbook_log,
     schoolbook_mul,
     schoolbook_reversion,
+    x_from_phi_recurrence,
 )
 from umbral_stats import catalog
 from umbral_stats import deformed_entropy as de
@@ -171,6 +173,29 @@ def test_reversion_matches_lagrange_formula(data, n, slope):
     assert list(result.coeffs) == schoolbook_reversion(a, n)
 
 
+@hs.composite
+def kernel_lists(draw, order):
+    """The order + 1 coefficients of a kernel p + c_2 p^2 + ...: phi = p
+    (degree 1), dense (every c_j nonzero) or with a run of zero interior
+    coefficients."""
+    shape = draw(hs.sampled_from(("identity", "dense", "gapped")))
+    if shape == "identity":
+        tail = [F(0)] * (order - 1)
+    elif shape == "dense":
+        tail = draw(hs.lists(coefficient.filter(bool), min_size=order - 1, max_size=order - 1))
+    else:
+        tail = draw(coefficient_lists(order))[2:]
+    return [F(0), F(1)] + tail
+
+
+@kernel_settings
+@given(hs.data(), hs.integers(1, 64))
+def test_x_from_phi_matches_fraction_recurrence(data, n):
+    phi = data.draw(kernel_lists(n))
+    X = de.x_from_phi(de.PhiSeries(TruncatedSeries(phi)))
+    assert list(X.coeffs) == x_from_phi_recurrence(phi, n)
+
+
 @pytest.mark.parametrize("name", catalog.entries_in_space())
 def test_reversion_of_catalog_weights_at_order_32(name):
     """Operands whose power-table integers reach thousands of bits (abel: 3606)."""
@@ -255,6 +280,38 @@ def test_ln_phi_of_quadratic_kernel_at_order_128(eps):
     # the plain part of ln_phi is sum_{n>=1} eps^n u^n / n, through u^127
     plain = de.ln_phi(de.PhiSeries.from_t([eps], order=128)).plain
     assert list(plain.coeffs) == [F(0)] + [eps**n / n for n in range(1, 128)]
+
+
+# Order-128 closed forms of the kernel maps for phi = u - eps u^k:
+# X = u (1 - eps u^(k-1))^(-1/(k-1)), its inverse w = v (1 + eps v^(k-1))^(-1/(k-1)),
+# and tau(phi) = w / w' = u + eps u^k, which negates eps.
+POWER_KERNEL_DEGREES = (2, 3, 5)
+
+
+def power_kernel(eps, k):
+    return de.PhiSeries.from_t([0] * (k - 2) + [eps], order=128)
+
+
+@pytest.mark.parametrize("k", POWER_KERNEL_DEGREES)
+@pytest.mark.parametrize("eps", CLOSED_FORM_EPSILONS)
+def test_x_from_phi_of_power_kernel_at_order_128(eps, k):
+    got = de.x_from_phi(power_kernel(eps, k))
+    assert list(got.coeffs) == binomial_root_series(-eps, k, 128)
+
+
+@pytest.mark.parametrize("k", POWER_KERNEL_DEGREES)
+@pytest.mark.parametrize("eps", CLOSED_FORM_EPSILONS)
+def test_weight_of_power_kernel_at_order_128(eps, k):
+    got = de.map_g(power_kernel(eps, k)).w
+    assert list(got.coeffs) == binomial_root_series(eps, k, 128)
+
+
+@pytest.mark.parametrize("k", POWER_KERNEL_DEGREES)
+@pytest.mark.parametrize("eps", CLOSED_FORM_EPSILONS)
+def test_tau_of_power_kernel_at_order_128(eps, k):
+    expected = [F(0), F(1)] + [F(0)] * 126
+    expected[k] = eps
+    assert list(de.tau(power_kernel(eps, k)).series.coeffs) == expected
 
 
 @kernel_settings
