@@ -38,11 +38,9 @@ from .series import (
     LogSeries,
     RationalLike,
     TruncatedSeries,
-    _append_over,
     _canonical,
     _CheckedSeries,
-    _ratio,
-    _series,
+    _solve,
     as_rational,
     derivative,
     divide,
@@ -157,21 +155,22 @@ def x_from_phi(phi: PhiSeries) -> TruncatedSeries:
 
     X is the solution of phi X' = X with X = p + O(p^2); comparing the
     p^M coefficients gives (M-1) x_M = -sum_{j=2..M} c_j (M-j+1) x_{M-j+1}
-    for phi = sum c_j p^j.  With c_j = C_j / d and the values found so far
-    k x_k = Z_k / Q, x_M = -sum_j C_j Z_{M-j+1} / ((M-1) d Q).
+    for phi = sum c_j p^j.  With c_j = C_j / d and x_k = X_k / Q,
+    x_M = -sum_j C_j (M-j+1) X_{M-j+1} / ((M-1) d Q), a sum over the
+    nonzero c_j alone.
     """
     C, d = phi.series._nums, phi.series._den
     terms = [(j, c) for j, c in enumerate(C[2:], 2) if c]
-    Z, Q = [0, 1], 1
-    for M in range(2, phi.order + 1):
+
+    def step(M, X, Q):
         acc = 0
         for j, c in terms:
             if j > M:
                 break
-            acc += c * Z[M - j + 1]
-        num, den = _ratio(-acc, (M - 1) * d * Q)
-        Q = _append_over(Z, Q, M * num, den)
-    return _series([0] + [Z[k] // k for k in range(1, len(Z))], Q)
+            acc += c * (M - j + 1) * X[M - j + 1]
+        return -acc, (M - 1) * d * Q
+
+    return _solve([0, 1], phi.order, step)
 
 
 def phi_from_x(X: TruncatedSeries) -> PhiSeries:

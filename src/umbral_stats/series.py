@@ -24,11 +24,12 @@ table, ``_int_powers``, serves :func:`powers`, :func:`compose` and
 its argument.  One quotient recurrence, :func:`divide`, serves
 :func:`reciprocal` (1 / a) and :func:`log_series` (the integral of a'/a),
 and one map, :func:`integrate_extend`, divides the n-th coefficient by n.
-Inversion and the two recurrences (exp, divide) keep the outputs found so
-far as numerators over the lcm of their denominators, which is already the
-canonical pair of the result, so their integers stay the size of the
-reduced coefficients.  The kernels compute and do not check themselves:
-identities such as compose(a, lagrange_invert(a)) = X are checked by
+One driver, ``_solve``, holds the outputs so far of every triangular
+recurrence over the lcm of their denominators, the canonical pair of the
+result: :func:`exp_series`, :func:`divide`, :func:`lagrange_invert` and
+``deformed_entropy.x_from_phi`` supply only the step that gives the next
+coefficient.  The kernels compute and do not check themselves: identities
+such as compose(a, lagrange_invert(a)) = X are checked by
 :mod:`umbral_stats.verify` and the tests.  :class:`LogSeries` extends the
 model with a single logarithmic generator: it represents
 ``A(p) + B(p) * log(p)`` for truncated series ``A`` and ``B``.
@@ -249,14 +250,6 @@ def _canonical(nums: Sequence[int], den: int) -> TruncatedSeries:
     return _series(*_reduced(nums, den))
 
 
-def _ratio(num: int, den: int) -> tuple[int, int]:
-    """num / den in lowest terms with a positive denominator."""
-    g = gcd(num, den)
-    if den < 0:
-        g = -g
-    return num // g, den // g
-
-
 def constant(value: RationalLike, order: int = 0) -> TruncatedSeries:
     if order < 0:
         raise ValueError(f"negative truncation order {order}")
@@ -426,38 +419,50 @@ def integrate_extend(a: TruncatedSeries) -> TruncatedSeries:
     return _canonical([0] + [c * (L // k) for k, c in enumerate(nums, 1)], a._den * L)
 
 
-def _append_over(nums: list[int], q: int, num: int, den: int) -> int:
-    """Append num/den to ``nums``, integer numerators over the common
-    denominator q, rescaling them to lcm(q, den); returns the new q."""
-    new_q = lcm(q, den)
-    if new_q != q:
-        f = new_q // q
-        nums[:] = [y * f for y in nums]
-    nums.append(num * (new_q // den))
-    return new_q
+def _solve(first: Sequence[int], n: int, step) -> TruncatedSeries:
+    """y_0..y_n of a triangular recurrence, one coefficient at a time.
+
+    The leading y_j are the integers ``first``; for each later m,
+    ``step(m, Y, Q)`` returns y_m as ints ``(num, den)``, den != 0, from the
+    outputs so far y_j = Y[j] / Q.  Q stays the lcm of their reduced
+    denominators and Y is rescaled when Q grows, so (Y, Q) is always the
+    canonical pair and its integers the size of the reduced coefficients.
+    """
+    Y, Q = list(first), 1
+    for m in range(len(Y), n + 1):
+        num, den = step(m, Y, Q)
+        g = gcd(num, den)
+        if den < 0:
+            g = -g
+        num, den = num // g, den // g
+        f = den // gcd(Q, den)
+        if f != 1:
+            Y = [y * f for y in Y]
+            Q *= f
+        Y.append(num * (Q // den))
+    return _series(Y, Q)
 
 
 def exp_series(a: TruncatedSeries) -> TruncatedSeries:
     """exp(a) for a series with zero constant term.
 
-    Uses the recurrence m y_m = sum_k k a_k y_{m-k} from y' = a' y, so the
-    cost is quadratic in the order.  With a_k = A_k / d and the outputs so
-    far y_j = Y_j / Q over the lcm Q of their denominators,
+    Solves m y_m = sum_k k a_k y_{m-k}, from y' = a' y, so the cost is
+    quadratic in the order: with a_k = A_k / d and y_j = Y_j / Q,
     y_m = sum_k k A_k Y_{m-k} / (m d Q).
     """
     A, d = a._nums, a._den
     if A[0]:
         raise ValueError("exp requires zero constant term")
-    n = a.order
-    B = [k * A[k] for k in range(1, n + 1)]
-    Y, Q = [1], 1
-    for m in range(1, n + 1):
+    B = [k * A[k] for k in range(1, a.order + 1)]
+
+    def step(m, Y, Q):
         acc = 0
         for k in range(m):
             if B[k]:
                 acc += B[k] * Y[m - 1 - k]
-        Q = _append_over(Y, Q, *_ratio(acc, m * d * Q))
-    return _series(Y, Q)
+        return acc, m * d * Q
+
+    return _solve([1], a.order, step)
 
 
 def log_series(a: TruncatedSeries) -> TruncatedSeries:
@@ -489,8 +494,8 @@ def divide(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """a / b for a series b with nonzero constant term, truncated at the
     smaller input order.
 
-    Uses b_0 y_m = a_m - sum_{k>=1} b_k y_{m-k}.  With a_k = A_k / da,
-    b_k = B_k / db and the outputs so far y_j = Y_j / Q,
+    Solves b_0 y_m = a_m - sum_{k>=1} b_k y_{m-k}: with a_k = A_k / da,
+    b_k = B_k / db and y_j = Y_j / Q,
     y_m = (A_m db Q - da sum_k B_k Y_{m-k}) / (da B_0 Q).
     """
     if not b._nums[0]:
@@ -499,14 +504,15 @@ def divide(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     a, b = a.truncate(n), b.truncate(n)
     A, da = a._nums, a._den
     B, db = b._nums, b._den
-    Y, Q = [], 1
-    for m in range(n + 1):
+
+    def step(m, Y, Q):
         acc = 0
         for k in range(1, m + 1):
             if B[k]:
                 acc += B[k] * Y[m - k]
-        Q = _append_over(Y, Q, *_ratio(A[m] * db * Q - da * acc, da * B[0] * Q))
-    return _series(Y, Q)
+        return A[m] * db * Q - da * acc, da * B[0] * Q
+
+    return _solve([], n, step)
 
 
 def lagrange_invert(a: TruncatedSeries) -> TruncatedSeries:
@@ -515,26 +521,24 @@ def lagrange_invert(a: TruncatedSeries) -> TruncatedSeries:
     Reads t off the power table of ``a``: the X^m coefficient of
     t(a(X)) = X is sum_{k<=m} t_k [X^m] a^k = [m = 1], a lower-triangular
     system in the Riordan matrix [X^m] a^k, whose diagonal is a_1^m.  With
-    a^k = R_k / d^k from ``_int_powers``, A_1 = R_1[1] and the terms found
-    so far t_k = T_k / Q, this gives t_1 = d / A_1 and
-    t_m = -d sum_{1<=k<m} T_k R_k[m] d^(m-1-k) / (Q A_1^m),
+    a^k = R_k / d^k from ``_int_powers``, A_1 = R_1[1] and t_k = T_k / Q,
+    t_m = d ([m = 1] Q - sum_{1<=k<m} T_k R_k[m] d^(m-1-k)) / (Q A_1^m),
     the sum taken by Horner's rule in d.
     """
     if a._nums[0]:
         raise ValueError("inversion requires zero constant term")
     if a.order < 1 or not a._nums[1]:
         raise ValueError("no compositional inverse: zero linear coefficient")
-    n = a.order
-    rows, _, d = _int_powers(a, n)
+    rows, _, d = _int_powers(a, a.order)
     A1 = rows[1][1]
-    t, Q = _ratio(d, A1)
-    T = [0, t]
-    for m in range(2, n + 1):
+
+    def step(m, T, Q):
         acc = 0
         for k in range(1, m):
             acc = acc * d + T[k] * rows[k][m]
-        Q = _append_over(T, Q, *_ratio(-d * acc, Q * A1**m))
-    return _series(T, Q)
+        return d * ((m == 1) * Q - acc), Q * A1**m
+
+    return _solve([0], a.order, step)
 
 
 def evaluate(a: TruncatedSeries, x: RationalLike) -> Fraction:

@@ -112,11 +112,32 @@ MUTANTS = (
            "    g = gcd(den, *nums)",
            "    g = 1"),
     Mutant("lagrange_invert-sign-flip", "series.py",
-           "        Q = _append_over(T, Q, *_ratio(-d * acc, Q * A1**m))",
-           "        Q = _append_over(T, Q, *_ratio(d * acc, Q * A1**m))"),
+           "        return d * ((m == 1) * Q - acc), Q * A1**m",
+           "        return d * ((m == 1) * Q + acc), Q * A1**m"),
     Mutant("divide-sign-flip", "series.py",
-           "*_ratio(A[m] * db * Q - da * acc, da * B[0] * Q)",
-           "*_ratio(A[m] * db * Q + da * acc, da * B[0] * Q)"),
+           "        return A[m] * db * Q - da * acc, da * B[0] * Q",
+           "        return A[m] * db * Q + da * acc, da * B[0] * Q"),
+    # the one triangular-recurrence driver behind exp, divide, inversion and X
+    Mutant("_solve-skips-rescaling", "series.py",
+           "            Y = [y * f for y in Y]\n"
+           "            Q *= f",
+           "            Q *= f"),
+    # the values stay right; the denominator may be left negative
+    Mutant("_solve-keeps-negative-den", "series.py",
+           "        if den < 0:\n"
+           "            g = -g\n"
+           "        num, den = num // g, den // g",
+           "        num, den = num // g, den // g"),
+    Mutant("exp_series-off-by-one", "series.py",
+           "        for k in range(m):\n"
+           "            if B[k]:\n"
+           "                acc += B[k] * Y[m - 1 - k]",
+           "        for k in range(m - 1):\n"
+           "            if B[k]:\n"
+           "                acc += B[k] * Y[m - 1 - k]"),
+    Mutant("x_from_phi-sign-flip", "deformed_entropy.py",
+           "        return -acc, (M - 1) * d * Q",
+           "        return acc, (M - 1) * d * Q"),
     Mutant("integrate_extend-off-by-one", "series.py",
            "    L = lcm(*range(1, len(nums) + 1))",
            "    L = lcm(*range(1, len(nums)))"),
