@@ -236,7 +236,7 @@ def x_from_phi_recurrence(phi: list[Fraction], order: int) -> list[Fraction]:
     The p^m coefficient of phi X' - X is sum_{j+i-1=m} phi_j i x_i - x_m,
     and its j = 1 term is m x_m, so (m - 1) x_m = -sum_{j>=2} phi_j (m-j+1) x_{m-j+1};
     one Fraction operation per term."""
-    x = [Fraction(0), Fraction(1)][: order + 1]
+    x = [Fraction(0), Fraction(1)]
     for m in range(2, order + 1):
         acc = Fraction(0)
         for j in range(2, m + 1):
