@@ -266,13 +266,16 @@ def cmd_compose(args):
 
 
 def cmd_polyseq(args):
+    if args.g_coeffs and args.kind != "sheffer":
+        raise ValueError("--g-coeffs applies to --kind sheffer only")
     stat = _statistics(args, order=max(args.order, args.n))
     if args.kind in ("conjugate", "associated"):
         # the associated sequence of F's inverse is the conjugate sequence of F
         seq = conjugate_sequence(DeltaSeries(stat.F), args.n)
     else:
-        g = InvertibleSeries(TruncatedSeries(parse_rationals(args.g_coeffs))
-                             if args.g_coeffs else fps.one(stat.order))
+        # g is a polynomial: the coefficients not given are 0
+        cs = parse_rationals(args.g_coeffs) if args.g_coeffs else [1]
+        g = InvertibleSeries(TruncatedSeries(cs + [0] * (stat.order + 1 - len(cs))))
         seq = conjugate_sheffer_sequence(g, DeltaSeries(stat.F), args.n)
     payload = {
         "polynomials": [poly_to_json(p) for p in seq],
@@ -398,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=order_arg, required=True,
                    help=f"highest degree, 1..{MAX_ORDER}")
     p.add_argument("--g-coeffs", default="",
-                   help="sheffer only: ordinary coefficients of g, e.g. 1,0,1/2")
+                   help="sheffer only: ordinary coefficients of the polynomial g, "
+                   "e.g. 1,0,1/2; those not given are 0 (default: g = 1)")
     p.set_defaults(handler=cmd_polyseq)
 
     p = sub.add_parser("spectral", help="sample the plane curves z=z(X), e^Y=z(X)")

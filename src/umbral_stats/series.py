@@ -11,7 +11,9 @@ A series is stored as FLINT's ``fmpq_poly`` stores a polynomial: ``int``
 numerators over one positive ``int`` denominator, in canonical form (the
 denominator and the numerators have no common factor, so the denominator
 is the least common denominator of the coefficients): the class
-:class:`_Exact`, which :class:`umbral_stats.umbral.Polynomial` shares.  Two
+:class:`_Exact`, which :class:`umbral_stats.umbral.Polynomial` shares, with
+the operations written alike for both: ``repr``, ``is_zero``, negation,
+:func:`scale`, d/dX and its inverse, each ending in its class's ``_make``.  Two
 values are equal exactly when their canonical pairs are.  The public
 ``coeffs`` is a tuple of :class:`fractions.Fraction`, built on first read
 and kept; nothing here ever rounds.  Every kernel (:func:`mul`, :func:`powers`,
@@ -112,7 +114,12 @@ class _Exact(_Value):
     """The one exact storage of series and polynomials: ``int`` numerators
     ``_nums[k]`` over one ``int`` denominator ``_den > 0``, with
     ``gcd(_den, *_nums) == 1``, so that equal values store equal pairs.
-    ``coeffs`` is the tuple of reduced Fractions ``_nums[k] / _den``.
+    ``coeffs`` is the tuple of reduced Fractions ``_nums[k] / _den``.  Here
+    too are the operations written alike for series and polynomials, ``repr``,
+    ``is_zero``, negation, ``scale``, ``_derivative`` and ``_antiderivative``,
+    each ending in the canonicaliser ``_make(nums, den)`` that its class
+    supplies: ``_canonical`` for a series, and for a polynomial
+    ``umbral._polynomial``, which also strips trailing zeros.
     """
 
     __slots__ = ("_nums", "_den", "_coeffs")
@@ -146,6 +153,33 @@ class _Exact(_Value):
             object.__setattr__(self, "_coeffs", cs)
         return cs
 
+    def __repr__(self):
+        return f"{type(self).__name__}({[str(c) for c in self.coeffs]})"
+
+    def is_zero(self) -> bool:
+        return not any(self._nums)
+
+    def __neg__(self):
+        return self._from_pair([-c for c in self._nums], self._den)
+
+    def scale(self, c: RationalLike):
+        c = as_rational(c)
+        p = c.numerator
+        return self._make([p * x for x in self._nums], self._den * c.denominator)
+
+    __rmul__ = scale
+
+    def _derivative(self):
+        nums = self._nums
+        return self._make([k * nums[k] for k in range(1, len(nums))], self._den)
+
+    def _antiderivative(self):
+        """The antiderivative with zero constant term, one degree longer: with
+        L = lcm(1..len), N_k / d over k+1 is N_k (L / (k+1)) / (d L)."""
+        nums = self._nums
+        L = lcm(*range(1, len(nums) + 1))
+        return self._make([0] + [c * (L // k) for k, c in enumerate(nums, 1)], self._den * L)
+
 
 class TruncatedSeries(_Exact):
     """A formal power series known exactly through ``order``, stored as an
@@ -170,9 +204,6 @@ class TruncatedSeries(_Exact):
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]
-
-    def __repr__(self):
-        return f"TruncatedSeries({[str(c) for c in self.coeffs]})"
 
     def __str__(self):
         terms = []
@@ -207,9 +238,6 @@ class TruncatedSeries(_Exact):
         da, db = self._den, other._den
         return all(x * db == y * da for x, y in zip(self._nums[: n + 1], other._nums[: n + 1]))
 
-    def is_zero(self) -> bool:
-        return not any(self._nums)
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
@@ -221,13 +249,7 @@ class TruncatedSeries(_Exact):
     def __mul__(self, other) -> TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             return mul(self, other)
-        return scale(self, as_rational(other))
-
-    def __rmul__(self, other) -> TruncatedSeries:
-        return scale(self, as_rational(other))
-
-    def __neg__(self) -> TruncatedSeries:
-        return _series([-c for c in self._nums], self._den)
+        return self.scale(other)
 
 
 _series = TruncatedSeries._from_pair
@@ -248,6 +270,9 @@ def _reduced(nums: Sequence[int], den: int) -> tuple[Sequence[int], int]:
 def _canonical(nums: Sequence[int], den: int) -> TruncatedSeries:
     """The series nums / den for any nonzero ``den``, put in canonical form."""
     return _series(*_reduced(nums, den))
+
+
+TruncatedSeries._make = staticmethod(_canonical)
 
 
 def constant(value: RationalLike, order: int = 0) -> TruncatedSeries:
@@ -292,10 +317,7 @@ def sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return _linear(a, b, -1)
 
 
-def scale(a: TruncatedSeries, c: RationalLike) -> TruncatedSeries:
-    c = as_rational(c)
-    p = c.numerator
-    return _canonical([p * x for x in a._nums], a._den * c.denominator)
+scale = _Exact.scale
 
 
 def _numerators(coeffs) -> tuple[list[int], int]:
@@ -400,8 +422,7 @@ def derivative(a: TruncatedSeries) -> TruncatedSeries:
     """d/dX; order drops by one."""
     if a.order == 0:
         raise ValueError("cannot differentiate an order-0 series")
-    nums = a._nums
-    return _canonical([k * nums[k] for k in range(1, len(nums))], a._den)
+    return a._derivative()
 
 
 def integrate(a: TruncatedSeries) -> TruncatedSeries:
@@ -409,14 +430,8 @@ def integrate(a: TruncatedSeries) -> TruncatedSeries:
     return integrate_extend(a).truncate(a.order)
 
 
-def integrate_extend(a: TruncatedSeries) -> TruncatedSeries:
-    """Antiderivative keeping every determined coefficient (order rises by one).
-
-    With a_k = A_k / d and L = lcm(1..order+1), the X^(k+1) coefficient
-    a_k / (k+1) is A_k (L / (k+1)) / (d L)."""
-    nums = a._nums
-    L = lcm(*range(1, len(nums) + 1))
-    return _canonical([0] + [c * (L // k) for k, c in enumerate(nums, 1)], a._den * L)
+# The antiderivative keeping every determined coefficient: order rises by one.
+integrate_extend = _Exact._antiderivative
 
 
 def _solve(first: Sequence[int], n: int, step) -> TruncatedSeries:

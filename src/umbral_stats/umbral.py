@@ -12,7 +12,8 @@ coefficients: h(D) p = sum_k h_k D^k p.  Linear functionals <h(D)|p> are
 realized as "apply the operator, evaluate at 0".
 
 A :class:`Polynomial` is stored as a series is: int numerators over one
-denominator in canonical form.  The sequences are read off the integer
+denominator in canonical form, and shares with series, through
+``series._Exact``, every operation that reads the same on both.  The sequences are read off the integer
 power table of F, and every operation runs on ints with one gcd per result.
 """
 
@@ -37,6 +38,7 @@ from .series import (
     as_rational,
     compose,
     derivative,
+    divide,
     lagrange_invert,
     mul,
     reciprocal,
@@ -64,12 +66,6 @@ class Polynomial(_Exact):
     def coefficient(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self._nums) else _ZERO
 
-    def is_zero(self) -> bool:
-        return not self._nums
-
-    def __repr__(self):
-        return f"Polynomial({[str(c) for c in self.coeffs]})"
-
     def __str__(self):
         terms = []
         for k in range(self.degree, -1, -1):
@@ -95,22 +91,11 @@ class Polynomial(_Exact):
     def __sub__(self, other: Polynomial) -> Polynomial:
         return self + -other
 
-    def __neg__(self) -> Polynomial:
-        return _poly([-c for c in self._nums], self._den)
-
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             a, b = self._nums, other._nums
             return _polynomial(_int_mul(a, b, len(a) + len(b) - 2), self._den * other._den)
         return self.scale(other)
-
-    def __rmul__(self, other) -> Polynomial:
-        return self.scale(other)
-
-    def scale(self, c: RationalLike) -> Polynomial:
-        c = as_rational(c)
-        p = c.numerator
-        return _polynomial([p * x for x in self._nums], self._den * c.denominator)
 
     def shift_x(self) -> Polynomial:
         """Multiply by x."""
@@ -118,15 +103,9 @@ class Polynomial(_Exact):
             return self
         return _poly((0,) + self._nums, self._den)
 
-    def diff(self) -> Polynomial:
-        nums = self._nums
-        return _polynomial([k * nums[k] for k in range(1, len(nums))], self._den)
-
-    def integral(self) -> Polynomial:
-        """Antiderivative vanishing at 0, over d lcm(1..deg+1)."""
-        nums = self._nums
-        L = lcm(*range(1, len(nums) + 1))
-        return _polynomial([0] + [c * (L // k) for k, c in enumerate(nums, 1)], self._den * L)
+    diff = _Exact._derivative
+    # the antiderivative vanishing at 0
+    integral = _Exact._antiderivative
 
     def __call__(self, x: RationalLike) -> Fraction:
         x = as_rational(x)
@@ -143,6 +122,9 @@ def _polynomial(nums: Sequence[int], den: int) -> Polynomial:
     while k and not nums[k - 1]:
         k -= 1
     return _poly(*_reduced(nums[:k], den))
+
+
+Polynomial._make = staticmethod(_polynomial)
 
 
 def poly_x(k: int = 1) -> Polynomial:
@@ -308,7 +290,7 @@ def sheffer_shift_next(
     """One step of [x - g'(D)/g(D)] * (1/f'(D)) applied to s_n."""
     inv_fprime = reciprocal(derivative(f.series))
     mid = apply_operator(inv_fprime, s_prev)
-    ratio = mul(derivative(g.series), reciprocal(g.series))
+    ratio = divide(derivative(g.series), g.series)
     return mid.shift_x() - apply_operator(ratio, mid)
 
 
@@ -321,15 +303,9 @@ def umbral_composition(
     """
     if len(p) != len(q):
         raise ValueError("sequences must have equal length")
-    out = []
-    for n in range(len(p)):
-        r = Polynomial()
-        for k in range(n + 1):
-            a = p[n].coefficient(k)
-            if a != 0:
-                r = r + q[k].scale(a)
-        out.append(r)
-    return PolynomialSequence(out)
+    return PolynomialSequence(
+        sum((q[k].scale(a) for k, a in enumerate(pn.coeffs) if a), Polynomial()) for pn in p
+    )
 
 
 def connection_coefficients(

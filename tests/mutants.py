@@ -138,9 +138,22 @@ MUTANTS = (
     Mutant("x_from_phi-sign-flip", "deformed_entropy.py",
            "        return -acc, (M - 1) * d * Q",
            "        return acc, (M - 1) * d * Q"),
+    # -- what series and polynomials share, in series._Exact --
     Mutant("integrate_extend-off-by-one", "series.py",
-           "    L = lcm(*range(1, len(nums) + 1))",
-           "    L = lcm(*range(1, len(nums)))"),
+           "        L = lcm(*range(1, len(nums) + 1))",
+           "        L = lcm(*range(1, len(nums)))"),
+    Mutant("_antiderivative-index-from-2", "series.py",
+           "for k, c in enumerate(nums, 1)]",
+           "for k, c in enumerate(nums, 2)]"),
+    Mutant("scale-drops-denominator", "series.py",
+           "        return self._make([p * x for x in self._nums], self._den * c.denominator)",
+           "        return self._make([p * x for x in self._nums], self._den)"),
+    # one trailing zero is left wherever there were any
+    Mutant("_polynomial-strips-one-zero-short", "umbral.py",
+           "    while k and not nums[k - 1]:\n"
+           "        k -= 1",
+           "    while k > 1 and not nums[k - 1] and not nums[k - 2]:\n"
+           "        k -= 1"),
 )
 
 

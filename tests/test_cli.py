@@ -553,6 +553,29 @@ def test_negative_g_coeffs_reach_the_sequence_check(capsys):
     assert capsys.readouterr().err == "error: sequence must start with p_0 = 1\n"
 
 
+@pytest.mark.parametrize("n, g", [("3", "1,0,1/2"), ("6", "1,1/2,-1,0,1")])
+def test_g_coeffs_name_a_polynomial_padded_with_zeros(n, g):
+    # the coefficients not given are 0, as if written out to the order, 16
+    argv = ["polyseq", "--stat", "lah", "--kind", "sheffer", "--n", n, "--g-coeffs"]
+    code, data = run_json(argv + [g])
+    _, padded = run_json(argv + [g + ",0" * (16 - g.count(","))])
+    assert code == 0 and data["payload"] == padded["payload"]
+
+
+def test_g_coeffs_one_is_the_default_g():
+    argv = ["polyseq", "--stat", "lah", "--kind", "sheffer", "--n", "4"]
+    code, data = run_json(argv + ["--g-coeffs", "1"])
+    assert code == 0 and data["payload"] == run_json(argv)[1]["payload"]
+
+
+@pytest.mark.parametrize("kind", ["conjugate", "associated"])
+def test_g_coeffs_outside_sheffer_is_an_error(kind, capsys):
+    code, out = run(["polyseq", "--stat", "lah", "--kind", kind, "--n", "3",
+                     "--g-coeffs", "1,0,1/2"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: --g-coeffs applies to --kind sheffer only\n"
+
+
 def test_malformed_negative_rational_is_an_error_line(capsys):
     code, out = run(["spectral", "--stat", "fermi-dirac", "--points", "-1/x"])
     assert (code, out) == (1, "")
