@@ -13,8 +13,9 @@ realized as "apply the operator, evaluate at 0".
 
 A :class:`Polynomial` is stored as a series is: int numerators over one
 denominator in canonical form, and shares with series, through
-``series._Exact``, every operation that reads the same on both.  The sequences are read off the integer
-power table of F, and every operation runs on ints with one gcd per result.
+``series._Exact``, every operation that reads the same on both.  The
+sequences are read off the integer power table of F, and every operation
+runs on ints with one gcd per result.
 """
 
 from __future__ import annotations
