@@ -19,6 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from oracles import (
+    X_OF_W_CLOSED_FORMS,
     binomial_root_series,
     divide_series,
     full_convolution_failure,
@@ -312,6 +313,21 @@ def test_tau_of_power_kernel_at_order_128(eps, k):
     expected = [F(0), F(1)] + [F(0)] * 126
     expected[k] = eps
     assert list(de.tau(power_kernel(eps, k)).series.coeffs) == expected
+
+
+@pytest.mark.parametrize("name", sorted(X_OF_W_CLOSED_FORMS))
+def test_compose_with_closed_form_x_of_w_at_high_order(name):
+    """Compositions whose power-table integers are large: X = X(w) from the
+    family's closed form, with no call to lagrange_invert, at order 96 (64
+    for exponential, whose factorial denominators grow fastest).  Then
+    w(X(u)) = u, and F(X(u)) = integral of X' / (X/u), since F' = w / X."""
+    n = 64 if name == "exponential" else 96
+    coefficient = X_OF_W_CLOSED_FORMS[name]
+    X = TruncatedSeries([F(0)] + [coefficient(k) for k in range(1, n + 1)])
+    stat = catalog.build(name, n)
+    assert fps.compose(stat.w, X) == fps.identity(n)
+    expected = fps.integrate_extend(fps.divide(fps.derivative(X), fps.shift_down(X)))
+    assert fps.compose(stat.F, X) == expected
 
 
 @kernel_settings
