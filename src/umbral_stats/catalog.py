@@ -496,11 +496,7 @@ class Fixture(NamedTuple):
         value = get(self.entry).quantity(self.quantity, n, **self.params)
         if self.quantity == "gamma":
             assert isinstance(value, PolynomialSequence)
-            got = tuple(
-                tuple(value[n].coefficient(k) for k in range(len(row)))
-                for n, row in enumerate(self.coeffs)
-            )
-            return got == self.coeffs
+            return tuple(map(tuple, value.coefficient_matrix())) == self.coeffs
         assert isinstance(value, TruncatedSeries)
         if value.order < n:
             raise CatalogError(

@@ -151,11 +151,6 @@ def parse_params(pairs: list[str] | None) -> dict:
             params[key] = (
                 parse_rationals(value) if "," in value else [parse_rational(value)]
             )
-        elif key == "p":
-            p = parse_rational(value)
-            if p.denominator != 1:
-                raise ValueError(f"--param p expects an integer, got {value!r}")
-            params[key] = int(p)
         else:
             params[key] = parse_rational(value)
     return params

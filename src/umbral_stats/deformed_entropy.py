@@ -40,6 +40,7 @@ from .series import (
     TruncatedSeries,
     _canonical,
     _CheckedSeries,
+    _horner,
     _solve,
     as_rational,
     derivative,
@@ -378,13 +379,6 @@ class MaxentConvergenceError(RuntimeError):
         self.last = last
 
 
-def _evaluate_float(coeffs: Sequence[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def max_entropy_distribution(
     stat: Statistics,
     energies: Sequence[float],
@@ -402,7 +396,7 @@ def max_entropy_distribution(
     are numerically sensible.
     """
     w_coeffs = [float(c) for c in stat.w.coeffs]
-    p = [_evaluate_float(w_coeffs, math.exp(-(a + b * e))) for e in energies]
+    p = [_horner(w_coeffs, math.exp(-(a + b * e))) for e in energies]
     r1 = sum(p) - number_target
     r2 = sum(pi * e for pi, e in zip(p, energies)) - energy_target
     return MaxentEvaluation(p, (r1, r2))
@@ -422,10 +416,12 @@ def maxent_solve(
 
     Raises :class:`MaxentConvergenceError` (carrying the last iterate)
     rather than returning an unconverged answer silently, and ValueError if
-    exp overflows at the start point.  ``iterations`` counts the Newton steps
-    taken; the iteration stops before ``max_iter`` steps at a singular
-    Jacobian, or when no damped step lowers the residual.
+    ``energies`` is empty or exp overflows at the start point.  ``iterations``
+    counts the Newton steps taken; the iteration stops before ``max_iter``
+    steps at a singular Jacobian, or when no damped step lowers the residual.
     """
+    if not energies:
+        raise ValueError("maxent needs at least one energy level")
     dw_coeffs = [k * float(c) for k, c in enumerate(stat.w.coeffs)][1:]
     a, b = a0, b0
 
@@ -441,7 +437,7 @@ def maxent_solve(
         j11 = j12 = j22 = 0.0
         for e in energies:
             q = math.exp(-(a + b * e))
-            slope = _evaluate_float(dw_coeffs, q) * q
+            slope = _horner(dw_coeffs, q) * q
             j11 -= slope
             j12 -= slope * e
             j22 -= slope * e * e

@@ -23,7 +23,10 @@ reads the numerators directly, runs its inner loops on ``int``s alone and
 returns a canonical pair, reduced by one ``gcd`` at the end.  One power
 table, ``_int_powers``, serves :func:`powers`, :func:`compose` and
 :func:`lagrange_invert`, which solves a triangular system on the powers of
-its argument.  One quotient recurrence, :func:`divide`, serves
+its argument; the composition folds the rows by Horner's rule in their
+denominator d, as the inversion does.  One Horner evaluator, ``_horner``,
+evaluates at p/q on ints and, at q = 1, on floats (``maxent``).  One
+quotient recurrence, :func:`divide`, serves
 :func:`reciprocal` (1 / a) and :func:`log_series` (the integral of a'/a),
 and one map, :func:`integrate_extend`, divides the n-th coefficient by n.
 One driver, ``_solve``, holds the outputs so far of every triangular
@@ -397,10 +400,11 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     """outer(inner(X)); inner must have zero constant term.
 
     Sums outer_k * inner**k over the power table of ``inner``: with
-    outer_k = O_k / do and inner**k = I_k / d**k, the result is
-    sum_k O_k d**(n-k) I_k / (do d**n), valid through
-    ``min(outer.order, inner.order)``.  The table stops at the last
-    nonzero O_k, so an outer series of degree e costs e products.
+    outer_k = O_k / do, inner**k = I_k / d**k and O_e the last nonzero O_k,
+    the result is sum_k O_k d**(e-k) I_k / (do d**e), valid through
+    ``min(outer.order, inner.order)``; the sum is taken by Horner's rule
+    in d, as :func:`lagrange_invert` takes its own.  The table stops at
+    row e, so an outer series of degree e costs e products.
     """
     if inner._nums[0]:
         raise ValueError("composition requires inner series with zero constant term")
@@ -410,12 +414,9 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     last = next((k for k in range(n, 0, -1) if o[k]), 0)
     rows, _, d = _int_powers(inner, n, last=last)
     out = [0] * (n + 1)
-    for k, row in enumerate(rows):
-        if o[k]:
-            c = o[k] * d ** (n - k)
-            for m in range(k, n + 1):
-                out[m] += c * row[m]
-    return _canonical(out, outer._den * d**n)
+    for c, row in zip(o, rows):
+        out = [x * d + c * r for x, r in zip(out, row)]
+    return _canonical(out, outer._den * d**last)
 
 
 def derivative(a: TruncatedSeries) -> TruncatedSeries:
@@ -563,14 +564,15 @@ def evaluate(a: TruncatedSeries, x: RationalLike) -> Fraction:
 
 def _eval_over(nums: Sequence[int], d: int, x: Fraction) -> Fraction:
     """sum_k (nums[k] / d) x**k: with x = p / q, this is
-    _int_horner(nums, p, q) / (d q**deg)."""
+    _horner(nums, p, q) / (d q**deg)."""
     q = x.denominator
-    return Fraction(_int_horner(nums, x.numerator, q), d * q ** (len(nums) - 1))
+    return Fraction(_horner(nums, x.numerator, q), d * q ** (len(nums) - 1))
 
 
-def _int_horner(nums: Sequence[int], p: int, q: int) -> int:
-    """sum_k nums[k] p**k q**(deg-k), deg = len(nums) - 1: the numerator of
-    sum_k nums[k] (p/q)**k over q**deg."""
+def _horner(nums: Sequence, p, q: int = 1):
+    """sum_k nums[k] p**k q**(deg-k), deg = len(nums) - 1, by Horner's rule:
+    for ints, the numerator of sum_k nums[k] (p/q)**k over q**deg; at q = 1,
+    the plain sum_k nums[k] p**k, which is how floats are evaluated."""
     acc, qk = nums[-1], 1
     for c in reversed(nums[:-1]):
         qk *= q

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 from .series import (
     _ZERO,
     _eval_over,
-    _int_horner,
+    _horner,
     _int_mul,
     _int_powers,
     _reduced,
@@ -380,9 +380,9 @@ def binomial_identity_holds(
     r, q, u, s = a.numerator, a.denominator, b.numerator, b.denominator
     dens = [p._den for p in polys]
     scale = lcm(*(dens[k] * dens[n - k] for k in range(n + 1)))
-    at_a = [_int_horner(p._nums, r, q) for p in polys]
-    at_b = [_int_horner(p._nums, u, s) for p in polys]
-    lhs = _int_horner(polys[n]._nums, r * s + u * q, q * s) * (scale // dens[n])
+    at_a = [_horner(p._nums, r, q) for p in polys]
+    at_b = [_horner(p._nums, u, s) for p in polys]
+    lhs = _horner(polys[n]._nums, r * s + u * q, q * s) * (scale // dens[n])
     rhs = sum(
         comb(n, k) * at_a[k] * at_b[n - k] * (scale // (dens[k] * dens[n - k]))
         * q ** (n - k) * s**k

@@ -72,7 +72,7 @@ MUTANTS = (
            "        return value.truncate(n) == self.series",
            "        return True"),
     Mutant("Fixture.check-gamma-true", "catalog.py",
-           "            return got == self.coeffs",
+           "            return tuple(map(tuple, value.coefficient_matrix())) == self.coeffs",
            "            return True"),
     Mutant("TruncatedSeries.agrees_with-true", "series.py",
            "        return all(x * db == y * da for x, y in zip(self._nums[: n + 1], other._nums[: n + 1]))",
@@ -107,6 +107,13 @@ MUTANTS = (
     Mutant("compose-table-limit-off-by-one", "series.py",
            "    last = next((k for k in range(n, 0, -1) if o[k]), 0)",
            "    last = next((k for k in range(n - 1, 0, -1) if o[k]), 0)"),
+    Mutant("compose-horner-drops-d", "series.py",
+           "        out = [x * d + c * r for x, r in zip(out, row)]",
+           "        out = [x + c * r for x, r in zip(out, row)]"),
+    # right when the inner denominator is 1 or the outer series has full degree
+    Mutant("compose-divides-by-d-to-the-order", "series.py",
+           "    return _canonical(out, outer._den * d**last)",
+           "    return _canonical(out, outer._den * d**n)"),
     # the sign still moves to the numerators; only the gcd is skipped
     Mutant("_reduced-skips-reduction", "series.py",
            "    g = gcd(den, *nums)",
@@ -154,6 +161,11 @@ MUTANTS = (
            "        k -= 1",
            "    while k > 1 and not nums[k - 1] and not nums[k - 2]:\n"
            "        k -= 1"),
+    # -- input checks --
+    Mutant("maxent_solve-accepts-no-level", "deformed_entropy.py",
+           "    if not energies:\n"
+           "        raise ValueError(\"maxent needs at least one energy level\")\n",
+           ""),
 )
 
 

@@ -251,6 +251,8 @@ class TestMaxent:
             (["--b0", "1e400"], "'1e400' is too large for a float"),
             (["--stat", "bose-einstein", "--a0=-50"],
              "maxent did not converge: the last iterate is not finite"),
+            (["--energies="], "maxent needs at least one energy level"),
+            (["--energies=,"], "maxent needs at least one energy level"),
         ],
     )
     def test_bad_start_or_infinite_iterate_is_an_error(self, args, message, capsys):
@@ -342,10 +344,14 @@ def test_rational_at_digit_bound_prints_at_order_16():
 
 
 def test_gentile_occupancy_must_be_an_integer(capsys):
-    code, out = run(["expand", "--stat", "gentile", "--param", "p=5/2",
-                     "--quantity", "w"])
-    assert code == 1 and out == ""
-    assert capsys.readouterr().err == "error: --param p expects an integer, got '5/2'\n"
+    """The catalog alone decides what p may be, and only gentile takes it."""
+    for stat, message in [
+        ("gentile", "maximum occupancy p must be a positive integer"),
+        ("abel", "entry 'abel' takes no parameter 'p'; valid: ['a']"),
+    ]:
+        code, out = run(["expand", "--stat", stat, "--param", "p=5/2", "--quantity", "w"])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -664,3 +664,7 @@ class TestMaxent:
             de.maxent_solve(boltzmann(8), [0.0, 0.0], energy_target=0.0, number_target=3.0)
         assert exc.value.last.iterations == 0
         assert exc.value.last.p == [1.0, 1.0]
+
+    def test_no_energy_level_is_an_error(self):
+        with pytest.raises(ValueError, match="at least one energy level"):
+            de.maxent_solve(boltzmann(8), [], energy_target=0.0)
