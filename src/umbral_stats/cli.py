@@ -44,7 +44,6 @@ from .series import LogSeries, TruncatedSeries
 from .umbral import (
     DeltaSeries,
     InvertibleSeries,
-    conjugate_sequence,
     conjugate_sheffer_sequence,
     poly_to_json,
 )
@@ -147,17 +146,14 @@ def parse_params(pairs: list[str] | None) -> dict:
         key, sep, value = pair.partition("=")
         if not sep:
             raise ValueError(f"--param expects key=value, got {pair!r}")
-        if key == "t":  # the one list parameter; "t=" stays an error
-            params[key] = (
-                parse_rationals(value) if "," in value else [parse_rational(value)]
-            )
-        else:
-            params[key] = parse_rational(value)
+        # t is the one list parameter
+        params[key] = parse_rationals(value) if key == "t" else parse_rational(value)
     return params
 
 
 def parse_rationals(text: str) -> list[Fraction]:
-    return [parse_rational(part) for part in text.split(",") if part]
+    """Every comma-separated field as a rational; an empty field is malformed."""
+    return [parse_rational(part) for part in text.split(",")]
 
 
 def parse_float(text: str) -> float:
@@ -166,14 +162,6 @@ def parse_float(text: str) -> float:
         return float(parse_rational(text))
     except OverflowError:
         raise ValueError(f"{text!r} is too large for a float") from None
-
-
-def payload_json(value) -> object:
-    if isinstance(value, TruncatedSeries):
-        return fps.series_to_json(value)
-    if isinstance(value, LogSeries):
-        return fps.logseries_to_json(value)
-    return value
 
 
 def emit(record: dict, fmt: str, stream) -> None:
@@ -234,9 +222,9 @@ def cmd_expand(args):
     params = parse_params(args.param)
     entry = cat.get(args.stat)
     value = entry.quantity(args.quantity, args.order, **params)
-    payload = payload_json(value)
-    if isinstance(payload, dict):
-        payload["pretty"] = str(value)
+    # every expand quantity is a series or a log-series
+    to_json = fps.logseries_to_json if isinstance(value, LogSeries) else fps.series_to_json
+    payload = {**to_json(value), "pretty": str(value)}
     if args.quantity == "phi_entropy":
         constant = entry.registered_constant
         payload["normalization"] = (
@@ -244,7 +232,8 @@ def cmd_expand(args):
             + (f"registered as {constant}" if constant is not None else "not evaluated")
         )
     return {"stat": args.stat, "quantity": args.quantity, "order": args.order,
-            "params": {k: str(v) for k, v in params.items()}}, payload
+            "params": {k: ",".join(map(str, v)) if k == "t" else str(v)
+                       for k, v in params.items()}}, payload
 
 
 def cmd_dual(args):
@@ -264,14 +253,12 @@ def cmd_polyseq(args):
     if args.g_coeffs and args.kind != "sheffer":
         raise ValueError("--g-coeffs applies to --kind sheffer only")
     stat = _statistics(args, order=max(args.order, args.n))
-    if args.kind in ("conjugate", "associated"):
-        # the associated sequence of F's inverse is the conjugate sequence of F
-        seq = conjugate_sequence(DeltaSeries(stat.F), args.n)
-    else:
-        # g is a polynomial: the coefficients not given are 0
-        cs = parse_rationals(args.g_coeffs) if args.g_coeffs else [1]
-        g = InvertibleSeries(TruncatedSeries(cs + [0] * (stat.order + 1 - len(cs))))
-        seq = conjugate_sheffer_sequence(g, DeltaSeries(stat.F), args.n)
+    # The conjugate sequence of F, which is the associated sequence of F's
+    # inverse, is the Sheffer sequence of g = 1.  g is a polynomial: the
+    # coefficients not given are 0.
+    cs = parse_rationals(args.g_coeffs) if args.g_coeffs else [1]
+    g = InvertibleSeries(TruncatedSeries(cs + [0] * (stat.order + 1 - len(cs))))
+    seq = conjugate_sheffer_sequence(g, DeltaSeries(stat.F), args.n)
     payload = {
         "polynomials": [poly_to_json(p) for p in seq],
         "pretty": "\n".join(f"p_{n} = {p}" for n, p in enumerate(seq)),
@@ -288,7 +275,7 @@ def cmd_spectral(args):
 
 def cmd_maxent(args):
     stat = _statistics(args)
-    energies = [parse_float(e) for e in args.energies.split(",") if e]
+    energies = [parse_float(e) for e in args.energies.split(",")]
     try:
         sol = maxent_solve(stat, energies,
                            energy_target=parse_float(args.energy_target),

@@ -162,10 +162,28 @@ MUTANTS = (
            "    while k > 1 and not nums[k - 1] and not nums[k - 2]:\n"
            "        k -= 1"),
     # -- input checks --
+    # the CLI no longer reaches this check: an empty --energies field is malformed
     Mutant("maxent_solve-accepts-no-level", "deformed_entropy.py",
            "    if not energies:\n"
            "        raise ValueError(\"maxent needs at least one energy level\")\n",
            ""),
+    Mutant("shift_down-accepts-a-constant-term", "series.py",
+           "    if a._nums[0]:\n"
+           "        raise ValueError(\"cannot divide by X: nonzero constant term\")\n",
+           ""),
+    Mutant("DeltaSeries-accepts-a-zero-linear-term", "umbral.py",
+           "        if series.order < 1 or not series._nums[1]:",
+           "        if series.order < 1:"),
+    # -- the CLI's comma lists and their echo --
+    Mutant("parse_rationals-skips-empty-fields", "cli.py",
+           "    return [parse_rational(part) for part in text.split(\",\")]",
+           "    return [parse_rational(part) for part in text.split(\",\") if part]"),
+    Mutant("maxent-skips-empty-levels", "cli.py",
+           "    energies = [parse_float(e) for e in args.energies.split(\",\")]",
+           "    energies = [parse_float(e) for e in args.energies.split(\",\") if e]"),
+    Mutant("expand-echoes-t-as-a-python-list", "cli.py",
+           "{k: \",\".join(map(str, v)) if k == \"t\" else str(v)",
+           "{k: str(v)"),
 )
 
 

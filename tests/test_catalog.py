@@ -68,6 +68,11 @@ class TestRegistry:
         with pytest.raises(CatalogError, match="nonzero"):
             cat.build("gould", 8, b=F(0))
 
+    def test_catalan_curve_requires_nonzero_a(self):
+        with pytest.raises(CatalogError) as info:
+            cat.build("gould-catalan-curve", 8, a=F(0))
+        assert str(info.value) == "parameter a must be nonzero (b = -2a must be nonzero)"
+
     def test_gentile_requires_positive_occupancy(self):
         with pytest.raises(CatalogError):
             cat.build("gentile", 8, p=0)

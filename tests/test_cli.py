@@ -251,8 +251,8 @@ class TestMaxent:
             (["--b0", "1e400"], "'1e400' is too large for a float"),
             (["--stat", "bose-einstein", "--a0=-50"],
              "maxent did not converge: the last iterate is not finite"),
-            (["--energies="], "maxent needs at least one energy level"),
-            (["--energies=,"], "maxent needs at least one energy level"),
+            (["--energies="], "not a rational number: ''"),
+            (["--energies=,"], "not a rational number: ''"),
         ],
     )
     def test_bad_start_or_infinite_iterate_is_an_error(self, args, message, capsys):
@@ -369,7 +369,7 @@ def test_comma_list_outside_t_is_an_error(argv, capsys):
 
 @pytest.mark.parametrize(
     "pair, expected",
-    [("t=1", [F(1)]), ("t=1,1/2", [F(1), F(1, 2)]), ("t=,", [])],
+    [("t=1", [F(1)]), ("t=1,1/2", [F(1), F(1, 2)])],
 )
 def test_t_takes_a_comma_list(pair, expected):
     assert cli.parse_params([pair]) == {"t": expected}
@@ -378,6 +378,39 @@ def test_t_takes_a_comma_list(pair, expected):
 def test_empty_t_is_an_error():
     with pytest.raises(ValueError, match="not a rational number"):
         cli.parse_params(["t="])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectral", "--stat", "fermi-dirac", "--points", "0,,1/3"],
+        ["spectral", "--stat", "fermi-dirac", "--points", "0,1/3,"],
+        ["maxent", "--stat", "boltzmann-gibbs", "--energies", "0,,1",
+         "--energy-target", "1/4"],
+        ["maxent", "--stat", "boltzmann-gibbs", "--energies", ",0,1",
+         "--energy-target", "1/4"],
+        ["polyseq", "--stat", "lah", "--kind", "sheffer", "--n", "3",
+         "--g-coeffs", "1,,1/2"],
+        ["expand", "--stat", "bell-universal", "--param", "t=1,,1/2",
+         "--quantity", "F"],
+        ["expand", "--stat", "bell-universal", "--param", "t=,", "--quantity", "F"],
+    ],
+    ids=["points-inner", "points-trailing", "energies-inner", "energies-leading",
+         "g-coeffs-inner", "t-inner", "t-comma-only"],
+)
+def test_empty_field_in_a_comma_list_is_an_error(argv, capsys):
+    code, out = run(argv)
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: not a rational number: ''\n"
+
+
+@pytest.mark.parametrize(
+    "t, echo", [("1,1/2", "1,1/2"), ("1,0.5,-2/4", "1,1/2,-1/2"), ("1", "1")]
+)
+def test_expand_echoes_t_as_a_comma_list(t, echo):
+    code, data = run_json(["expand", "--stat", "bell-universal", "--param", f"t={t}",
+                           "--quantity", "F", "--order", "4"])
+    assert code == 0 and data["parameters"]["params"] == {"t": echo}
 
 
 def test_closed_stdout_exits_1_without_traceback():

@@ -230,6 +230,22 @@ class TestXi:
         u = F(2)
         assert de.chi(phi, u) == 1 / fps.evaluate(xi, F(1, 2))
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: PhiSeries.from_t([1, 2, 3], order=2),
+             "order too small for the given deformation parameters"),
+            # phi = u + 2u^2 gives xi = u - u^2 + O(u^3), whose sum vanishes at 1
+            (lambda: de.chi(PhiSeries.from_t([-2], order=2), 1),
+             "xi partial sum vanishes at 1/u; chi undefined here"),
+        ],
+        ids=["t-beyond-order", "xi-vanishes"],
+    )
+    def test_kernels_outside_the_domain_are_refused(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError and str(info.value) == message
+
     def test_chi_rejects_zero(self):
         phi = PhiSeries.from_t([0], order=4)
         with pytest.raises(ValueError):

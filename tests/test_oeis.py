@@ -1,6 +1,8 @@
 """Integer-sequence client: b-file parsing and prefix matching."""
 
+import io
 import urllib.error
+import urllib.request
 
 import pytest
 
@@ -55,6 +57,22 @@ class TestFixtureChecks:
         check = oeis.check_entry_quantity("lah", "X_of_w", fetch=True)
         assert check.passed and check.source == "offline"
         assert "falling back to embedded terms" in capsys.readouterr().err
+
+    def test_fetched_b_file_is_the_reference(self, monkeypatch):
+        # the b-file is served in process; nothing reaches the network
+        terms = cat.offline_sequence("A000108")
+        b_file = "# Catalan numbers\n" + "".join(f"{n} {a}\n" for n, a in enumerate(terms))
+        urls = []
+
+        def urlopen(url, timeout):
+            urls.append(url)
+            return io.BytesIO(b_file.encode())
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        check = oeis.check_entry_quantity("lah", "X_of_w", "A000108", fetch=True)
+        assert urls == ["https://oeis.org/A000108/b000108.txt"]
+        assert check.passed and check.source == "fetch"
+        assert check.reference == check.computed
 
     def test_explicit_mismatched_id_rejected(self):
         with pytest.raises(ValueError, match="references"):

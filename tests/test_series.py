@@ -88,6 +88,35 @@ class TestArithmetic:
             with pytest.raises(ValueError, match="negative"):
                 x.agrees_with(y, -1)
 
+    def test_series_times_series_is_mul(self):
+        a, b = S(1, 2, 3, F(-1, 4)), S(F(1, 2), 0, 3)
+        assert a * b == fps.mul(a, b) == S(F(1, 2), 1, F(9, 2))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: TruncatedSeries([]), ValueError,
+         "a truncated series needs at least the constant term"),
+        (lambda: S(1, 2, 3)[3], IndexError, "coefficient 3 beyond truncation order 2"),
+        (lambda: S(1, 2, 3)[-1], IndexError, "coefficient -1 beyond truncation order 2"),
+        (lambda: S(1, 2, 3).truncate(3), ValueError, "cannot extend order 2 to 3"),
+        (lambda: S(1, 2, 3).agrees_with(S(1, 2, 3, 4), 3), ValueError,
+         "comparison order exceeds a truncation order"),
+        (lambda: fps.identity(0), ValueError, "identity series needs order >= 1"),
+        (lambda: fps.shift_down(S(1, 2)), ValueError,
+         "cannot divide by X: nonzero constant term"),
+        (lambda: fps.shift_down(S(0)), ValueError, "cannot divide by X at order 0"),
+        (lambda: fps.derivative(S(5)), ValueError, "cannot differentiate an order-0 series"),
+    ],
+    ids=["empty", "index-beyond-order", "negative-index", "truncate-up", "agrees-beyond",
+         "identity-0", "shift-down-constant", "shift-down-order-0", "derivative-order-0"],
+)
+def test_calls_outside_the_domain_are_refused(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
 
 class TestCompose:
     def test_identity_inner(self):

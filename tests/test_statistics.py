@@ -29,6 +29,11 @@ def boltzmann(order=N):
 
 
 class TestConstruction:
+    def test_free_energy_must_vanish_at_0(self):
+        with pytest.raises(ValueError) as info:
+            st.Statistics(TruncatedSeries([1, 1, 0]))
+        assert type(info.value) is ValueError and str(info.value) == "free energy must vanish at 0"
+
     def test_bose_from_cluster(self):
         assert bose().occupation_numbers() == [F(1)] * N
 

@@ -49,6 +49,37 @@ F_GEOM_SUM = lambda k: 0 if k == 0 else F(1)  # noqa: E731  X/(1-X)
 F_EXPM1 = lambda k: 0 if k == 0 else F(1, factorial(k))  # noqa: E731
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: DeltaSeries(TruncatedSeries([1, 1, 0])),
+         "delta series must have zero constant term"),
+        (lambda: DeltaSeries(TruncatedSeries([0, 0, 1])),
+         "delta series must have nonzero linear coefficient"),
+        (lambda: InvertibleSeries(TruncatedSeries([0, 1])),
+         "invertible series must have nonzero constant term"),
+        (lambda: conjugate_sheffer_sequence(
+            InvertibleSeries(TruncatedSeries([1, 1])),
+            DeltaSeries(TruncatedSeries([0, 1, 1, 0])), 2),
+         "requested degree exceeds a series order"),
+        (lambda: conjugate_sheffer_sequence(
+            InvertibleSeries(TruncatedSeries([1, 1, 0, 0])),
+            DeltaSeries(TruncatedSeries([0, 1, 1])), 3),
+         "requested degree exceeds a series order"),
+        (lambda: connection_coefficients(
+            DeltaSeries(TruncatedSeries([0, 1, 1])),
+            DeltaSeries(TruncatedSeries([0, 1, 0, 0])), 3),
+         "requested degree exceeds a series order"),
+    ],
+    ids=["delta-constant", "delta-zero-linear", "invertible-zero-constant",
+         "sheffer-beyond-g", "sheffer-beyond-F", "connection-beyond-F"],
+)
+def test_malformed_series_and_degrees_are_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 class TestPolynomial:
     def test_normalization_strips_trailing_zeros(self):
         assert Polynomial([1, 2, 0, 0]).coeffs == (F(1), F(2))

@@ -68,6 +68,23 @@ def test_failures_are_listed():
     assert [r.name for r in report.failures()] == ["bad"]
 
 
+def test_a_wrong_xi_fails_the_dual_path_checks(monkeypatch):
+    real = verify.xi
+
+    def wrong(arg):
+        coeffs = list(real(arg).coeffs)
+        coeffs[3] += 1
+        return TruncatedSeries(coeffs)
+
+    monkeypatch.setattr(verify, "xi", wrong)
+    results = verify.run("xi", 16, 0).results
+    dual = [r for r in results if r.name.startswith("dual-path:")]
+    assert len(dual) == len(cat.entries_in_space())
+    assert all(r.detail == "integral and F(X(u)) differ at u^3" for r in dual)
+    assert not any(r.passed for r in dual)
+    assert [r.passed for r in results if r not in dual] == [True]
+
+
 def test_doctored_fixture_fails_check():
     record = {
         "entry": "bose-einstein",
