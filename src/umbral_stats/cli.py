@@ -134,10 +134,7 @@ def parse_rational(text: str) -> Fraction:
             f"{shown!r} needs more than {MAX_DIGITS} digits in its numerator "
             "or denominator"
         )
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    return fps.as_rational(text)
 
 
 def parse_params(pairs: list[str] | None) -> dict:

@@ -393,8 +393,10 @@ def max_entropy_distribution(
     (sum p_i - number_target, sum p_i E_i - energy_target) for
     caller-driven root finding.  The caller is responsible for keeping
     the e^{-(a+bE_i)} inside the region where the truncated partial sums
-    are numerically sensible.
+    are numerically sensible.  ValueError if ``energies`` is empty.
     """
+    if not energies:
+        raise ValueError("maxent needs at least one energy level")
     w_coeffs = [float(c) for c in stat.w.coeffs]
     p = [_horner(w_coeffs, math.exp(-(a + b * e))) for e in energies]
     r1 = sum(p) - number_target
@@ -420,8 +422,6 @@ def maxent_solve(
     counts the Newton steps taken; the iteration stops before ``max_iter``
     steps at a singular Jacobian, or when no damped step lowers the residual.
     """
-    if not energies:
-        raise ValueError("maxent needs at least one energy level")
     dw_coeffs = [k * float(c) for k, c in enumerate(stat.w.coeffs)][1:]
     a, b = a0, b0
 

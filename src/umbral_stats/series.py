@@ -57,11 +57,15 @@ _ZERO = Fraction(0)
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce ints, "p/q" strings, and Fractions to an exact Fraction."""
+    """Coerce ints, "p/q" strings, and Fractions to an exact Fraction;
+    ValueError for malformed text or a zero denominator."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 

@@ -178,8 +178,6 @@ def _conjugate_through(stat: Statistics, n: int) -> PolynomialSequence:
     p_m does not depend on the degree n >= m it was built to, so a smaller
     degree reads a prefix.
     """
-    if n > stat.order:
-        raise ValueError(f"index {n} beyond truncation order {stat.order}")
     seq = stat._memo.get("conjugate")
     if seq is None or len(seq) <= n:
         seq = stat._memo["conjugate"] = conjugate_sequence(DeltaSeries(stat.F), n)
@@ -290,15 +288,15 @@ def haldane_wu_W(g: RationalLike, n: int, beta: RationalLike) -> Fraction:
 
 
 def gentile_statistics(p: int, order: int) -> Statistics:
-    """Maximum occupancy p per state: z = 1 + X + ... + X^p.
+    """Maximum occupancy p per state: z = 1 + X + ... + X^p, the catalog's
+    ``gentile`` entry, which checks p.
 
     p = 1 is Fermi-Dirac; as p grows the coefficients approach
     Bose-Einstein through any fixed order.
     """
-    if p < 1:
-        raise ValueError("maximum occupancy must be at least 1")
-    W = [Fraction(1) if k <= p else Fraction(0) for k in range(1, order + 1)]
-    return from_occupation(W, name=f"gentile({p})")
+    from . import catalog  # the catalog imports this module
+
+    return catalog.build("gentile", order, p=p)
 
 
 # -- JSON --------------------------------------------------------------------

@@ -153,7 +153,7 @@ class TestConjugateMemo:
         st.occupation_polynomial(s, 8)
         assert st.occupation_recursion_holds(s, 2, 3, 6)
         assert len(calls) == 1
-        with pytest.raises(ValueError, match="beyond truncation order"):
+        with pytest.raises(ValueError, match="requested degree 9 exceeds series order 8"):
             st.conjugate_polynomials(s, 9)
 
     def test_occupation_polynomials_returns_a_fresh_list(self):
@@ -195,7 +195,7 @@ class TestOccupationPolynomials:
         W = st.occupation_polynomials(s, 6)
         assert W == [st.occupation_polynomial(s, k) for k in range(7)]
         assert st.convolution_holds(W, F(1, 3), F(-2, 5), 6)
-        with pytest.raises(ValueError, match="beyond truncation order"):
+        with pytest.raises(ValueError, match="requested degree 9 exceeds series order 8"):
             st.occupation_polynomials(s, 9)
 
     def test_recursion_trivial_split(self):
