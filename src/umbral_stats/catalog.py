@@ -87,6 +87,8 @@ class CatalogEntry(NamedTuple):
                 f"({self.notes or 'weight function not normalized'}); "
                 "only its series quantities are available"
             )
+        if order < 1:
+            raise ValueError(f"order must be at least 1, got {order}")
         return _cached_build(self.name, order, tuple(sorted(p.items())))
 
     def quantity(self, name: str, order: int, **params):

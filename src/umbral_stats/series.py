@@ -680,8 +680,12 @@ def series_to_json(a: TruncatedSeries) -> dict:
 
 
 def series_from_json(data: dict) -> TruncatedSeries:
-    s = TruncatedSeries(data["coeffs"])
-    if s.order != data["order"]:
+    try:
+        coeffs, order = data["coeffs"], data["order"]
+    except KeyError as missing:
+        raise ValueError(f"series record has no {missing} field") from None
+    s = TruncatedSeries(coeffs)
+    if s.order != order:
         raise ValueError("order field does not match coefficient count")
     return s
 

@@ -176,10 +176,11 @@ def _conjugate_through(stat: Statistics, n: int) -> PolynomialSequence:
 
     One sequence per statistics, kept at the largest degree asked so far:
     p_m does not depend on the degree n >= m it was built to, so a smaller
-    degree reads a prefix.
+    degree reads a prefix.  A degree outside 0..order reaches
+    :func:`conjugate_sequence`, which refuses it.
     """
     seq = stat._memo.get("conjugate")
-    if seq is None or len(seq) <= n:
+    if seq is None or not 0 <= n < len(seq):
         seq = stat._memo["conjugate"] = conjugate_sequence(DeltaSeries(stat.F), n)
     return seq
 
@@ -208,6 +209,8 @@ def occupation_polynomial(stat: Statistics, k: int) -> Polynomial:
 
 def convolution_holds(W: Sequence[Polynomial], x: Fraction, y: Fraction, k: int) -> bool:
     """W_k(x+y) == sum_i W_i(x) W_{k-i}(y), exactly (deformed Chu-Vandermonde)."""
+    if not 0 <= k < len(W):
+        raise ValueError(f"degree {k} outside the sequence of {len(W)} polynomials")
     return W[k](x + y) == sum(W[i](x) * W[k - i](y) for i in range(k + 1))
 
 

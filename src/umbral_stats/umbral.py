@@ -249,11 +249,14 @@ def conjugate_sheffer_sequence(
     """s_0..s_n with EGF exp(x F(t)) / g(F(t)), from F itself.
 
     The Sheffer sequence of (g, f) for f the compositional inverse of F,
-    built without inverting anything; g = 1 gives the conjugate sequence.
+    built without inverting anything; g = 1 gives the conjugate sequence,
+    with no prefactor built.
     """
     if n > min(g.order, F.order):
         raise ValueError("requested degree exceeds a series order")
-    return _egf_sequence(F.series, n, reciprocal(compose(g.series, F.series)))
+    s = g.series
+    is_one = s._den == 1 and s._nums[0] == 1 and not any(s._nums[1:])
+    return _egf_sequence(F.series, n, None if is_one else reciprocal(compose(s, F.series)))
 
 
 # -- operators ---------------------------------------------------------------
@@ -374,6 +377,8 @@ def binomial_identity_holds(
     p_k(a) = N_k(r, q) / (d_k q**k), so both sides times
     M = lcm_k(d_k d_{n-k}) q**n s**n are the integers compared below.
     """
+    if not 0 <= n < len(seq):
+        raise ValueError(f"degree {n} outside the sequence of {len(seq)} polynomials")
     a = as_rational(a)
     b = as_rational(b)
     polys = seq.polys[: n + 1]

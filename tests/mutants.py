@@ -162,11 +162,42 @@ MUTANTS = (
            "    while k > 1 and not nums[k - 1] and not nums[k - 2]:\n"
            "        k -= 1"),
     # -- input checks --
-    # the CLI no longer reaches this check: an empty --energies field is malformed
-    Mutant("maxent_solve-accepts-no-level", "deformed_entropy.py",
+    # the CLI no longer reaches this check: an empty --energies field is
+    # malformed; maxent_solve reaches it through max_entropy_distribution
+    Mutant("max_entropy_distribution-accepts-no-level", "deformed_entropy.py",
            "    if not energies:\n"
            "        raise ValueError(\"maxent needs at least one energy level\")\n",
            ""),
+    Mutant("as_rational-lets-a-zero-denominator-through", "series.py",
+           "        try:\n"
+           "            return Fraction(value)\n"
+           "        except ZeroDivisionError:\n"
+           "            raise ValueError(f\"zero denominator in {value!r}\") from None\n",
+           "        return Fraction(value)\n"),
+    Mutant("binomial_identity_holds-accepts-any-degree", "umbral.py",
+           "    if not 0 <= n < len(seq):\n",
+           "    if False:\n"),
+    Mutant("convolution_holds-accepts-any-degree", "statistics.py",
+           "    if not 0 <= k < len(W):\n",
+           "    if False:\n"),
+    # a negative degree read from a kept sequence returned [] or a wrong polynomial
+    Mutant("_conjugate_through-reads-a-negative-degree-from-the-memo", "statistics.py",
+           "    if seq is None or not 0 <= n < len(seq):",
+           "    if seq is None or len(seq) <= n:"),
+    Mutant("series_from_json-reads-its-fields-unchecked", "series.py",
+           "    try:\n"
+           "        coeffs, order = data[\"coeffs\"], data[\"order\"]\n"
+           "    except KeyError as missing:\n"
+           "        raise ValueError(f\"series record has no {missing} field\") from None\n",
+           "    coeffs, order = data[\"coeffs\"], data[\"order\"]\n"),
+    Mutant("CatalogEntry.build-accepts-an-order-below-1", "catalog.py",
+           "        if order < 1:\n"
+           "            raise ValueError(f\"order must be at least 1, got {order}\")\n",
+           ""),
+    # the same sequence, built through a prefactor of 1
+    Mutant("conjugate_sheffer_sequence-builds-a-prefactor-for-g-one", "umbral.py",
+           "    is_one = s._den == 1 and s._nums[0] == 1 and not any(s._nums[1:])",
+           "    is_one = False"),
     Mutant("shift_down-accepts-a-constant-term", "series.py",
            "    if a._nums[0]:\n"
            "        raise ValueError(\"cannot divide by X: nonzero constant term\")\n",

@@ -73,6 +73,13 @@ class TestRegistry:
             cat.build("gould-catalan-curve", 8, a=F(0))
         assert str(info.value) == "parameter a must be nonzero (b = -2a must be nonzero)"
 
+    @pytest.mark.parametrize("name", ["boltzmann-gibbs", "gentile", "abel", "bell-universal"])
+    @pytest.mark.parametrize("order", [0, -1, -7])
+    def test_build_refuses_an_order_below_1(self, name, order):
+        with pytest.raises(ValueError) as info:
+            cat.build(name, order)
+        assert type(info.value) is ValueError and str(info.value) == f"order must be at least 1, got {order}"
+
     def test_gentile_requires_positive_occupancy(self):
         with pytest.raises(CatalogError):
             cat.build("gentile", 8, p=0)
@@ -247,6 +254,12 @@ class TestFreeEnergies:
         n = 128
         root = fps.pow_rational(fps.one(n) - 2 * fps.identity(n), F(1, 2))
         assert cat.build("bessel", n).F == fps.one(n) - root
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 40])
+    def test_gentile_is_the_log_of_its_occupation_numbers(self, p):
+        n = 32
+        occupation = st.from_occupation([int(k <= p) for k in range(1, n + 1)])
+        assert cat.build("gentile", n, p=p).F == occupation.F
 
     @pytest.mark.parametrize("p", [1, 2, 3, 7])
     def test_gentile_is_the_log_of_its_occupation_series(self, p):

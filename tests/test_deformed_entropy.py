@@ -684,3 +684,9 @@ class TestMaxent:
     def test_no_energy_level_is_an_error(self):
         with pytest.raises(ValueError, match="at least one energy level"):
             de.maxent_solve(boltzmann(8), [], energy_target=0.0)
+
+    def test_no_energy_level_is_an_error_of_the_evaluation(self):
+        with pytest.raises(ValueError) as info:
+            de.max_entropy_distribution(boltzmann(8), [], 0.0, 0.0)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "maxent needs at least one energy level"

@@ -151,6 +151,55 @@ def test_compose_with_minus_x_is_one_product(monkeypatch):
     assert len(calls) == 1
 
 
+def count_prefactors(monkeypatch) -> list:
+    """Record the prefactor handed to every power table the umbral
+    sequences read, and every reciprocal or composition they compute."""
+    calls = []
+    real_powers, real_reciprocal, real_compose = (
+        umbral._int_powers, umbral.reciprocal, umbral.compose)
+
+    def powers(base, n, start=None, last=None):
+        calls.append(("start", start))
+        return real_powers(base, n, start, last)
+
+    def reciprocal(a):
+        calls.append(("reciprocal", a))
+        return real_reciprocal(a)
+
+    def compose(outer, inner):
+        calls.append(("compose", outer))
+        return real_compose(outer, inner)
+
+    monkeypatch.setattr(umbral, "_int_powers", powers)
+    monkeypatch.setattr(umbral, "reciprocal", reciprocal)
+    monkeypatch.setattr(umbral, "compose", compose)
+    return calls
+
+
+@pytest.mark.parametrize("g, built", [
+    ([1], False), ([1, 0, 0, 0], False), ([1, 0, 0, 3], True), ([1, 1], True), ([1, 0, F(1, 2)], True),
+])
+def test_sheffer_sequence_of_g_one_builds_no_prefactor(monkeypatch, g, built):
+    F_ = DeltaSeries(catalog.build("abel", 8).F)
+    G = InvertibleSeries(TruncatedSeries(g + [0] * (8 - len(g) + 1)))
+    calls = count_prefactors(monkeypatch)
+    seq = umbral.conjugate_sheffer_sequence(G, F_, 8)
+    kinds = [kind for kind, _ in calls]
+    if built:
+        assert kinds == ["compose", "reciprocal", "start"] and calls[-1][1] is not None
+    else:
+        assert calls == [("start", None)]
+        assert seq == conjugate_sequence(F_, 8)
+
+
+def test_sheffer_sequence_of_g_one_is_the_conjugate_sequence_on_every_entry():
+    assert len(catalog.entries_in_space()) == 20
+    for name in catalog.entries_in_space():
+        F_ = DeltaSeries(catalog.build(name, 16).F)
+        one = InvertibleSeries(fps.one(16))
+        assert umbral.conjugate_sheffer_sequence(one, F_, 8) == conjugate_sequence(F_, 8), name
+
+
 @kernel_settings
 @given(hs.data(), orders)
 def test_powers_match_repeated_schoolbook_products(data, n):

@@ -108,9 +108,17 @@ class TestArithmetic:
          "cannot divide by X: nonzero constant term"),
         (lambda: fps.shift_down(S(0)), ValueError, "cannot divide by X at order 0"),
         (lambda: fps.derivative(S(5)), ValueError, "cannot differentiate an order-0 series"),
+        (lambda: fps.as_rational("1/0"), ValueError, "zero denominator in '1/0'"),
+        (lambda: TruncatedSeries([1, "0/0"]), ValueError, "zero denominator in '0/0'"),
+        (lambda: fps.evaluate(S(1, 2), "-3/0"), ValueError, "zero denominator in '-3/0'"),
+        (lambda: fps.series_from_json({}), ValueError, "series record has no 'coeffs' field"),
+        (lambda: fps.series_from_json({"coeffs": ["1"]}), ValueError,
+         "series record has no 'order' field"),
     ],
     ids=["empty", "index-beyond-order", "negative-index", "truncate-up", "agrees-beyond",
-         "identity-0", "shift-down-constant", "shift-down-order-0", "derivative-order-0"],
+         "identity-0", "shift-down-constant", "shift-down-order-0", "derivative-order-0",
+         "zero-denominator", "zero-denominator-coefficient", "zero-denominator-point",
+         "json-no-coeffs", "json-no-order"],
 )
 def test_calls_outside_the_domain_are_refused(call, error, message):
     with pytest.raises(error) as info:

@@ -198,6 +198,14 @@ class TestOccupationPolynomials:
         with pytest.raises(ValueError, match="requested degree 9 exceeds series order 8"):
             st.occupation_polynomials(s, 9)
 
+    @pytest.mark.parametrize("k, size", [(7, 7), (9, 7), (-1, 7), (0, 0)])
+    def test_degree_outside_the_table_is_refused(self, k, size):
+        W = st.occupation_polynomials(bose(8), 6)[:size]
+        with pytest.raises(ValueError) as info:
+            st.convolution_holds(W, 1, 2, k)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"degree {k} outside the sequence of {size} polynomials"
+
     def test_recursion_trivial_split(self):
         s = bose(8)
         assert st.occupation_recursion_holds(s, 4, 0, 5)
@@ -354,6 +362,22 @@ class TestGentile:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             st.gentile_statistics(0, 6)
+
+    def test_is_the_catalog_entry(self):
+        s = st.gentile_statistics(3, 9)
+        assert s is cat.build("gentile", 9, p=3) and s.name == "gentile"
+
+    @pytest.mark.parametrize("p", [F(3, 2), F(5, 2), -1])
+    def test_rejects_a_non_integer_or_negative_occupancy(self, p):
+        with pytest.raises(cat.CatalogError) as info:
+            st.gentile_statistics(p, 4)
+        assert str(info.value) == "maximum occupancy p must be a positive integer"
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_rejects_an_order_below_1(self, order):
+        with pytest.raises(ValueError) as info:
+            st.gentile_statistics(2, order)
+        assert type(info.value) is ValueError and str(info.value) == f"order must be at least 1, got {order}"
 
 
 class TestEvaluationHelpers:

@@ -70,9 +70,16 @@ F_EXPM1 = lambda k: 0 if k == 0 else F(1, factorial(k))  # noqa: E731
             DeltaSeries(TruncatedSeries([0, 1, 1])),
             DeltaSeries(TruncatedSeries([0, 1, 0, 0])), 3),
          "requested degree exceeds a series order"),
+        (lambda: binomial_identity_holds(
+            conjugate_sequence(DeltaSeries(TruncatedSeries([0, 1, 1, 0])), 3), 1, 2, 4),
+         "degree 4 outside the sequence of 4 polynomials"),
+        (lambda: binomial_identity_holds(
+            conjugate_sequence(DeltaSeries(TruncatedSeries([0, 1, 1, 0])), 3), 1, 2, -1),
+         "degree -1 outside the sequence of 4 polynomials"),
     ],
     ids=["delta-constant", "delta-zero-linear", "invertible-zero-constant",
-         "sheffer-beyond-g", "sheffer-beyond-F", "connection-beyond-F"],
+         "sheffer-beyond-g", "sheffer-beyond-F", "connection-beyond-F",
+         "binomial-beyond-sequence", "binomial-negative-degree"],
 )
 def test_malformed_series_and_degrees_are_refused(call, message):
     with pytest.raises(ValueError) as info:
