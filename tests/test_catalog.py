@@ -78,7 +78,8 @@ class TestRegistry:
     def test_build_refuses_an_order_below_1(self, name, order):
         with pytest.raises(ValueError) as info:
             cat.build(name, order)
-        assert type(info.value) is ValueError and str(info.value) == f"order must be at least 1, got {order}"
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"order must be at least 1, got {order}"
 
     def test_gentile_requires_positive_occupancy(self):
         with pytest.raises(CatalogError):

@@ -177,7 +177,8 @@ def count_prefactors(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("g, built", [
-    ([1], False), ([1, 0, 0, 0], False), ([1, 0, 0, 3], True), ([1, 1], True), ([1, 0, F(1, 2)], True),
+    ([1], False), ([1, 0, 0, 0], False),
+    ([1, 0, 0, 3], True), ([1, 1], True), ([1, 0, F(1, 2)], True),
 ])
 def test_sheffer_sequence_of_g_one_builds_no_prefactor(monkeypatch, g, built):
     F_ = DeltaSeries(catalog.build("abel", 8).F)

@@ -377,7 +377,8 @@ class TestGentile:
     def test_rejects_an_order_below_1(self, order):
         with pytest.raises(ValueError) as info:
             st.gentile_statistics(2, order)
-        assert type(info.value) is ValueError and str(info.value) == f"order must be at least 1, got {order}"
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"order must be at least 1, got {order}"
 
 
 class TestEvaluationHelpers:
