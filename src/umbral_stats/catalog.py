@@ -79,17 +79,16 @@ class CatalogEntry(NamedTuple):
             self.validate(merged)
         return merged
 
-    def build(self, order: int, **params) -> Statistics:
+    def _key(self, order: int, params: Mapping[str, object]) -> tuple:
+        """The cache key of a request: its parameters resolved and sorted,
+        once its order is known to be at least 1."""
         p = self.resolve_params(params)
-        if self.coefficient is None:
-            raise CatalogError(
-                f"entry {self.name!r} is not in the normalized statistics space "
-                f"({self.notes or 'weight function not normalized'}); "
-                "only its series quantities are available"
-            )
         if order < 1:
             raise ValueError(f"order must be at least 1, got {order}")
-        return _cached_build(self.name, order, tuple(sorted(p.items())))
+        return tuple(sorted(p.items()))
+
+    def build(self, order: int, **params) -> Statistics:
+        return _cached_build(self.name, order, self._key(order, params))
 
     def quantity(self, name: str, order: int, **params):
         """A named series/log-series/polynomial-table quantity of this entry.
@@ -99,10 +98,13 @@ class CatalogEntry(NamedTuple):
         asked plus the orders it loses on the way.  A derived quantity that
         loses none reads the same cached statistics as ``build(order)``.
         The values are immutable, and a repeated request returns the same
-        object.
+        object.  As in ``build``, an order below 1 raises
+        ``ValueError: order must be at least 1, got <order>`` for every
+        quantity name.  An entry outside the normalized space has only its
+        extra quantities: a derived quantity raises the CatalogError that
+        ``build`` raises, which names them.
         """
-        p = self.resolve_params(params)
-        return _cached_quantity(self.name, name, order, tuple(sorted(p.items())))
+        return _cached_quantity(self.name, name, order, self._key(order, params))
 
 
 @lru_cache(maxsize=256)
@@ -111,19 +113,20 @@ def _cached_quantity(entry_name: str, name: str, order: int, frozen: tuple):
     if name in entry.extra_quantities:
         loss, compute = entry.extra_quantities[name]
         return compute(order + loss, dict(frozen))
-    if not entry.in_space:
-        raise CatalogError(
-            f"entry {entry.name!r} supports only "
-            f"{sorted(entry.extra_quantities)}, not {name!r}"
-        )
     stat = _cached_build(entry_name, order + _lookup(name)[0], frozen)
     return _derived_quantity(stat, name)
 
 
 @lru_cache(maxsize=256)
 def _cached_build(name: str, order: int, frozen: tuple) -> Statistics:
-    coefficient, p = get(name).coefficient, dict(frozen)
-    F = TruncatedSeries([0, *(coefficient(k, p) for k in range(1, order + 1))])
+    entry, p = get(name), dict(frozen)
+    if not entry.in_space:
+        raise CatalogError(
+            f"entry {name!r} is not in the normalized statistics space "
+            f"({entry.notes or 'weight function not normalized'}); "
+            f"it supports only {sorted(entry.extra_quantities)}"
+        )
+    F = TruncatedSeries([0, *(entry.coefficient(k, p) for k in range(1, order + 1))])
     return Statistics(F, name=name)
 
 

@@ -10,8 +10,11 @@
     umbral-stats oeis-check --entry lah --quantity X_of_w --sequence A000108
 
 Default truncation order is 16, overridable per command with --order or
-globally with the UMBRAL_ORDER environment variable; oeis-check takes no
---order, since its fixture's length fixes it.  Output is JSON by
+globally with the UMBRAL_ORDER environment variable, which is --order's
+default: it gets --order's checks (a usage error, exit 2, outside
+1..MAX_ORDER), an explicit --order wins, and an empty value counts as
+unset.  oeis-check takes no --order, since its fixture's length fixes
+it, and ignores UMBRAL_ORDER.  Output is JSON by
 default; --format csv/pretty are available for series-like payloads.
 Exit status is 0 only if the requested computation (and any checks)
 succeeded.
@@ -74,22 +77,6 @@ def order_arg(text: str, low: int = 1) -> int:
 def twist_arg(text: str) -> int:
     """argparse type for compose --m: an integer in 0..MAX_ORDER."""
     return order_arg(text, low=0)
-
-
-def default_order() -> int:
-    """UMBRAL_ORDER if set, else 16.  Text that is not an integer is ignored
-    with a warning; an integer outside 1..MAX_ORDER raises ValueError."""
-    env = os.environ.get("UMBRAL_ORDER")
-    if env is None:
-        return fps.DEFAULT_ORDER
-    try:
-        value = int(env)
-    except ValueError:
-        print(f"warning: ignoring invalid UMBRAL_ORDER={env!r}", file=sys.stderr)
-        return fps.DEFAULT_ORDER
-    if not 1 <= value <= MAX_ORDER:
-        raise ValueError(f"UMBRAL_ORDER={env!r} is outside 1..{MAX_ORDER}")
-    return value
 
 
 # Most digits a rational argument may carry in its numerator or denominator,
@@ -335,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         "polynomial sequences, and deformed entropy",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    order = default_order()
+    # argparse passes this string default through order_arg when --order is absent
+    order = os.environ.get("UMBRAL_ORDER") or str(fps.DEFAULT_ORDER)
 
     def output_format(p):
         p.add_argument("--format", choices=("json", "csv", "pretty"),

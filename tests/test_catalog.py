@@ -81,6 +81,37 @@ class TestRegistry:
         assert type(info.value) is ValueError
         assert str(info.value) == f"order must be at least 1, got {order}"
 
+    @pytest.mark.parametrize("entry, quantity", [
+        # derived quantities
+        ("lah", "F"), ("lah", "phi"), ("abel", "gamma"), ("lah", "ln_phi"),
+        # extra quantities
+        ("averaged-as-3", "X_of_w"), ("averaged-as-3", "u_over_phi"), ("mott", "Y"),
+    ])
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_quantity_refuses_an_order_below_1(self, entry, quantity, order):
+        with pytest.raises(ValueError) as info:
+            cat.get(entry).quantity(quantity, order)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"order must be at least 1, got {order}"
+
+    def test_order_is_checked_before_the_space(self):
+        with pytest.raises(ValueError) as info:
+            cat.build("averaged-as-3", 0)
+        assert str(info.value) == "order must be at least 1, got 0"
+
+    def test_off_space_entry_has_one_message(self):
+        entry = cat.get("averaged-as-3")
+        message = (
+            f"entry 'averaged-as-3' is not in the normalized statistics space "
+            f"({entry.notes}); it supports only "
+            "['X_of_w', 'X_of_w_scaled', 'phi', 'u_over_phi']"
+        )
+        for request in (lambda: entry.build(8), lambda: entry.quantity("entropy", 5),
+                        lambda: entry.quantity("F", 5)):
+            with pytest.raises(CatalogError) as info:
+                request()
+            assert str(info.value) == message
+
     def test_gentile_requires_positive_occupancy(self):
         with pytest.raises(CatalogError):
             cat.build("gentile", 8, p=0)

@@ -638,12 +638,16 @@ def test_twist_at_ceiling_is_accepted():
 
 @pytest.mark.parametrize("value", ["0", "-1", "129", "10000"])
 def test_env_order_outside_ceiling_is_an_error(value, monkeypatch, capsys):
+    # UMBRAL_ORDER is --order's default, so it gets --order's usage error
     monkeypatch.setenv("UMBRAL_ORDER", value)
     monkeypatch.setattr(cli.cat, "get", lambda name: pytest.fail("series work done"))
-    code, out = run(["expand", "--stat", "lah", "--quantity", "w"])
-    assert code == 1 and out == ""
-    assert capsys.readouterr().err == (
-        f"error: UMBRAL_ORDER={value!r} is outside 1..{cli.MAX_ORDER}\n"
+    with pytest.raises(SystemExit) as exc:
+        run(["expand", "--stat", "lah", "--quantity", "w"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument --order: {value} is outside 1..{cli.MAX_ORDER}\n"
     )
 
 
@@ -766,14 +770,51 @@ class TestEnvironment:
         assert data["payload"]["order"] == 6
 
     def test_invalid_env_falls_back(self, monkeypatch, capsys):
+        # an invalid UMBRAL_ORDER is not read where --order is given, nor by
+        # a command that takes no --order
         monkeypatch.setenv("UMBRAL_ORDER", "bogus")
-        assert cli.default_order() == 16
+        code, data = run_json(["expand", "--stat", "bose-einstein", "--quantity", "w",
+                               "--order", "5"])
+        assert code == 0 and data["payload"]["order"] == 5
+        code, _ = run(["oeis-check", "--entry", "lah", "--quantity", "X_of_w"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_invalid_env_warns_once(self, monkeypatch, capsys):
+        # text that is not an integer is --order's usage error, stated once
         monkeypatch.setenv("UMBRAL_ORDER", "abc")
+        monkeypatch.setattr(cli.cat, "get", lambda name: pytest.fail("series work done"))
+        with pytest.raises(SystemExit) as exc:
+            run(["expand", "--stat", "bose-einstein", "--quantity", "w"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error: argument --order: not an integer: 'abc'") == 1
+        assert "warning" not in err
+
+    def test_command_without_order_ignores_the_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("UMBRAL_ORDER", "0")
+        code, data = run_json(["oeis-check", "--entry", "lah", "--quantity", "X_of_w",
+                               "--sequence", "A000108"])
+        assert code == 0 and data["payload"]["passed"]
+        assert capsys.readouterr().err == ""
+
+    def test_help_ignores_the_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("UMBRAL_ORDER", "0")
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        assert "usage: umbral-stats" in capsys.readouterr().out
+
+    def test_explicit_order_wins_over_the_env(self, monkeypatch):
+        monkeypatch.setenv("UMBRAL_ORDER", "0")
+        code, data = run_json(["dual", "--stat", "lah", "--order", "3"])
+        assert code == 0 and data["parameters"]["order"] == 3
+
+    def test_empty_env_counts_as_unset(self, monkeypatch, capsys):
+        monkeypatch.setenv("UMBRAL_ORDER", "")
         code, data = run_json(["expand", "--stat", "bose-einstein", "--quantity", "w"])
         assert code == 0 and data["payload"]["order"] == 16
-        assert capsys.readouterr().err.count("warning: ignoring invalid") == 1
+        assert capsys.readouterr().err == ""
 
 
 def test_import_does_not_load_http_client():

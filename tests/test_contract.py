@@ -4,8 +4,9 @@ ZeroDivisionError, IndexError, KeyError or a silent answer.
 
 Each case below names an exported function and draws one out-of-domain
 argument for it: a rational with a zero denominator, a degree past the
-sequence or the order, a negative order, an empty list or a float where an
-exact rational is required.  Every case must raise.
+sequence or the order, a negative order (below 1 for a catalog request), an
+empty list or a float where an exact rational is required.  Every case must
+raise.
 """
 
 from fractions import Fraction as F
@@ -33,6 +34,7 @@ zero_denominators = hs.builds(
     hs.sampled_from(["", " "]),
 )
 negative = hs.integers(-40, -1)
+below_1 = hs.integers(-3, 0)
 
 
 def past(size: int):
@@ -87,6 +89,15 @@ CASES = {
     "haldane_wu_W-n": (negative, lambda n: us.haldane_wu_W(3, n, 0)),
     "group_compose_m": (negative, lambda m: us.group_compose_m(STAT, STAT, m)),
     "gentile_statistics": (hs.integers(-40, 0), lambda n: us.gentile_statistics(2, n)),
+    # a quantity name with an order at or just below 0, where a derived or
+    # extra quantity that gains back the orders it loses could still answer
+    "CatalogEntry.quantity": (
+        hs.tuples(hs.sampled_from(catalog.DERIVED_QUANTITIES + ("Y",)), below_1),
+        lambda request: catalog.get("mott").quantity(*request)),
+    "CatalogEntry.quantity-extra": (
+        hs.tuples(hs.sampled_from(sorted(catalog.get("averaged-as-3").extra_quantities)),
+                  below_1),
+        lambda request: catalog.get("averaged-as-3").quantity(*request)),
     # empty lists
     "TruncatedSeries-empty": (hs.just([]), lambda e: us.TruncatedSeries(e)),
     "from_cluster-empty": (hs.just([]), lambda e: us.from_cluster(e)),
