@@ -10,14 +10,13 @@
     umbral-stats oeis-check --entry lah --quantity X_of_w --sequence A000108
 
 Default truncation order is 16, overridable per command with --order or
-globally with the UMBRAL_ORDER environment variable, which is --order's
-default: it gets --order's checks (a usage error, exit 2, outside
-1..MAX_ORDER), an explicit --order wins, and an empty value counts as
-unset.  oeis-check takes no --order, since its fixture's length fixes
-it, and ignores UMBRAL_ORDER.  Output is JSON by
-default; --format csv/pretty are available for series-like payloads.
-Exit status is 0 only if the requested computation (and any checks)
-succeeded.
+globally with the UMBRAL_ORDER environment variable.  UMBRAL_ORDER is
+--order's default: it gets --order's checks and exit code 2, an explicit
+--order wins, and an empty value counts as unset.  oeis-check takes no
+--order, since its fixture's length fixes it, and ignores UMBRAL_ORDER.
+Output is JSON by default; --format csv/pretty are available for
+series-like payloads.  Exit status is 0 only if the requested
+computation (and any checks) succeeded.
 
 Each subcommand's handler ``cmd_*(args)`` computes and prints nothing to
 stdout: it returns ``(parameters, payload)``, or ``(parameters, payload,
@@ -161,21 +160,21 @@ def emit(record: dict, fmt: str, stream) -> None:
 
 
 def _emit_csv(payload, stream) -> None:
-    if isinstance(payload, dict) and "coeffs" in payload:
+    if "coeffs" in payload:
         stream.write("index,coefficient\n")
         for k, c in enumerate(payload["coeffs"]):
             stream.write(f"{k},{c}\n")
-    elif isinstance(payload, dict) and "plain" in payload and "log" in payload:
+    elif "plain" in payload and "log" in payload:
         stream.write("index,plain,log\n")
         plain = payload["plain"]["coeffs"]
         logc = payload["log"]["coeffs"]
         for k, (a, b) in enumerate(zip(plain, logc)):
             stream.write(f"{k},{a},{b}\n")
-    elif isinstance(payload, dict) and "samples" in payload:
+    elif "samples" in payload:
         stream.write("X,z,Y\n")
         for row in payload["samples"]:
             stream.write(f"{row['X']},{row['z']},{row['Y']}\n")
-    elif isinstance(payload, dict) and "polynomials" in payload:
+    elif "polynomials" in payload:
         stream.write("n,k,coefficient\n")
         for n, poly in enumerate(payload["polynomials"]):
             for k, c in enumerate(poly["coeffs"]):
@@ -185,7 +184,7 @@ def _emit_csv(payload, stream) -> None:
 
 
 def _emit_pretty(payload, stream) -> None:
-    if isinstance(payload, dict) and "pretty" in payload:
+    if "pretty" in payload:
         stream.write(payload["pretty"] + "\n")
     else:
         json.dump(payload, stream, indent=2)

@@ -190,9 +190,21 @@ MUTANTS = (
            "    except KeyError as missing:\n"
            "        raise ValueError(f\"series record has no {missing} field\") from None\n",
            "    coeffs, order = data[\"coeffs\"], data[\"order\"]\n"),
-    Mutant("CatalogEntry.build-accepts-an-order-below-1", "catalog.py",
+    Mutant("CatalogEntry._key-accepts-an-order-below-1", "catalog.py",
            "        if order < 1:\n"
            "            raise ValueError(f\"order must be at least 1, got {order}\")\n",
+           ""),
+    Mutant("CatalogEntry.quantity-keys-without-the-order-check", "catalog.py",
+           "_cached_quantity(self.name, name, order, self._key(order, params))",
+           "_cached_quantity(self.name, name, order, "
+           "tuple(sorted(self.resolve_params(params).items())))"),
+    Mutant("_cached_build-builds-an-off-space-entry", "catalog.py",
+           "    if not entry.in_space:\n"
+           "        raise CatalogError(\n"
+           "            f\"entry {name!r} is not in the normalized statistics space \"\n"
+           "            f\"({entry.notes or 'weight function not normalized'}); \"\n"
+           "            f\"it supports only {sorted(entry.extra_quantities)}\"\n"
+           "        )\n",
            ""),
     # the same sequence, built through a prefactor of 1
     Mutant("conjugate_sheffer_sequence-builds-a-prefactor-for-g-one", "umbral.py",
@@ -215,6 +227,10 @@ MUTANTS = (
     Mutant("expand-echoes-t-as-a-python-list", "cli.py",
            "{k: \",\".join(map(str, v)) if k == \"t\" else str(v)",
            "{k: str(v)"),
+    # UMBRAL_ORDER read as an int, past --order's own check
+    Mutant("UMBRAL_ORDER-bypasses-order_arg", "cli.py",
+           "    order = os.environ.get(\"UMBRAL_ORDER\") or str(fps.DEFAULT_ORDER)",
+           "    order = int(os.environ.get(\"UMBRAL_ORDER\") or fps.DEFAULT_ORDER)"),
 )
 
 
