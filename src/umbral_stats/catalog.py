@@ -23,7 +23,6 @@ from . import statistics as st
 from .deformed_entropy import ln_phi, map_g_inverse, phi_entropy, phi_from_x, xi
 from .series import LogSeries, TruncatedSeries, as_rational
 from .statistics import Statistics
-from .umbral import PolynomialSequence
 
 Params = Mapping[str, Fraction]
 
@@ -493,52 +492,13 @@ class Fixture(NamedTuple):
     def __repr__(self):
         return f"Fixture({self.entry}/{self.quantity})"
 
-    def required_order(self) -> int:
-        return len(self.coeffs) - 1
-
     def check(self) -> bool:
-        n = self.required_order()
-        value = get(self.entry).quantity(self.quantity, n, **self.params)
+        """Recompute the quantity at the record's order and compare it
+        exactly; every quantity comes back at the order asked."""
+        value = get(self.entry).quantity(self.quantity, len(self.coeffs) - 1, **self.params)
         if self.quantity == "gamma":
-            assert isinstance(value, PolynomialSequence)
             return tuple(map(tuple, value.coefficient_matrix())) == self.coeffs
-        assert isinstance(value, TruncatedSeries)
-        if value.order < n:
-            raise CatalogError(
-                f"fixture {self.entry}/{self.quantity}: computed series order "
-                f"{value.order} is shorter than the fixture"
-            )
-        return value.truncate(n) == self.series
-
-    def integer_sequence(self) -> list[int]:
-        """Apply the fixture's documented transform to produce the integer
-        sequence compared against its OEIS reference."""
-        tf = self.transform
-        start = tf.get("start", 0)
-        stride = tf.get("stride", 1)
-        sign = tf.get("sign", "none")
-        scale = tf.get("scale", "none")
-        geometric = as_rational(tf.get("geometric", 1))
-        nums, den = self.series._nums, self.series._den
-        out = []
-        gp, gq = 1, 1  # geometric ** j, for the j-th term taken
-        for k in range(start, len(nums), stride):
-            if scale == "factorial":
-                num, d = nums[k] * factorial(k), den
-            else:
-                num, d = nums[k] * gp, den * gq
-            if sign == "abs":
-                num = abs(num)
-            value, rest = divmod(num, d)
-            if rest:
-                raise CatalogError(
-                    f"fixture {self.entry}/{self.quantity}: transform did not "
-                    f"produce an integer at index {k} ({Fraction(num, d)})"
-                )
-            out.append(value)
-            gp *= geometric.numerator
-            gq *= geometric.denominator
-        return out
+        return value == self.series
 
 
 @lru_cache(maxsize=1)

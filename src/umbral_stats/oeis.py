@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import re
 import sys
+from fractions import Fraction
+from math import factorial
 from typing import NamedTuple
 
 from . import catalog as cat
+from .series import as_rational
 
 B_FILE_URL = "https://oeis.org/{sid}/b{digits}.txt"
 
@@ -62,14 +65,40 @@ def fetch_sequence(oeis_id: str, timeout: float = 10.0) -> list[int]:
         return parse_b_file(resp.read().decode("utf-8", errors="replace"))
 
 
-def matching_prefix(
-    computed: list[int], reference: list[int], absolute: bool, seq_offset: int = 0
-) -> int:
-    ref = reference[seq_offset:]
+def integer_sequence(fixture: cat.Fixture) -> list[int]:
+    """Apply the fixture's documented transform to produce the integer
+    sequence compared against its OEIS reference."""
+    tf = fixture.transform
+    start = tf.get("start", 0)
+    stride = tf.get("stride", 1)
+    sign = tf.get("sign", "none")
+    scale = tf.get("scale", "none")
+    geometric = as_rational(tf.get("geometric", 1))
+    nums, den = fixture.series._nums, fixture.series._den
+    out = []
+    gp, gq = 1, 1  # geometric ** j, for the j-th term taken
+    for k in range(start, len(nums), stride):
+        if scale == "factorial":
+            num, d = nums[k] * factorial(k), den
+        else:
+            num, d = nums[k] * gp, den * gq
+        if sign == "abs":
+            num = abs(num)
+        value, rest = divmod(num, d)
+        if rest:
+            raise cat.CatalogError(
+                f"fixture {fixture.entry}/{fixture.quantity}: transform did not "
+                f"produce an integer at index {k} ({Fraction(num, d)})"
+            )
+        out.append(value)
+        gp *= geometric.numerator
+        gq *= geometric.denominator
+    return out
+
+
+def matching_prefix(computed: list[int], reference: list[int]) -> int:
     n = 0
-    for a, b in zip(computed, ref):
-        if absolute:
-            a, b = abs(a), abs(b)
+    for a, b in zip(computed, reference):
         if a != b:
             break
         n += 1
@@ -95,10 +124,11 @@ def check_fixture(fixture: cat.Fixture, fetch: bool = False) -> SequenceCheck:
                 "falling back to embedded terms",
                 file=sys.stderr,
             )
-    computed = fixture.integer_sequence()
-    absolute = fixture.transform.get("sign") == "abs"
+    computed = integer_sequence(fixture)
     offset = int(fixture.transform.get("seq_offset", 0))
-    prefix = matching_prefix(computed, reference, absolute, offset)
+    reference = reference[offset : offset + len(computed)]
+    absolute = fixture.transform.get("sign") == "abs"
+    prefix = matching_prefix(computed, [abs(b) if absolute else b for b in reference])
     return SequenceCheck(
         entry=fixture.entry,
         quantity=fixture.quantity,
@@ -108,7 +138,7 @@ def check_fixture(fixture: cat.Fixture, fetch: bool = False) -> SequenceCheck:
         passed=prefix >= max(fixture.min_prefix, 1),
         source=source,
         computed=computed,
-        reference=reference[offset : offset + len(computed)],
+        reference=reference,
     )
 
 

@@ -207,10 +207,13 @@ def occupation_polynomial(stat: Statistics, k: int) -> Polynomial:
     return _conjugate_through(stat, k)[k].scale(Fraction(1, factorial(k)))
 
 
-def convolution_holds(W: Sequence[Polynomial], x: Fraction, y: Fraction, k: int) -> bool:
+def convolution_holds(
+    W: Sequence[Polynomial], x: RationalLike, y: RationalLike, k: int
+) -> bool:
     """W_k(x+y) == sum_i W_i(x) W_{k-i}(y), exactly (deformed Chu-Vandermonde)."""
     if not 0 <= k < len(W):
         raise ValueError(f"degree {k} outside the sequence of {len(W)} polynomials")
+    x, y = as_rational(x), as_rational(y)
     return W[k](x + y) == sum(W[i](x) * W[k - i](y) for i in range(k + 1))
 
 
@@ -240,14 +243,13 @@ def _twist(w: TruncatedSeries, m: int) -> TruncatedSeries:
 def group_compose_m(v: Statistics, w: Statistics, m: int) -> Statistics:
     """The m-th multiplication: compose the n^m-twisted weight functions.
 
-    m = 0 reduces to the plain composition law.
+    m = 0 twists nothing, so it is the plain composition law, and keeps its name.
     """
     if m < 0:
         raise ValueError("twist exponent must be non-negative")
-    if m == 0:
-        return group_compose(v, w)
     composed = compose(_twist(v.w, m), _twist(w.w, m))
-    return from_weight(composed, f"({v.name} o_{m} {w.name})")
+    law = f"o_{m}" if m else "o"
+    return from_weight(composed, f"({v.name} {law} {w.name})")
 
 
 def entropy(stat: Statistics) -> LogSeries:

@@ -69,7 +69,7 @@ MUTANTS = (
            "    )",
            "    return None"),
     Mutant("Fixture.check-series-true", "catalog.py",
-           "        return value.truncate(n) == self.series",
+           "        return value == self.series",
            "        return True"),
     Mutant("Fixture.check-gamma-true", "catalog.py",
            "            return tuple(map(tuple, value.coefficient_matrix())) == self.coeffs",
@@ -100,6 +100,22 @@ MUTANTS = (
            "            self.f.series.agrees_with(other.f.series, through)\n"
            "        )",
            "        return True"),
+    # the duality suite's m=0 reduction compares through the twist
+    Mutant("group_compose_m-skips-the-twist-at-m-0", "statistics.py",
+           "        raise ValueError(\"twist exponent must be non-negative\")\n",
+           "        raise ValueError(\"twist exponent must be non-negative\")\n"
+           "    if m == 0:\n"
+           "        return group_compose(v, w)\n"),
+    # -- the fixtures and their sequence links --
+    Mutant("Fixture.check-asks-one-order-short", "catalog.py",
+           "quantity(self.quantity, len(self.coeffs) - 1, **self.params)",
+           "quantity(self.quantity, len(self.coeffs) - 2, **self.params)"),
+    Mutant("check_fixture-ignores-seq_offset", "oeis.py",
+           "    offset = int(fixture.transform.get(\"seq_offset\", 0))",
+           "    offset = 0"),
+    Mutant("check_fixture-compares-the-signed-reference", "oeis.py",
+           "matching_prefix(computed, [abs(b) if absolute else b for b in reference])",
+           "matching_prefix(computed, reference)"),
     # -- the kernels --
     Mutant("truncate-off-by-one", "series.py",
            "        return _canonical(self._nums[: order + 1], self._den)",
@@ -180,6 +196,10 @@ MUTANTS = (
     Mutant("convolution_holds-accepts-any-degree", "statistics.py",
            "    if not 0 <= k < len(W):\n",
            "    if False:\n"),
+    # "1" + "2" is the point 12; "1/2" + "1/3" is no rational
+    Mutant("convolution_holds-adds-its-points-uncoerced", "statistics.py",
+           "    x, y = as_rational(x), as_rational(y)\n",
+           ""),
     # a negative degree read from a kept sequence returned [] or a wrong polynomial
     Mutant("_conjugate_through-reads-a-negative-degree-from-the-memo", "statistics.py",
            "    if seq is None or not 0 <= n < len(seq):",

@@ -382,7 +382,7 @@ class TestDerivedOrders:
 
 
 def fraction_sequence(fixture: cat.Fixture) -> list[int] | str:
-    """Fixture.integer_sequence on Fractions, or the text of its error."""
+    """oeis.integer_sequence on Fractions, or the text of its error."""
     tf = fixture.transform
     geometric = F(tf.get("geometric", 1))
     out, acc = [], F(1)
@@ -428,11 +428,11 @@ class TestFixtures:
                 if isinstance(expected, str):
                     outcomes["errors"] += 1
                     with pytest.raises(CatalogError) as info:
-                        fixture.integer_sequence()
+                        oeis.integer_sequence(fixture)
                     assert str(info.value) == expected
                 else:
                     outcomes["integers"] += 1
-                    assert fixture.integer_sequence() == expected
+                    assert oeis.integer_sequence(fixture) == expected
         assert min(outcomes.values()) > 50
 
     def test_a_fixture_cannot_be_rebound(self):

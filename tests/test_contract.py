@@ -5,11 +5,13 @@ ZeroDivisionError, IndexError, KeyError or a silent answer.
 Each case below names an exported function and draws one out-of-domain
 argument for it: a rational with a zero denominator, a degree past the
 sequence or the order, a negative order (below 1 for a catalog request), an
-empty list or a float where an exact rational is required.  Every case must
-raise.
+empty list or a float where an exact rational is required.  A degree or an
+order is also tried at each value just past the edge of its domain, which a
+draw may miss.  Every case must raise.
 """
 
 from fractions import Fraction as F
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -33,13 +35,29 @@ zero_denominators = hs.builds(
     hs.sampled_from(["", "-", "+"]), hs.integers(0, 10**30), hs.integers(1, 3),
     hs.sampled_from(["", " "]),
 )
-negative = hs.integers(-40, -1)
-below_1 = hs.integers(-3, 0)
 
 
-def past(size: int):
+class Outside(NamedTuple):
+    """Arguments outside a domain: the values just past its edges, each called
+    on every run, and a strategy that draws the rest."""
+
+    edges: tuple
+    draw: hs.SearchStrategy
+
+
+negative = Outside((-1,), hs.integers(-40, -1))
+below_1 = Outside((0, -1), hs.integers(-3, 0))
+
+
+def past(size: int) -> Outside:
     """A degree outside 0..size-1."""
-    return hs.integers(size, size + 40) | negative
+    return Outside((size, -1), hs.integers(size, size + 40) | negative.draw)
+
+
+def requests(names: list) -> Outside:
+    """A quantity name with an order below 1."""
+    return Outside(tuple((name, n) for name in names for n in below_1.edges),
+                   hs.tuples(hs.sampled_from(names), below_1.draw))
 
 
 floats = hs.floats(allow_nan=False, allow_infinity=False)
@@ -77,8 +95,9 @@ CASES = {
     "connection_coefficients": (
         past(ORDER + 1), lambda k: us.connection_coefficients(DELTA, DELTA, k)),
     "a_coefficients": (past(ORDER), lambda k: us.a_coefficients(PHI, k)),
-    "TruncatedSeries.agrees_with": (hs.integers(ORDER + 1, 99) | negative,
-                                    lambda k: SERIES.agrees_with(SERIES, k)),
+    "TruncatedSeries.agrees_with": (
+        Outside((ORDER + 1, -1), hs.integers(ORDER + 1, 99) | negative.draw),
+        lambda k: SERIES.agrees_with(SERIES, k)),
     # negative orders
     "zero": (negative, lambda n: us.zero(n)),
     "one": (negative, lambda n: us.one(n)),
@@ -92,11 +111,10 @@ CASES = {
     # a quantity name with an order at or just below 0, where a derived or
     # extra quantity that gains back the orders it loses could still answer
     "CatalogEntry.quantity": (
-        hs.tuples(hs.sampled_from(catalog.DERIVED_QUANTITIES + ("Y",)), below_1),
+        requests([*catalog.DERIVED_QUANTITIES, "Y"]),
         lambda request: catalog.get("mott").quantity(*request)),
     "CatalogEntry.quantity-extra": (
-        hs.tuples(hs.sampled_from(sorted(catalog.get("averaged-as-3").extra_quantities)),
-                  below_1),
+        requests(sorted(catalog.get("averaged-as-3").extra_quantities)),
         lambda request: catalog.get("averaged-as-3").quantity(*request)),
     # empty lists
     "TruncatedSeries-empty": (hs.just([]), lambda e: us.TruncatedSeries(e)),
@@ -119,7 +137,17 @@ CASES = {
 @given(data=hs.data())
 def test_out_of_domain_arguments_raise_value_or_type_errors(name, data):
     strategy, call = CASES[name]
-    argument = data.draw(strategy)
+    argument = data.draw(strategy.draw if isinstance(strategy, Outside) else strategy)
     with pytest.raises((ValueError, TypeError)):
         call(argument)
+
+
+EDGES = [(name, edge) for name, (strategy, _) in sorted(CASES.items())
+         if isinstance(strategy, Outside) for edge in strategy.edges]
+
+
+@pytest.mark.parametrize("name, edge", EDGES)
+def test_the_edges_of_each_domain_raise_value_or_type_errors(name, edge):
+    with pytest.raises((ValueError, TypeError)):
+        CASES[name][1](edge)
 

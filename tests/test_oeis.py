@@ -29,18 +29,38 @@ class TestBFileParsing:
             oeis.fetch_sequence("108")
 
 
+def linked(oeis_id: str, coeffs: list, transform: dict) -> cat.Fixture:
+    """A sequence-linked record of the fixtures file's form."""
+    return cat.Fixture.from_record({
+        "entry": "lah", "quantity": "phi", "coeffs": coeffs, "provenance": "test",
+        "oeis": oeis_id, "transform": transform, "min_prefix": len(coeffs),
+    })
+
+
 class TestPrefixMatching:
     def test_plain_match(self):
-        assert oeis.matching_prefix([1, 2, 3], [1, 2, 3, 4], absolute=False) == 3
+        assert oeis.matching_prefix([1, 2, 3], [1, 2, 3, 4]) == 3
 
     def test_stops_at_mismatch(self):
-        assert oeis.matching_prefix([1, 2, 9], [1, 2, 3], absolute=False) == 2
+        assert oeis.matching_prefix([1, 2, 9], [1, 2, 3]) == 2
 
     def test_absolute_comparison(self):
-        assert oeis.matching_prefix([1, -2, 2], [1, 2, -2], absolute=True) == 3
+        # A002420 begins 1, -2, -2, -4, -10: compared unsigned, reported signed
+        check = oeis.check_fixture(linked("A002420", [1, -2, 2, 4, -10], {"sign": "abs"}))
+        assert check.computed == [1, 2, 2, 4, 10]
+        assert check.reference == [1, -2, -2, -4, -10]
+        assert check.matching_prefix == 5 and check.passed
+        check = oeis.check_fixture(linked("A002420", [1, -2, 2, 4, -10], {}))
+        assert check.matching_prefix == 2 and not check.passed
 
     def test_reference_offset(self):
-        assert oeis.matching_prefix([2, 5], [1, 2, 5], absolute=False, seq_offset=1) == 2
+        # A000108 from its second term: 1, 2, 5, 14
+        check = oeis.check_fixture(linked("A000108", [1, 2, 5, 14], {"seq_offset": 1}))
+        assert check.reference == check.computed == [1, 2, 5, 14]
+        assert check.matching_prefix == 4 and check.passed
+        check = oeis.check_fixture(linked("A000108", [1, 2, 5, 14], {}))
+        assert check.reference == [1, 1, 2, 5]
+        assert check.matching_prefix == 1 and not check.passed
 
 
 class TestFixtureChecks:

@@ -206,6 +206,15 @@ class TestOccupationPolynomials:
         assert type(info.value) is ValueError
         assert str(info.value) == f"degree {k} outside the sequence of {size} polynomials"
 
+    @pytest.mark.parametrize("x, y", [("1", "2"), ("1/2", "-1/3")])
+    def test_string_points_agree_with_fractions(self, x, y):
+        s = bose(8)
+        W = st.occupation_polynomials(s, 6)
+        for k in range(7):
+            assert st.convolution_holds(W, F(x), F(y), k)
+            assert st.convolution_holds(W, x, y, k)
+            assert st.occupation_recursion_holds(s, x, y, k)
+
     def test_recursion_trivial_split(self):
         s = bose(8)
         assert st.occupation_recursion_holds(s, 4, 0, 5)
@@ -276,9 +285,9 @@ class TestGroupLaw:
         assert st.group_compose(bose(), fermi()) == boltzmann()
 
     def test_twisted_law_reduces_at_zero(self):
-        assert st.group_compose_m(bose(), fermi(), 0) == st.group_compose(
-            bose(), fermi()
-        )
+        twisted = st.group_compose_m(bose(), fermi(), 0)
+        plain = st.group_compose(bose(), fermi())
+        assert twisted == plain and twisted.name == plain.name
 
     def test_twisted_law_differs_at_one(self):
         a, b = bose(8), fermi(8)

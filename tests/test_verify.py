@@ -9,7 +9,7 @@ from umbral_stats import verify
 from umbral_stats.catalog import Fixture
 from umbral_stats.deformed_entropy import EntropyDensity
 from umbral_stats.series import TruncatedSeries
-from umbral_stats.statistics import Statistics, group_compose
+from umbral_stats.statistics import Statistics, _twist, group_compose
 from umbral_stats.umbral import Polynomial, PolynomialSequence
 from umbral_stats.verify import PropertyResult, VerifyReport
 
@@ -212,6 +212,8 @@ def test_a_wrong_inversion_fails_the_roundtrip_check(monkeypatch, cold_catalog):
     (("group_compose", lambda v, w: group_compose(v, group_compose(w, w))),
      "associativity instance 0"),
     (("group_compose_m", lambda v, w, m: w), "m=0 reduction instance 0"),
+    # m = 0 goes through the twist like every other m
+    (("_twist", lambda w, m: _twist(w, m or 1)), "m=0 reduction instance 0"),
 ])
 def test_a_wrong_group_law_fails_the_group_law_check(monkeypatch, cold_catalog, swap, detail):
     monkeypatch.setattr(verify.st, *swap)
