@@ -145,7 +145,7 @@ _QUANTITIES: dict[str, tuple[int, Callable[[Statistics], object]]] = {
     "xi": (0, xi),
     "ln_phi": (1, ln_phi),
     "entropy": (0, st.entropy),
-    "phi_entropy": (0, lambda stat: phi_entropy(stat).series),
+    "phi_entropy": (0, phi_entropy),
     "gamma": (0, lambda stat: st.conjugate_polynomials(stat, min(8, stat.order))),
 }
 DERIVED_QUANTITIES = tuple(_QUANTITIES)
@@ -196,22 +196,6 @@ def _gould(a: Fraction, b: Fraction, k: int) -> Fraction:
     for j in range(1, k):
         prod *= a * k + j * b
     return (-1) ** (k - 1) * prod / factorial(k)
-
-
-def _mittag_leffler(k: int, p: Params) -> Fraction:
-    return Fraction(1, k * 2 ** (k - 1)) if k % 2 else 0
-
-
-def mittag_leffler_free_energy(order: int, scaled: bool = True) -> TruncatedSeries:
-    """log((1 + X/2)/(1 - X/2)) or, unscaled, log((1+X)/(1-X)).
-
-    Only the scaled variant is normalized (unit linear coefficient), so
-    only it can back a Statistics; the unscaled series is provided for
-    reference.
-    """
-    # the unscaled series is the scaled one at 2X
-    step = 1 if scaled else 2
-    return fps.from_function(lambda k: _mittag_leffler(k, {}) * step**k, order)
 
 
 def _bell(k: int, p: Params) -> Fraction:
@@ -362,9 +346,7 @@ _REGISTRY: dict[str, CatalogEntry] = {entry.name: entry for entry in (
     CatalogEntry(
         "mittag-leffler",
         "free energy log((1+X/2)/(1-X/2)); Catalan generating inverse",
-        _mittag_leffler,
-        notes="the unscaled log((1+X)/(1-X)) variant has w_1 = 2 and is exposed "
-        "only through mittag_leffler_free_energy(order, scaled=False)",
+        lambda k, p: Fraction(1, k * 2 ** (k - 1)) if k % 2 else 0,
     ),
     CatalogEntry(
         "bessel",

@@ -50,7 +50,10 @@ from .umbral import (
     poly_to_json,
 )
 
-EXPAND_QUANTITIES = tuple(q for q in cat.DERIVED_QUANTITIES if q != "gamma")
+# every series-valued quantity: the derived ones but gamma, then the entries' extra ones
+EXPAND_QUANTITIES = tuple(dict.fromkeys(
+    [q for q in cat.DERIVED_QUANTITIES if q != "gamma"]
+    + sorted({q for e in cat.list_entries() for q in cat.get(e).extra_quantities})))
 
 
 # Highest truncation order the CLI accepts (--order, polyseq --n and

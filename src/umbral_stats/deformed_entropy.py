@@ -5,7 +5,8 @@ A deformation kernel phi(p) = p - sum_{n>=2} T_{n-1} p^n determines
 * a deformed logarithm  ln_phi(p) = integral dp/phi = log p + sum a_n p^n/n,
 * the series X(p) = p * exp(sum a_n p^n / n), which identifies the kernel
   with an interpolating statistics whose weight-function inverse is X
-  (the map onto the statistics space, with inverse phi = X / X'),
+  (the map onto the statistics space, with inverse phi = X / X'); the
+  deformed exponential is that statistics' weight function, map_g(phi).w,
 * xi(u) = integral_0^u v/phi(v) dv, which equals F(X(u)) for the
   corresponding free energy F, and
 * the entropy density H0(p) = F(X(p)) - p log X(p).
@@ -98,21 +99,6 @@ class EntropyDensity(_CheckedSeries):
         if series._nums[0] != series._den:
             raise ValueError("entropy density series must have constant term 1")
 
-    @staticmethod
-    def from_s(s: Sequence[RationalLike]) -> EntropyDensity:
-        return EntropyDensity(TruncatedSeries([1, *s]))
-
-    @property
-    def s_coeffs(self) -> tuple[Fraction, ...]:
-        """s_1..s_order."""
-        return self.series.coeffs[1:]
-
-    def to_logseries(self) -> LogSeries:
-        """The canonical form -p log p - sum s_n p^{n+1} / (n(n+1)): minus the
-        integral of sum s_n p^n / n, read off G."""
-        plain = -integrate_extend(_a_over_n(self.series))
-        return LogSeries(plain, -identity(plain.order))
-
     def agrees_with(self, other: EntropyDensity, through: int) -> bool:
         """s_1..s_through agree; False when either density is shorter."""
         return through <= min(self.order, other.order) and super().agrees_with(
@@ -135,20 +121,6 @@ def _g(arg: PhiOrStatistics) -> TruncatedSeries:
 
 
 # -- the correspondence with statistics ---------------------------------------
-
-
-def a_coefficients(phi: PhiSeries, n_max: int | None = None) -> list[Fraction]:
-    """a_1..a_{n_max} in ln_phi(p) = log p + sum a_n p^n / n.
-
-    Since 1/phi = (1/p) * (p/phi), the a_n are the coefficients of the
-    unit series G = p/phi(p): the s_n of :func:`map_f`.
-    """
-    s = map_f(phi).s_coeffs
-    if n_max is None:
-        n_max = len(s)
-    if not 0 <= n_max <= len(s):
-        raise ValueError(f"the kernel determines a_1..a_{len(s)}, not {n_max} of them")
-    return list(s[:n_max])
 
 
 def x_from_phi(phi: PhiSeries) -> TruncatedSeries:
@@ -191,7 +163,7 @@ def map_g_inverse(stat: Statistics) -> PhiSeries:
     return stat.derived("phi", lambda: phi_from_x(stat.X_of_w))
 
 
-# -- deformed logarithm, exponential, xi, chi ---------------------------------
+# -- deformed logarithm, xi, chi ----------------------------------------------
 
 
 def ln_phi(arg: PhiOrStatistics) -> LogSeries:
@@ -211,12 +183,6 @@ def _a_over_n(G: TruncatedSeries) -> TruncatedSeries:
     """sum_{n>=1} a_n u^n / n for G = 1 + sum a_n u^n, through order
     G.order: the integral of (G - 1) / u."""
     return integrate_extend(_canonical(G._nums[1:], G._den))
-
-
-def exp_phi(arg: PhiOrStatistics) -> TruncatedSeries:
-    """The deformed exponential, structurally: p as a series in q = exp(ln_phi p),
-    which is exactly the weight function of the corresponding statistics."""
-    return (map_g(arg) if isinstance(arg, PhiSeries) else arg).w
 
 
 def xi(arg: PhiOrStatistics) -> TruncatedSeries:
@@ -243,24 +209,15 @@ def chi(phi: PhiSeries, u: RationalLike) -> Fraction:
 # -- entropy density ----------------------------------------------------------
 
 
-class PhiEntropy(NamedTuple):
-    """Normalized entropy density H0(p) = F(X(p)) - p log X(p), plus the
-    exact linear-term constant when a catalog entry registers one."""
-
-    series: LogSeries
-    constant: Fraction | None
-
-
-def phi_entropy(arg: PhiOrStatistics, constant: Fraction | None = None) -> PhiEntropy:
+def phi_entropy(arg: PhiOrStatistics) -> LogSeries:
     """H0(p) = F(X(p)) - p log X(p) as a log-augmented series.
 
-    The full (un-normalized) density subtracts [F(X(1)) - log X(1)] * p,
-    a constant that is generally transcendental; pass ``constant`` to
-    record an exactly known value, otherwise it is flagged unevaluated.
-    The plain part, F(X(p)) - p log(X(p)/p), is read off G = p X'/X = 1 +
-    sum a_n p^n as p - sum a_n p^(n+1) / (n(n+1)) (see the module docstring).
+    The full (un-normalized) density subtracts [F(X(1)) - log X(1)] * p, a
+    constant that is generally transcendental; an entry that knows it holds
+    it as ``registered_constant``.  The plain part, F(X(p)) - p log(X(p)/p),
+    is read off G = p X'/X = 1 + sum a_n p^n as p - sum a_n p^(n+1) / (n(n+1)).
     """
-    return PhiEntropy(_h0(_g(arg)), constant)
+    return _h0(_g(arg))
 
 
 def _h0(G: TruncatedSeries) -> LogSeries:
@@ -290,9 +247,7 @@ def entropy_gradient_holds(arg: PhiOrStatistics) -> bool:
     return not any(diff._nums[1 : n + 1])
 
 
-def main_theorem_holds(
-    stat: Statistics, constant: Fraction | None = None
-) -> bool:
+def main_theorem_holds(stat: Statistics, constant: Fraction | None = None) -> bool:
     """The entropy H(X) = F - w log X equals the normalized entropy density
     H0 evaluated at p = w(X), exactly as truncated log-augmented series.
 
@@ -301,21 +256,11 @@ def main_theorem_holds(
     linear, so the un-normalized form [H0 - c0 p](w(X)) + c0 w(X) is
     H0(w(X)) for every c0.
     """
-    rhs = logseries_compose(phi_entropy(stat).series, stat.w)
+    rhs = logseries_compose(phi_entropy(stat), stat.w)
     return st.entropy(stat).agrees_with(rhs, rhs.order)
 
 
 # -- the bijection with entropy densities -------------------------------------
-
-
-def s_from_t(T: Sequence[RationalLike]) -> list[Fraction]:
-    """1 + sum s_n p^n = 1 / (1 - sum T_n p^n)."""
-    return list(map_f(PhiSeries.from_t(T)).s_coeffs)
-
-
-def t_from_s(s: Sequence[RationalLike]) -> list[Fraction]:
-    """Inverse of :func:`s_from_t`: 1 - sum T_n p^n = 1 / (1 + sum s_n p^n)."""
-    return map_f_inverse(EntropyDensity.from_s(s)).t_coefficients()
 
 
 def map_f(arg: PhiOrStatistics) -> EntropyDensity:
@@ -323,9 +268,6 @@ def map_f(arg: PhiOrStatistics) -> EntropyDensity:
     1 + sum s_n p^n is G = p/phi(p), so the s_n coincide with the a_n of the
     deformed logarithm.  A statistics of order n gives s_1..s_{n-1}."""
     return EntropyDensity(_g(arg))
-
-
-map_h = map_f
 
 
 def map_f_inverse(h: EntropyDensity) -> PhiSeries:

@@ -289,10 +289,6 @@ def constant(value: RationalLike, order: int = 0) -> TruncatedSeries:
     return _series((c.numerator,) + (0,) * order, c.denominator)
 
 
-def zero(order: int) -> TruncatedSeries:
-    return constant(0, order)
-
-
 def one(order: int) -> TruncatedSeries:
     return constant(1, order)
 
@@ -430,11 +426,6 @@ def derivative(a: TruncatedSeries) -> TruncatedSeries:
     return a._derivative()
 
 
-def integrate(a: TruncatedSeries) -> TruncatedSeries:
-    """Antiderivative with zero constant term, reported at the input order."""
-    return integrate_extend(a).truncate(a.order)
-
-
 # The antiderivative keeping every determined coefficient: order rises by one.
 integrate_extend = _Exact._antiderivative
 
@@ -493,7 +484,7 @@ def log_series(a: TruncatedSeries) -> TruncatedSeries:
     """
     if a._nums[0] != a._den:
         raise ValueError("log requires constant term 1")
-    return integrate_extend(divide(derivative(a), a)) if a.order else zero(0)
+    return integrate_extend(divide(derivative(a), a)) if a.order else constant(0)
 
 
 def pow_rational(a: TruncatedSeries, r: RationalLike) -> TruncatedSeries:

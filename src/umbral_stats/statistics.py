@@ -257,11 +257,6 @@ def entropy(stat: Statistics) -> LogSeries:
     return LogSeries(stat.F, -stat.w)
 
 
-def mean_occupation(stat: Statistics, x: RationalLike) -> Fraction:
-    """Partial-sum evaluation of the weight function at a fugacity value."""
-    return evaluate(stat.w, x)
-
-
 def spectral_samples(
     stat: Statistics, xs: Sequence[RationalLike]
 ) -> list[SpectralSample]:
@@ -290,18 +285,6 @@ def haldane_wu_W(g: RationalLike, n: int, beta: RationalLike) -> Fraction:
         acc *= top - j
         acc /= j + 1
     return acc
-
-
-def gentile_statistics(p: int, order: int) -> Statistics:
-    """Maximum occupancy p per state: z = 1 + X + ... + X^p, the catalog's
-    ``gentile`` entry, which checks p.
-
-    p = 1 is Fermi-Dirac; as p grows the coefficients approach
-    Bose-Einstein through any fixed order.
-    """
-    from . import catalog  # the catalog imports this module
-
-    return catalog.build("gentile", order, p=p)
 
 
 # -- JSON --------------------------------------------------------------------

@@ -158,6 +158,10 @@ MUTANTS = (
            "        for k in range(m - 1):\n"
            "            if B[k]:\n"
            "                acc += B[k] * Y[m - 1 - k]"),
+    # log 1 = 1 at order 0, where no derivative exists
+    Mutant("log_series-order-0-is-one", "series.py",
+           "if a.order else constant(0)",
+           "if a.order else one(0)"),
     Mutant("x_from_phi-sign-flip", "deformed_entropy.py",
            "        return -acc, (M - 1) * d * Q",
            "        return acc, (M - 1) * d * Q"),

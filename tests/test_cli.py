@@ -93,6 +93,25 @@ class TestExpand:
             run(["expand", "--stat", "mott", "--quantity", "nope"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("entry, quantity", [
+        (name, quantity) for name in cat.list_entries()
+        for quantity in sorted(cat.get(name).extra_quantities)
+    ])
+    def test_extra_quantity_is_the_entrys(self, entry, quantity):
+        """mott's Y and averaged-as-3's four series, as the catalog gives them."""
+        code, data = run_json(
+            ["expand", "--stat", entry, "--quantity", quantity, "--order", "9"]
+        )
+        assert code == 0
+        payload = data["payload"]
+        series = fps.series_from_json({"order": payload["order"], "coeffs": payload["coeffs"]})
+        assert series == cat.get(entry).quantity(quantity, 9)
+
+    def test_extra_quantity_of_another_entry_is_an_error(self, capsys):
+        code, out = run(["expand", "--stat", "lah", "--quantity", "Y"])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("error: unknown quantity 'Y'; ")
+
     def test_series_json_roundtrips_schema(self):
         code, data = run_json(
             ["expand", "--stat", "fermi-dirac", "--quantity", "F", "--order", "6"]

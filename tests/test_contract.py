@@ -71,7 +71,6 @@ CASES = {
     "chi": (zero_denominators, lambda t: us.chi(PHI, t)),
     "haldane_wu_W-g": (zero_denominators, lambda t: us.haldane_wu_W(t, 2, 0)),
     "haldane_wu_W-beta": (zero_denominators, lambda t: us.haldane_wu_W(3, 2, t)),
-    "mean_occupation": (zero_denominators, lambda t: us.mean_occupation(STAT, t)),
     "spectral_samples": (zero_denominators, lambda t: us.spectral_samples(STAT, [0, t])),
     "from_cluster": (zero_denominators, lambda t: us.from_cluster([1, t])),
     "from_occupation": (zero_denominators, lambda t: us.from_occupation([1, t])),
@@ -79,8 +78,6 @@ CASES = {
     "Polynomial-call": (zero_denominators, lambda t: SEQ[3](t)),
     "scale": (zero_denominators, lambda t: SERIES.scale(t)),
     "PhiSeries.from_t": (zero_denominators, lambda t: us.PhiSeries.from_t([t])),
-    "s_from_t": (zero_denominators, lambda t: us.s_from_t([1, t])),
-    "t_from_s": (zero_denominators, lambda t: us.t_from_s([t])),
     # degrees past the sequence or the order
     "convolution_holds": (past(len(W)), lambda k: us.convolution_holds(W, 1, 2, k)),
     "occupation_recursion_holds": (
@@ -94,12 +91,10 @@ CASES = {
         past(ORDER + 1), lambda k: us.conjugate_sheffer_sequence(UNIT, DELTA, k)),
     "connection_coefficients": (
         past(ORDER + 1), lambda k: us.connection_coefficients(DELTA, DELTA, k)),
-    "a_coefficients": (past(ORDER), lambda k: us.a_coefficients(PHI, k)),
     "TruncatedSeries.agrees_with": (
         Outside((ORDER + 1, -1), hs.integers(ORDER + 1, 99) | negative.draw),
         lambda k: SERIES.agrees_with(SERIES, k)),
     # negative orders
-    "zero": (negative, lambda n: us.zero(n)),
     "one": (negative, lambda n: us.one(n)),
     "identity": (negative, lambda n: us.identity(n)),
     "powers": (negative, lambda n: us.powers(SERIES, n)),
@@ -107,7 +102,7 @@ CASES = {
     "PhiSeries.from_t-order": (negative, lambda n: us.PhiSeries.from_t([1], order=n)),
     "haldane_wu_W-n": (negative, lambda n: us.haldane_wu_W(3, n, 0)),
     "group_compose_m": (negative, lambda m: us.group_compose_m(STAT, STAT, m)),
-    "gentile_statistics": (hs.integers(-40, 0), lambda n: us.gentile_statistics(2, n)),
+    "CatalogEntry.build": (below_1, lambda n: catalog.get("gentile").build(n, p=2)),
     # a quantity name with an order at or just below 0, where a derived or
     # extra quantity that gains back the orders it loses could still answer
     "CatalogEntry.quantity": (

@@ -53,22 +53,22 @@ def random_t(rng, count=5):
 class TestKernelCoefficients:
     def test_geometric_kernel(self):
         phi = PhiSeries.from_t([F(1, 3)], order=8)
-        a = de.a_coefficients(phi)
-        assert a[:4] == [F(1, 3), F(1, 9), F(1, 27), F(1, 81)]
+        a = de.map_f(phi).series.coeffs  # G = p/phi = 1 + sum a_n p^n
+        assert a[1:5] == (F(1, 3), F(1, 9), F(1, 27), F(1, 81))
 
     def test_a2_closed_form(self):
         t1, t2 = F(1, 2), F(1, 5)
         phi = PhiSeries.from_t([t1, t2], order=8)
-        assert de.a_coefficients(phi)[1] == t2 + t1**2 == F(9, 20)
+        assert de.map_f(phi).series.coeffs[2] == t2 + t1**2 == F(9, 20)
 
     def test_a_list_against_multinomial_oracle(self):
         rng = random.Random(17)
         for _ in range(5):
             T = random_t(rng)
             phi = PhiSeries.from_t(T, order=10)
-            a = de.a_coefficients(phi)
+            a = de.map_f(phi).series.coeffs
             for n in range(1, 9):
-                assert a[n - 1] == weighted_multinomial_sum(T, n)
+                assert a[n] == weighted_multinomial_sum(T, n)
 
     def test_a4_closed_form(self):
         rng = random.Random(23)
@@ -76,21 +76,13 @@ class TestKernelCoefficients:
             t1, t2, t3, t4 = random_t(rng, 4)
             phi = PhiSeries.from_t([t1, t2, t3, t4], order=8)
             assert (
-                de.a_coefficients(phi)[3]
+                de.map_f(phi).series.coeffs[4]
                 == t4 + 2 * t3 * t1 + t2**2 + 3 * t2 * t1**2 + t1**4
             )
 
     def test_t_roundtrip(self):
         T = [F(1, 2), F(-2), F(3, 4)]
         assert PhiSeries.from_t(T).t_coefficients() == T
-
-    @pytest.mark.parametrize("n_max", [-3, -1, 6])
-    def test_a_count_outside_the_kernel_is_refused(self, n_max):
-        """A negative count is not read as a slice from the end."""
-        phi = PhiSeries.from_t([1, 2, 3, 4, 5])
-        assert len(de.a_coefficients(phi, 5)) == 5
-        with pytest.raises(ValueError):
-            de.a_coefficients(phi, n_max)
 
     def test_kernel_validation(self):
         with pytest.raises(ValueError):
@@ -163,13 +155,14 @@ class TestDeformedLogExp:
         )
 
     def test_exp_is_weight_function(self):
-        assert de.exp_phi(boltzmann()) == boltzmann().w
-        assert de.exp_phi(fermi()) == fermi().w  # q/(1+q)
-        assert de.exp_phi(bose()) == bose().w  # q/(1-q)
+        # the deformed exponential of a statistics' kernel, map_g(phi).w, is
+        # its weight function, through the order the kernel keeps
+        for s in (boltzmann(), fermi(), bose()):  # q, q/(1+q), q/(1-q)
+            assert de.map_g(de.map_g_inverse(s)).w == s.w.truncate(N - 1)
 
     def test_exp_from_kernel(self):
         phi = PhiSeries.from_t([F(1)], order=8)  # u(1-u): two-level kernel
-        assert de.exp_phi(phi) == fermi(8).w
+        assert de.map_g(phi).w == fermi(8).w
 
 
 class TestXi:
@@ -254,15 +247,14 @@ class TestXi:
 
 class TestEntropyDensity:
     def test_boltzmann(self):
-        h0, c0 = de.phi_entropy(boltzmann(), F(1))
-        # H0 = p - p log p; with c0 = 1 the full density is -p log p
+        h0 = de.phi_entropy(boltzmann())
+        # H0 = p - p log p; with the registered constant 1 the full density is -p log p
         assert h0.plain == fps.identity(N)
         assert h0.logpart == -fps.identity(N)
-        assert c0 == 1
 
     def test_fermi(self):
         # -(1-p) log(1-p) = p - sum_{k>=2} p^k/(k(k-1))
-        h0, _ = de.phi_entropy(fermi(), F(0))
+        h0 = de.phi_entropy(fermi())
         expected = fps.from_function(
             lambda k: 1 if k == 1 else (0 if k == 0 else F(-1, k * (k - 1))), N
         )
@@ -273,7 +265,7 @@ class TestEntropyDensity:
         # -p log p - (1/eps)(1-eps p) log(1 - eps p) + (linear term)
         eps = F(1, 3)
         stat = st.from_cluster([(-eps) ** k for k in range(N)], "one-parameter")
-        h0, _ = de.phi_entropy(stat)
+        h0 = de.phi_entropy(stat)
         assert h0.plain[1] == 1
         for k in range(2, N + 1):
             assert h0.plain[k] == -(eps ** (k - 1)) / (k * (k - 1))
@@ -324,8 +316,8 @@ class TestDerivedMemo:
             de.map_g_inverse(s),
             de.ln_phi(s).plain,
             de.xi(s),
-            de.phi_entropy(s).series.plain,
-            de.map_h(s),
+            de.phi_entropy(s).plain,
+            de.map_f(s),
         )
 
     def test_second_read_computes_nothing(self, monkeypatch):
@@ -380,7 +372,7 @@ class TestDerivedMemo:
         assert de.entropy_gradient_holds(phi)
         assert built == []
         assert calls == {"map_g": 0, "x_from_phi": 0, "lagrange_invert": 0}
-        de.exp_phi(phi)  # the weight function needs the statistics
+        de.map_g(phi).w  # the weight function needs the statistics
         assert len(built) == 1
         assert calls == {"map_g": 1, "x_from_phi": 1, "lagrange_invert": 1}
 
@@ -418,13 +410,13 @@ class TestH0FromLogX:
     def test_equals_the_composition_on_the_catalog(self, n):
         for name in cat.entries_in_space():
             stat = st.Statistics(cat.build(name, n).F, name)  # an empty memo
-            assert de.phi_entropy(stat).series.plain == composed_h0(stat), name
+            assert de.phi_entropy(stat).plain == composed_h0(stat), name
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(hs.lists(hs.builds(F, hs.integers(-9, 9), hs.integers(1, 9)), max_size=20))
     def test_equals_the_composition_on_random_statistics(self, cluster):
         stat = st.from_cluster([1] + cluster)
-        assert de.phi_entropy(stat).series.plain == composed_h0(stat)
+        assert de.phi_entropy(stat).plain == composed_h0(stat)
 
     @pytest.mark.parametrize("suite, plant", [
         ("main-theorem", lambda cs: [c * F(m, m + 1) for m, c in enumerate(cs)]),
@@ -443,22 +435,23 @@ class TestH0FromLogX:
 
 
 class TestOneSeries:
-    """ln_phi, xi, H0 and map_h read off G = u/phi against the routes they
+    """ln_phi, xi, H0 and map_f read off G = u/phi against the routes they
     replaced: log(X/u) for ln_phi and H0, the kernel phi = X/X' for xi and
-    map_h, and a kernel's statistics map_g(phi) for its H0.  xi and map_h
+    map_f, and a kernel's statistics map_g(phi) for its H0.  xi and map_f
     keep one order more than the kernel route, whose values are a prefix."""
 
     @staticmethod
     def check_statistics(stat):
         X = stat.X_of_w
         assert de.ln_phi(stat).plain == ln_phi_plain_through_log(X)
-        assert de.phi_entropy(stat).series.plain == h0_plain_through_log(X)
+        assert de.phi_entropy(stat).plain == h0_plain_through_log(X)
         xi = de.xi(stat)
         assert xi.order == stat.order
         if stat.order >= 2:  # an order-1 statistics has no kernel
             old = xi_through_kernel(X)
             assert old.order == stat.order - 1 and xi.truncate(old.order) == old
-            s, old_s = de.map_h(stat).s_coeffs, de.map_f(de.map_g_inverse(stat)).s_coeffs
+            s = de.map_f(stat).series.coeffs
+            old_s = de.map_f(de.map_g_inverse(stat)).series.coeffs
             assert len(s) == len(old_s) + 1 and s[:-1] == old_s
 
     @pytest.mark.parametrize("n", range(1, 25))
@@ -477,52 +470,60 @@ class TestOneSeries:
         phi = PhiSeries.from_t(T)
         X = de.x_from_phi(phi)
         assert de.ln_phi(phi).plain == ln_phi_plain_through_log(X)
-        assert de.phi_entropy(phi).series.plain == h0_plain_of_kernel_through_statistics(phi)
+        assert de.phi_entropy(phi).plain == h0_plain_of_kernel_through_statistics(phi)
         if T:
             old = xi_through_kernel(X)
             assert de.xi(phi).truncate(old.order) == old
 
 
 class TestDensityBijection:
+    """map_f sends a kernel with T_n to the density with 1 + sum s_n p^n =
+    1 / (1 - sum T_n p^n), and map_f_inverse sends it back."""
+
     def test_zero_maps_to_zero(self):
-        assert de.s_from_t([F(0), F(0)]) == [F(0), F(0)]
+        assert de.map_f(PhiSeries.from_t([F(0), F(0)])).series == fps.one(2)
 
     def test_geometric(self):
         t = F(2, 5)
-        s = de.s_from_t([t, 0, 0, 0])
-        assert s == [t, t**2, t**3, t**4]
+        h = de.map_f(PhiSeries.from_t([t, 0, 0, 0]))
+        assert h.series == TruncatedSeries([1, t, t**2, t**3, t**4])
 
     def test_roundtrip(self):
         rng = random.Random(53)
         for _ in range(10):
             T = random_t(rng, 12)
-            assert de.t_from_s(de.s_from_t(T)) == T
+            assert de.map_f_inverse(de.map_f(PhiSeries.from_t(T))).t_coefficients() == T
 
     def test_density_series_form(self):
-        h = EntropyDensity.from_s([F(1), F(-2)])
-        ls = h.to_logseries()
+        # H_s(p) = -p log p - sum s_n p^(n+1) / (n(n+1)) is H0 of the
+        # density's kernel less its linear term p
+        h = EntropyDensity(TruncatedSeries([1, 1, -2]))
+        ls = de.phi_entropy(de.map_f_inverse(h))
         assert ls.logpart == TruncatedSeries([0, -1, 0, 0])
-        assert ls.plain == TruncatedSeries([0, 0, F(-1, 2), F(1, 3)])
+        assert ls.plain == TruncatedSeries([0, 1, F(-1, 2), F(1, 3)])
 
     def test_map_f_equals_a_coefficients(self):
+        # the s_n of map_f are the a_n of ln_phi(p) = log p + sum a_n p^n / n
         rng = random.Random(59)
         phi = PhiSeries.from_t(random_t(rng), order=10)
-        assert list(de.map_f(phi).s_coeffs) == de.a_coefficients(phi)
+        s, a_over_n = de.map_f(phi).series.coeffs, de.ln_phi(phi).plain.coeffs
+        assert len(s) == len(a_over_n)
+        assert all(s[n] == n * a_over_n[n] for n in range(1, len(s)))
 
     def test_density_is_stored_as_its_unit_series(self):
-        h = EntropyDensity.from_s([F(1, 2), 3])
+        h = EntropyDensity(TruncatedSeries([1, F(1, 2), 3]))
         assert h.series == TruncatedSeries([1, F(1, 2), 3]) and h.order == 2
-        assert h.s_coeffs == (F(1, 2), F(3))
         # 1/G = 1 - p/2 + (1/4 - 3) p^2, and phi = p/G
         assert de.map_f_inverse(h) == PhiSeries.from_t([F(1, 2), F(11, 4)])
         with pytest.raises(ValueError, match="constant term 1"):
             EntropyDensity(TruncatedSeries([2, 1]))
 
     def test_density_agreement_is_false_when_shorter(self):
-        h = EntropyDensity.from_s([1, 2, 3])
-        assert h.agrees_with(EntropyDensity.from_s([1, 2, 4]), 2)
-        assert not h.agrees_with(EntropyDensity.from_s([1, 2, 4]), 3)
-        assert not h.agrees_with(EntropyDensity.from_s([1, 2]), 3)
+        h = EntropyDensity(TruncatedSeries([1, 1, 2, 3]))
+        other = EntropyDensity(TruncatedSeries([1, 1, 2, 4]))
+        assert h.agrees_with(other, 2)
+        assert not h.agrees_with(other, 3)
+        assert not h.agrees_with(EntropyDensity(TruncatedSeries([1, 1, 2])), 3)
         assert not h.agrees_with(h, 4)
 
 
@@ -631,7 +632,7 @@ class TestInvolutions:
         for _ in range(5):
             phi = PhiSeries.from_t(random_t(rng), order=12)
             direct = de.map_f(phi)
-            through_statistics = de.map_h(de.map_g(phi))
+            through_statistics = de.map_f(de.map_g(phi))
             assert direct.agrees_with(through_statistics, 9)
 
 

@@ -588,11 +588,11 @@ def kernel_outputs(a, b, delta, unit, c0, x) -> list[TruncatedSeries]:
     n = A.order
     out = [
         fps.mul(A, B), fps.add(A, B), fps.sub(A, B), fps.scale(A, x), -A,
-        fps.shift_up(A), fps.integrate_extend(A), fps.integrate(A),
+        fps.shift_up(A), fps.integrate_extend(A), fps.integrate_extend(A).truncate(n),
         fps.reciprocal(TruncatedSeries([c0] + a[1:])),
         fps.divide(A, TruncatedSeries([c0] + b[1:])),
         fps.log_series(U), fps.pow_rational(U, x if x else F(1, 2)),
-        fps.constant(x, n), fps.zero(n), fps.one(n), fps.from_function(lambda k: a[k], n),
+        fps.constant(x, n), fps.constant(0, n), fps.one(n), fps.from_function(lambda k: a[k], n),
         fps.shift_down(D), fps.compose(A, D), fps.compose(B, D), fps.exp_series(D),
         fps.lagrange_invert(D), fps.identity(D.order), fps.derivative(D),
         st.Statistics(XU).w, st.from_weight(XU).F, st._twist(D, 2),
@@ -631,10 +631,10 @@ def test_equal_values_store_equal_pairs():
     a = TruncatedSeries([F(2, 4), 3, "4/6", 0])
     assert (a._nums, a._den) == ((3, 18, 4, 0), 6)
     assert a == TruncatedSeries(["1/2", F(6, 2), F(2, 3), F(0, 5)])
-    assert fps.zero(3)._nums == (0, 0, 0, 0) and fps.zero(3)._den == 1
-    assert fps.mul(a, fps.zero(3)) == fps.zero(3)
+    assert fps.constant(0, 3)._nums == (0, 0, 0, 0) and fps.constant(0, 3)._den == 1
+    assert fps.mul(a, fps.constant(0, 3)) == fps.constant(0, 3)
     assert fps.reciprocal(TruncatedSeries([F(-2, 3)]))._nums == (-3,)
-    assert fps.zero(2) != fps.zero(3)
+    assert fps.constant(0, 2) != fps.constant(0, 3)
 
 
 def assert_polynomial_canonical(p: Polynomial) -> None:

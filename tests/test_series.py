@@ -44,7 +44,7 @@ class TestArithmetic:
 
     def test_add_identity(self):
         s = S(3, -2, F(1, 7))
-        assert s + fps.zero(2) == s
+        assert s + fps.constant(0, 2) == s
 
     def test_add_direct(self):
         assert S(0, 1, 1) + S(0, 0, 1) == S(0, 1, 2)
@@ -75,7 +75,11 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="negative"):
             TruncatedSeries(range(17)).truncate(order)
 
-    @pytest.mark.parametrize("make", [lambda n: fps.constant(F(2, 3), n), fps.zero, fps.one])
+    @pytest.mark.parametrize("make", [
+        lambda n: fps.constant(F(2, 3), n),
+        pytest.param(lambda n: fps.constant(0, n), id="zero"),
+        fps.one,
+    ])
     def test_negative_constant_order_is_refused(self, make):
         with pytest.raises(ValueError, match="negative"):
             make(-3)
@@ -158,7 +162,7 @@ def _fact(k):
 
 class TestExpLog:
     def test_exp_zero(self):
-        assert fps.exp_series(fps.zero(4)) == fps.one(4)
+        assert fps.exp_series(fps.constant(0, 4)) == fps.one(4)
 
     def test_exp_of_cluster_sum_is_geometric(self):
         n = 10
@@ -175,7 +179,14 @@ class TestExpLog:
             fps.exp_series(S(1, 0))
 
     def test_log_one(self):
-        assert fps.log_series(fps.one(5)) == fps.zero(5)
+        assert fps.log_series(fps.one(5)) == fps.constant(0, 5)
+
+    def test_log_and_powers_of_an_order_0_one(self):
+        """An order-0 series has no derivative: its log is read off its
+        constant term alone, and so are its rational powers."""
+        assert fps.log_series(fps.one(0)) == fps.constant(0, 0)
+        for r in (2, -1, F(1, 2), F(-3, 7)):
+            assert fps.pow_rational(fps.one(0), r) == fps.one(0)
 
     def test_log_of_one_plus_x(self):
         assert fps.log_series(S(1, 1, 0, 0, 0, 0)) == fps.from_function(
@@ -217,16 +228,17 @@ class TestCalculus:
 
     def test_integrate_after_derivative(self):
         s = S(4, 1, F(1, 2), -3)
-        assert fps.integrate(fps.derivative(s)) == (s - fps.constant(4, 3)).truncate(2)
+        assert fps.integrate_extend(fps.derivative(s)) == s - fps.constant(4, 3)
 
     def test_derivative_of_cluster_sum(self):
         n = 8
         f = fps.from_function(lambda k: 0 if k == 0 else F(1, k), n)
         assert fps.derivative(f) == TruncatedSeries(geometric_coefficients(n - 1))
 
-    def test_integrate_reports_input_order(self):
-        assert fps.integrate(S(1, 2)).order == 1
-        assert fps.integrate(S(1, 2)) == S(0, 1)
+    def test_integrate_extend_keeps_every_determined_coefficient(self):
+        assert fps.integrate_extend(S(1, 2)).order == 2
+        assert fps.integrate_extend(S(1, 2)) == S(0, 1, 1)
+        assert fps.integrate_extend(S(1, 2)).truncate(1) == S(0, 1)
 
 
 class TestReciprocal:
@@ -283,7 +295,7 @@ class TestEvaluate:
 
 class TestLogSeries:
     def test_substitute_identity(self):
-        log_p = LogSeries(fps.zero(5), fps.one(5))
+        log_p = LogSeries(fps.constant(0, 5), fps.one(5))
         got = fps.logseries_compose(log_p, fps.identity(5))
         assert got.plain.is_zero() and got.logpart == fps.one(4)
 
@@ -291,7 +303,7 @@ class TestLogSeries:
         # -p log p at p = X + X^2: plain -(X+X^2) log(1+X), log part -(X+X^2)
         n = 3
         neg_p = TruncatedSeries([0, -1, 0, 0])
-        ls = LogSeries(fps.zero(n), neg_p)
+        ls = LogSeries(fps.constant(0, n), neg_p)
         u = S(0, 1, 1, 0)
         got = fps.logseries_compose(ls, u)
         # by hand: (X+X^2)(X - X^2/2 + X^3/3) = X^2 + X^3/2 + O(X^4)
@@ -299,7 +311,7 @@ class TestLogSeries:
         assert got.logpart == S(0, -1, -1, 0).truncate(2)
 
     def test_substitution_requires_unit_slope(self):
-        ls = LogSeries(fps.zero(4), fps.one(4))
+        ls = LogSeries(fps.constant(0, 4), fps.one(4))
         with pytest.raises(ValueError, match="unit linear"):
             fps.logseries_compose(ls, 2 * fps.identity(4))
         with pytest.raises(ValueError, match="constant"):
@@ -307,19 +319,19 @@ class TestLogSeries:
 
     def test_derivative_of_p_log_p(self):
         # d/dp (-p log p) = -log p - 1
-        ls = LogSeries(fps.zero(4), TruncatedSeries([0, -1, 0, 0, 0]))
+        ls = LogSeries(fps.constant(0, 4), TruncatedSeries([0, -1, 0, 0, 0]))
         got = fps.logseries_derivative(ls)
         assert got.plain == fps.constant(-1, 3)
         assert got.logpart == fps.constant(-1, 3)
 
     def test_derivative_plain_only(self):
-        ls = LogSeries(S(0, 0, 1, 0), fps.zero(3))
+        ls = LogSeries(S(0, 0, 1, 0), fps.constant(0, 3))
         got = fps.logseries_derivative(ls)
         assert got.plain == S(0, 2, 0)
 
     def test_derivative_rejects_constant_log_coefficient(self):
         with pytest.raises(ValueError):
-            fps.logseries_derivative(LogSeries(fps.zero(3), fps.one(3)))
+            fps.logseries_derivative(LogSeries(fps.constant(0, 3), fps.one(3)))
 
     def test_equality_is_coefficientwise(self):
         a = LogSeries(S(0, 1), S(1, 0))
@@ -424,7 +436,7 @@ VALUE_OBJECTS = [
     (ShefferPair(InvertibleSeries(S(1, 1)), DeltaSeries(S(0, 1))), "g"),
     (Statistics(S(0, 1, 1)), "F"),
     (PhiSeries.from_t([1, 2]), "series"),
-    (EntropyDensity.from_s([1, 2]), "series"),
+    (EntropyDensity(S(1, 1, 2)), "series"),
 ]
 
 
@@ -484,7 +496,7 @@ EQUAL_VALUE_BUILDERS = [
     lambda: DeltaSeries(S(0, 1, 2)),
     lambda: InvertibleSeries(S(1, 1)),
     lambda: PhiSeries.from_t([1, 2]),
-    lambda: EntropyDensity.from_s([1, 2]),
+    lambda: EntropyDensity(S(1, 1, 2)),
     lambda: PolynomialSequence([Polynomial([1]), Polynomial([0, 1])]),
     lambda: ShefferPair(InvertibleSeries(S(1, 1)), DeltaSeries(S(0, 1))),
     lambda: Statistics(S(0, 1, 1)),

@@ -349,20 +349,20 @@ class TestHaldaneWu:
 
 class TestGentile:
     def test_single_occupancy_is_fermi(self):
-        assert st.gentile_statistics(1, N) == fermi()
+        assert cat.build("gentile", N, p=1) == fermi()
 
     def test_high_occupancy_approaches_bose(self):
-        assert st.gentile_statistics(N + 3, N) == bose()
+        assert cat.build("gentile", N, p=N + 3) == bose()
 
     def test_occupation_numbers(self):
         # z = 1 + X + X^2: coefficient list (1, 1, 1, 0, ...)
-        s = st.gentile_statistics(2, 6)
+        s = cat.build("gentile", 6, p=2)
         assert s.z == TruncatedSeries([1, 1, 1, 0, 0, 0, 0])
 
     def test_weight_closed_form(self):
         # X/(1-X) - (p+1) X^{p+1}/(1-X^{p+1})
         p = 3
-        s = st.gentile_statistics(p, N)
+        s = cat.build("gentile", N, p=p)
         expected = [F(0)] + [
             F(1) - (p + 1) * (1 if k % (p + 1) == 0 else 0) for k in range(1, N + 1)
         ]
@@ -370,22 +370,22 @@ class TestGentile:
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            st.gentile_statistics(0, 6)
+            cat.build("gentile", 6, p=0)
 
     def test_is_the_catalog_entry(self):
-        s = st.gentile_statistics(3, 9)
+        s = cat.build("gentile", 9, p=3)
         assert s is cat.build("gentile", 9, p=3) and s.name == "gentile"
 
     @pytest.mark.parametrize("p", [F(3, 2), F(5, 2), -1])
     def test_rejects_a_non_integer_or_negative_occupancy(self, p):
         with pytest.raises(cat.CatalogError) as info:
-            st.gentile_statistics(p, 4)
+            cat.build("gentile", 4, p=p)
         assert str(info.value) == "maximum occupancy p must be a positive integer"
 
     @pytest.mark.parametrize("order", [0, -1])
     def test_rejects_an_order_below_1(self, order):
         with pytest.raises(ValueError) as info:
-            st.gentile_statistics(2, order)
+            cat.build("gentile", order, p=2)
         assert type(info.value) is ValueError
         assert str(info.value) == f"order must be at least 1, got {order}"
 
@@ -405,16 +405,16 @@ class TestEvaluationHelpers:
 
     def test_mean_occupation_boltzmann(self):
         for x in (F(0), F(2, 7), F(-1, 3)):
-            assert st.mean_occupation(boltzmann(9), x) == x
+            assert fps.evaluate(boltzmann(9).w, x) == x
 
     def test_mean_occupation_at_zero(self):
-        assert st.mean_occupation(fermi(9), 0) == 0
+        assert fps.evaluate(fermi(9).w, 0) == 0
 
     def test_mean_occupation_fermi_converges(self):
         # partial sums at X=1/2 approach the closed form X/(1+X) = 1/3
         closed = F(1, 3)
         errors = [
-            abs(st.mean_occupation(fermi(order), F(1, 2)) - closed)
+            abs(fps.evaluate(fermi(order).w, F(1, 2)) - closed)
             for order in (4, 8, 16)
         ]
         assert errors[0] > errors[1] > errors[2]
