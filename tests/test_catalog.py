@@ -147,6 +147,15 @@ class TestRegistry:
         assert cat.build("fermi-dirac", 8).z == TruncatedSeries([1, 1] + [0] * 7)
         assert cat.build("boltzmann-gibbs", 8).z == fps.exp_series(fps.identity(8))
 
+    def test_unscaled_variant_not_normalizable(self):
+        # log((1+X)/(1-X)) is the mittag-leffler free energy at 2X: its linear
+        # coefficient is 2, so no Statistics stands on it
+        entry = cat.get("mittag-leffler")
+        series = fps.from_function(lambda k: entry.coefficient(k, {}) * 2**k, 8)
+        assert series[1] == 2
+        with pytest.raises(ValueError):
+            st.Statistics(series)
+
     def test_registered_constants(self):
         assert cat.get("boltzmann-gibbs").registered_constant == 1
         assert cat.get("fermi-dirac").registered_constant == 0

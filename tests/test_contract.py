@@ -78,6 +78,8 @@ CASES = {
     "Polynomial-call": (zero_denominators, lambda t: SEQ[3](t)),
     "scale": (zero_denominators, lambda t: SERIES.scale(t)),
     "PhiSeries.from_t": (zero_denominators, lambda t: us.PhiSeries.from_t([t])),
+    "EntropyDensity": (
+        zero_denominators, lambda t: us.EntropyDensity(us.TruncatedSeries([1, t]))),
     # degrees past the sequence or the order
     "convolution_holds": (past(len(W)), lambda k: us.convolution_holds(W, 1, 2, k)),
     "occupation_recursion_holds": (

@@ -84,6 +84,13 @@ class TestKernelCoefficients:
         T = [F(1, 2), F(-2), F(3, 4)]
         assert PhiSeries.from_t(T).t_coefficients() == T
 
+    def test_the_kernel_determines_one_a_per_t(self):
+        # from_t's default order keeps a_1..a_5 of a five-T kernel, no more
+        phi = PhiSeries.from_t([1, 2, 3, 4, 5])
+        assert de.map_f(phi).series.order == 5
+        with pytest.raises(ValueError):
+            de.map_f(phi).series.truncate(6)
+
     def test_kernel_validation(self):
         with pytest.raises(ValueError):
             PhiSeries(TruncatedSeries([1, 1]))
@@ -501,6 +508,16 @@ class TestDensityBijection:
         ls = de.phi_entropy(de.map_f_inverse(h))
         assert ls.logpart == TruncatedSeries([0, -1, 0, 0])
         assert ls.plain == TruncatedSeries([0, 1, F(-1, 2), F(1, 3)])
+
+    def test_density_series_form_on_random_densities(self):
+        rng = random.Random(61)
+        for _ in range(30):
+            s = random_t(rng, rng.randint(0, 8))
+            ls = de.phi_entropy(de.map_f_inverse(EntropyDensity(TruncatedSeries([1, *s]))))
+            order = len(s) + 1
+            assert ls.logpart == -fps.identity(order)
+            assert ls.plain == TruncatedSeries(
+                [0, 1] + [-c / (n * (n + 1)) for n, c in enumerate(s, 1)])
 
     def test_map_f_equals_a_coefficients(self):
         # the s_n of map_f are the a_n of ln_phi(p) = log p + sum a_n p^n / n
